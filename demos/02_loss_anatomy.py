@@ -10,9 +10,9 @@ Run:  python demos/02_loss_anatomy.py
 
 import numpy as np
 
-from nla import (Arch, WeightPolicy, default_view, forward, gradient_check,
-                 init_params, naw_weights, softmax, standard_instance,
-                 total_loss)
+from nla import (Arch, WeightPolicy, default_view, epoch_kernels, forward,
+                 gradient_check, init_params, naw_weights, softmax,
+                 standard_instance, total_loss)
 from nla.losses import batch_total
 from nla.numkit import Rng
 from nla.selfcheck import draw_kink_safe_batch, frozen_loss_fn
@@ -44,7 +44,8 @@ for i in range(len(idx)):
 
 print("\nBatch means by training mode (same batch, epoch 20):")
 for mode in ("ce", "naw", "nla"):
-    batch = batch_total(logits, logits_f, labels, 20, policy, 0.5, mode=mode)
+    batch = batch_total(logits, logits_f, labels, epoch_kernels(policy, 20), 0.5,
+                        mode=mode)
     print(f"  {mode:4s}: total={batch.total.mean():.4f} "
           f"(ce={batch.ce.mean():.4f}, reg={batch.reg.mean():.4f})")
 
@@ -54,7 +55,7 @@ check_xf = check_x.copy()
 check_xf[:, 0] = -check_xf[:, 0]
 check_labels = np.array([rng.below(train.n_classes) for _ in range(32)])
 weights = naw_weights(softmax(forward(params, check_x).logits), check_labels,
-                      20, policy)
+                      epoch_kernels(policy, 20))
 fn = frozen_loss_fn(check_x, check_xf, check_labels, 20, policy, 0.5, weights)
 result = gradient_check(params, fn, tolerance=1e-6)
 print(f"  checked {result.n_checked} coordinates, "

@@ -13,8 +13,9 @@ from .numkit import Rng, SingularMatrixError, log_softmax, logsumexp, mat2_det, 
     mat2_inverse, softmax
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, KernelParams, PredictionPair,
                   WeightPolicy, build_false_kernel, build_true_kernel,
-                  covariance_schedule, extract_scores, gaussian_weight,
-                  naw_weight, naw_weights, sigma_from_axis_ratio)
+                  covariance_schedule, epoch_kernels, extract_scores,
+                  gaussian_weight, naw_weight, naw_weights,
+                  sigma_from_axis_ratio)
 from .losses import LossBreakdown, batch_total, consistency_loss, cross_entropy, \
     naw_ce_loss, total_loss
 from .model import Arch, ForwardTrace, GradCheckResult, Gradients, ModelParams, \

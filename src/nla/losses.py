@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .naw import WeightPolicy, naw_weights
-from .numkit import softmax
+from .naw import KernelParams, WeightPolicy, epoch_kernels, score_weights
 
 __all__ = [
     "MODES",
@@ -77,44 +76,47 @@ def _as_logit_rows(logits, name: str) -> np.ndarray:
     return z
 
 
-def _batch_cross_entropy(z: np.ndarray, labels: np.ndarray):
-    """Per-sample negative log-likelihood and its per-sample logit gradient."""
-    n, k = z.shape
-    rows = np.arange(n)
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    losses = lse - z[rows, labels]
-    grads = softmax(z)
-    grads[rows, labels] -= 1.0
-    return losses, grads
+def _one_sample(logits, label: int, name: str = "logits") -> np.ndarray:
+    """Check one logit vector and its label; return the vector as a (1, K) row."""
+    z = _as_logit_rows(logits, name)
+    if z.shape[0] != 1:
+        raise ValueError(f"{name} must be a single logit vector")
+    if not 0 <= label < z.shape[1]:
+        raise ValueError(f"label {label} out of range for {z.shape[1]} categories")
+    return z
+
+
+def _softmax_lse(z: np.ndarray):
+    """Softmax and log-sum-exp over the last axis from one max/exp/sum."""
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, m[..., 0] + np.log(s[..., 0])
+
+
+def _consistency(p: np.ndarray):
+    """Symmetrized KL against the mixture, per sample, with both gradients.
+
+    ``p`` stacks the two views' probabilities as a (2, n, K) array.  With
+    m = (p[0] + p[1]) / 2 the loss is KL(p[0]||m) + KL(p[1]||m), which lies
+    in [0, 2 ln 2].  Mixture entries are floored at 1e-12 before the log
+    and 0 log 0 is taken as 0.  Returns the (n,) losses and the (2, n, K)
+    gradients with respect to each view's logits.
+    """
+    m = np.maximum(0.5 * (p[0] + p[1]), _M_FLOOR)
+    log_m = np.log(m)
+    # terms p log(p/m) with the 0 log 0 convention; dual = log(p/m)
+    dual = np.where(p > 0.0, np.log(np.maximum(p, _M_FLOOR)) - log_m, 0.0)
+    kl = (p * dual).sum(axis=-1)
+    # d loss / d z = p * (log(p/m) - KL(p||m)) for each view.
+    return kl[0] + kl[1], p * (dual - kl[..., None])
 
 
 def _batch_consistency(za: np.ndarray, zb: np.ndarray):
-    """Symmetrized KL against the mixture, per sample, with both gradients.
-
-    With p = softmax(za), q = softmax(zb) and m = (p + q) / 2 the loss is
-    KL(p||m) + KL(q||m), which lies in [0, 2 ln 2].  Mixture entries are
-    floored at 1e-12 before the log and 0 log 0 is taken as 0.
-    """
-    p = softmax(za)
-    q = softmax(zb)
-    m = np.maximum(0.5 * (p + q), _M_FLOOR)
-    log_m = np.log(m)
-
-    def _kl_and_dual(dist):
-        # terms p log(p/m) with the 0 log 0 convention; dual = log(p/m)
-        safe = np.maximum(dist, _M_FLOOR)
-        dual = np.where(dist > 0.0, np.log(safe) - log_m, 0.0)
-        kl = (dist * dual).sum(axis=1)
-        return kl, dual
-
-    kl_p, dual_p = _kl_and_dual(p)
-    kl_q, dual_q = _kl_and_dual(q)
-    losses = kl_p + kl_q
-    # d loss / d za = p * (log(p/m) - KL(p||m)); symmetric for the other view.
-    grad_a = p * (dual_p - kl_p[:, None])
-    grad_b = q * (dual_q - kl_q[:, None])
-    return losses, grad_a, grad_b
+    """Consistency losses of two (n, K) logit matrices and both gradients."""
+    p, _ = _softmax_lse(np.array((za, zb)))
+    losses, grads = _consistency(p)
+    return losses, grads[0], grads[1]
 
 
 def cross_entropy(logits, label: int):
@@ -122,13 +124,11 @@ def cross_entropy(logits, label: int):
 
     Returns ``(loss, grad)`` where ``grad = softmax(logits) - onehot``.
     """
-    z = _as_logit_rows(logits, "logits")
-    if z.shape[0] != 1:
-        raise ValueError("cross_entropy takes a single logit vector")
-    if not 0 <= label < z.shape[1]:
-        raise ValueError(f"label {label} out of range for {z.shape[1]} categories")
-    losses, grads = _batch_cross_entropy(z, np.array([label]))
-    return float(losses[0]), grads[0]
+    z = _one_sample(logits, label)
+    p, lse = _softmax_lse(z)
+    grad = p[0]
+    grad[label] -= 1.0
+    return float(lse[0] - z[0, label]), grad
 
 
 def naw_ce_loss(logits, label: int, epoch: int, policy: WeightPolicy):
@@ -137,10 +137,10 @@ def naw_ce_loss(logits, label: int, epoch: int, policy: WeightPolicy):
     The weight w comes from the epoch's kernels and is a constant with
     respect to the logits.  Returns ``(loss, weight, grad)``.
     """
-    ce, grad = cross_entropy(logits, label)
-    z = np.asarray(logits, dtype=np.float64)
-    w = float(naw_weights(softmax(z)[None, :], np.array([label]), epoch, policy)[0])
-    return (1.0 + w) * ce, w, (1.0 + w) * grad
+    z = _one_sample(logits, label)
+    batch = batch_total(z, z, np.array([label]), epoch_kernels(policy, epoch),
+                        1.0, mode="naw")
+    return float(batch.naw_ce[0]), float(batch.weight[0]), batch.grad_z[0]
 
 
 def consistency_loss(logits_a, logits_b):
@@ -168,11 +168,12 @@ def total_loss(logits, flipped_logits, label: int, epoch: int,
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    batch = batch_total(
-        np.asarray(logits, dtype=np.float64)[None, :],
-        np.asarray(flipped_logits, dtype=np.float64)[None, :],
-        np.array([label]), epoch, policy, lam, mode="nla",
-    )
+    z = _one_sample(logits, label)
+    zf = _one_sample(flipped_logits, label, "flipped logits")
+    if zf.shape != z.shape:
+        raise ValueError("both views must have the same shape")
+    batch = batch_total(z, zf, np.array([label]), epoch_kernels(policy, epoch),
+                        lam, mode="nla")
     return LossBreakdown(
         ce=float(batch.ce[0]),
         weight=float(batch.weight[0]),
@@ -184,8 +185,9 @@ def total_loss(logits, flipped_logits, label: int, epoch: int,
     )
 
 
-def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray, epoch: int,
-                policy: WeightPolicy, lam: float, mode: str = "nla",
+def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray,
+                kernels: tuple[KernelParams, KernelParams], lam: float,
+                mode: str = "nla",
                 frozen_weights: np.ndarray | None = None) -> BatchLoss:
     """Vectorized loss for one mini-batch under a training mode.
 
@@ -194,25 +196,32 @@ def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray, epoch: int,
       * ``naw``: weighted cross-entropy only.
       * ``nla``: lam-blend of weighted cross-entropy and consistency.
 
+    ``kernels`` is the (true, false) pair of :func:`nla.naw.epoch_kernels`
+    for the batch's epoch; mode ``ce`` and ``frozen_weights`` ignore it.
     ``frozen_weights`` substitutes precomputed per-sample weights for the
     ones the current logits would induce; finite-difference gradient
     checks use this to hold the weights constant across perturbations,
     matching the analytic gradients' stop-gradient treatment of them.
+
+    Each view's softmax is computed once and shared by the cross-entropy,
+    its gradient, the adaptive weights and the consistency term.  Inputs
+    are not checked here: ``z`` and ``zf`` must be finite float64 (n, K)
+    arrays of one shape and ``labels`` (n,) integers in [0, K).
+    ``run_training`` checks the labels once per run and the logits once
+    per step; the single-sample functions above check theirs per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    z = _as_logit_rows(z, "logits")
-    zf = _as_logit_rows(zf, "flipped logits")
-    labels = np.asarray(labels, dtype=np.int64)
-    n, k = z.shape
-    if zf.shape != z.shape:
-        raise ValueError("both views must have the same shape")
-    if labels.shape != (n,):
-        raise ValueError("labels must have one entry per row")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError("label out of range")
-
-    ce, ce_grad = _batch_cross_entropy(z, labels)
+    n = z.shape[0]
+    rows = np.arange(n)
+    if mode == "nla":
+        p_views, lse = _softmax_lse(np.array((z, zf)))
+        p, lse = p_views[0], lse[0]
+    else:
+        p, lse = _softmax_lse(z)
+    ce = lse - z[rows, labels]
+    ce_grad = p.copy()
+    ce_grad[rows, labels] -= 1.0
 
     if mode == "ce":
         zeros = np.zeros(n)
@@ -221,7 +230,7 @@ def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray, epoch: int,
                          grad_zf=np.zeros_like(zf))
 
     if frozen_weights is None:
-        w = naw_weights(softmax(z), labels, epoch, policy)
+        w = score_weights(p, labels, kernels)
     else:
         w = np.asarray(frozen_weights, dtype=np.float64)
         if w.shape != (n,):
@@ -235,9 +244,9 @@ def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray, epoch: int,
                          total=naw_ce.copy(), grad_z=naw_grad / n,
                          grad_zf=np.zeros_like(zf))
 
-    reg, reg_ga, reg_gb = _batch_consistency(z, zf)
+    reg, reg_grads = _consistency(p_views)
     total = lam * naw_ce + (1.0 - lam) * reg
-    grad_z = (lam * naw_grad + (1.0 - lam) * reg_ga) / n
-    grad_zf = (1.0 - lam) * reg_gb / n
+    grad_z = (lam * naw_grad + (1.0 - lam) * reg_grads[0]) / n
+    grad_zf = (1.0 - lam) * reg_grads[1] / n
     return BatchLoss(ce=ce, weight=w, naw_ce=naw_ce, reg=reg, total=total,
                      grad_z=grad_z, grad_zf=grad_zf)

@@ -4,6 +4,12 @@ Two architectures: a linear softmax head (d -> K) and a one-hidden-layer
 ReLU perceptron (d -> h -> K).  The ReLU derivative at exactly 0 is taken
 as 0 (the left limit), so gradient checks have a fixed convention at the
 kink.  Checkpoints round-trip bit-exactly through a small binary format.
+
+Parameters and gradients each live in one contiguous float64 vector,
+``flat``, ordered W0, b0 [, W1, b1] with every W row-major; the per-layer
+``weights`` and ``biases`` lists hold views into it.  This is also the
+checkpoint's byte order, so a checkpoint is a header plus the vector, and
+the optimizer updates a model with one pass over the vector.
 """
 
 from __future__ import annotations
@@ -50,25 +56,66 @@ class Arch:
         return self.hidden_dim == 0
 
     @property
-    def param_count(self) -> int:
+    def layer_shapes(self) -> list[tuple[int, int]]:
+        """(fan_in, fan_out) of each dense layer, input side first."""
         d, h, k = self.input_dim, self.hidden_dim, self.n_classes
-        if self.is_linear:
-            return d * k + k
-        return d * h + h + h * k + k
+        return [(d, k)] if self.is_linear else [(d, h), (h, k)]
+
+    @property
+    def param_count(self) -> int:
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_shapes)
 
 
-@dataclass
-class ModelParams:
-    """Dense weights and biases, ordered input side first."""
+def _layer_views(flat: np.ndarray, shapes) -> tuple[list, list]:
+    """Weight and bias views of a vector ordered W0, b0, W1, b1, ..."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in shapes:
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end:end + fan_out])
+        offset = end + fan_out
+    return weights, biases
 
-    arch: Arch
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    seed: int = 0
+
+class _LayerVector:
+    """Per-layer weight and bias views over one contiguous float64 vector.
+
+    ``flat`` holds W0, b0, W1, b1, ... in that order, each W row-major:
+    the checkpoint's parameter order.  ``weights`` and ``biases`` are
+    views into it, so writing through them writes ``flat`` and whole-model
+    arithmetic (optimizer, gradient accumulation) is one operation on
+    ``flat``.  Building from per-layer arrays copies them into a new
+    vector.
+    """
+
+    def __init__(self, weights, biases) -> None:
+        if len(weights) != len(biases):
+            raise ValueError("need one bias vector per weight matrix")
+        shapes = [np.shape(w) for w in weights]
+        for shape, b in zip(shapes, biases):
+            if len(shape) != 2 or np.shape(b) != shape[1:]:
+                raise ValueError(f"bias of shape {np.shape(b)} does not match "
+                                 f"weights of shape {shape}")
+        flat = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb])
+        self._bind(flat.astype(np.float64, copy=False), shapes)
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        self.weights, self.biases = _layer_views(flat, shapes)
+
+
+class ModelParams(_LayerVector):
+    """Dense weights and biases, ordered input side first, in one vector."""
+
+    def __init__(self, arch: Arch, weights, biases, seed: int = 0) -> None:
+        super().__init__(weights, biases)
+        if [w.shape for w in self.weights] != arch.layer_shapes:
+            raise ValueError(f"parameter shapes do not match {arch}")
+        self.arch = arch
+        self.seed = seed
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, [w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases], self.seed)
+        return ModelParams(self.arch, self.weights, self.biases, self.seed)
 
 
 @dataclass
@@ -81,23 +128,21 @@ class ForwardTrace:
     hidden: np.ndarray | None = None
 
 
-@dataclass
-class Gradients:
-    """Parameter gradients with the same shapes as the model."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+class Gradients(_LayerVector):
+    """Parameter gradients with the same shapes and layout as the model."""
 
     @staticmethod
     def zeros_like(params: ModelParams) -> "Gradients":
-        return Gradients([np.zeros_like(w) for w in params.weights],
-                         [np.zeros_like(b) for b in params.biases])
+        return Gradients._over(np.zeros_like(params.flat), params.arch)
+
+    @staticmethod
+    def _over(flat: np.ndarray, arch: Arch) -> "Gradients":
+        grads = Gradients.__new__(Gradients)
+        grads._bind(flat, arch.layer_shapes)
+        return grads
 
     def add_(self, other: "Gradients") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
+        self.flat += other.flat
 
 
 def init_params(arch: Arch, rng: Rng) -> ModelParams:
@@ -106,10 +151,8 @@ def init_params(arch: Arch, rng: Rng) -> ModelParams:
     Draw order is fixed (layer by layer, row-major within a layer), so a
     seed fully determines the parameters.
     """
-    dims = [(arch.input_dim, arch.n_classes)] if arch.is_linear else [
-        (arch.input_dim, arch.hidden_dim), (arch.hidden_dim, arch.n_classes)]
     weights, biases = [], []
-    for fan_in, fan_out in dims:
+    for fan_in, fan_out in arch.layer_shapes:
         w = rng.normals(fan_in * fan_out).reshape(fan_in, fan_out) / np.sqrt(fan_in)
         weights.append(w)
         biases.append(np.zeros(fan_out))
@@ -136,26 +179,31 @@ def backward(params: ModelParams, trace: ForwardTrace,
     """Exact reverse-mode gradients for the supplied logit gradients.
 
     ``grad_logits`` must be dL/d(logits) of the scalar loss being
-    differentiated (any batch-mean factor included by the caller).
+    differentiated (any batch-mean factor included by the caller).  The
+    per-layer products are written straight into the gradient vector.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
     if trace.inputs.shape[1] != params.arch.input_dim:
         raise ValueError("trace does not match the model architecture")
+    grads = Gradients._over(np.empty_like(params.flat), params.arch)
+    d_w, d_b = grads.weights, grads.biases
     if params.arch.is_linear:
         if trace.pre_hidden is not None:
             raise ValueError("trace does not match the model architecture")
-        return Gradients(weights=[trace.inputs.T @ g], biases=[g.sum(axis=0)])
+        np.matmul(trace.inputs.T, g, out=d_w[0])
+        np.add.reduce(g, axis=0, out=d_b[0])
+        return grads
     if trace.pre_hidden is None or trace.hidden is None:
         raise ValueError("trace does not match the model architecture")
-    d_w2 = trace.hidden.T @ g
-    d_b2 = g.sum(axis=0)
+    np.matmul(trace.hidden.T, g, out=d_w[1])
+    np.add.reduce(g, axis=0, out=d_b[1])
     d_hid = g @ params.weights[1].T
     d_pre = d_hid * (trace.pre_hidden > 0.0)
-    d_w1 = trace.inputs.T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
-    return Gradients(weights=[d_w1, d_w2], biases=[d_b1, d_b2])
+    np.matmul(trace.inputs.T, d_pre, out=d_w[0])
+    np.add.reduce(d_pre, axis=0, out=d_b[0])
+    return grads
 
 
 @dataclass
@@ -231,15 +279,10 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
 
 def save_checkpoint(params: ModelParams, path) -> None:
     a = params.arch
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<IIIIQ", _VERSION, a.input_dim, a.hidden_dim,
-                        a.n_classes, params.seed)
-    for w, b in zip(params.weights, params.biases):
-        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    header = _MAGIC + struct.pack("<IIIIQ", _VERSION, a.input_dim, a.hidden_dim,
+                                  a.n_classes, params.seed)
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(header + params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -251,17 +294,12 @@ def load_checkpoint(path) -> ModelParams:
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     arch = Arch(input_dim=d, hidden_dim=h, n_classes=k)
-    dims = [(d, k)] if arch.is_linear else [(d, h), (h, k)]
     offset = 4 + struct.calcsize("<IIIIQ")
-    weights, biases = [], []
-    for fan_in, fan_out in dims:
-        n_w = fan_in * fan_out
-        w = np.frombuffer(blob, dtype="<f8", count=n_w, offset=offset).reshape(fan_in, fan_out)
-        offset += n_w * 8
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-        offset += fan_out * 8
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
-    if offset != len(blob):
+    size = len(blob) - offset
+    if size < arch.param_count * 8:
+        raise ValueError("checkpoint is truncated")
+    if size > arch.param_count * 8:
         raise ValueError("checkpoint has trailing bytes")
+    weights, biases = _layer_views(np.frombuffer(blob, dtype="<f8", offset=offset),
+                                   arch.layer_shapes)
     return ModelParams(arch=arch, weights=weights, biases=biases, seed=seed)

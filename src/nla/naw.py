@@ -38,9 +38,11 @@ __all__ = [
     "kernel_params",
     "build_true_kernel",
     "build_false_kernel",
+    "epoch_kernels",
     "gaussian_weight",
     "gaussian_weight_many",
     "naw_weight",
+    "score_weights",
     "naw_weights",
 ]
 
@@ -195,6 +197,15 @@ def build_false_kernel(policy: WeightPolicy) -> KernelParams:
     return kernel_params(np.array(policy.mu_false), sigma)
 
 
+def epoch_kernels(policy: WeightPolicy, epoch: int) -> tuple[KernelParams, KernelParams]:
+    """The (true-branch, false-branch) kernel pair in force at ``epoch``.
+
+    Only the true-branch kernel depends on the epoch, so a trainer builds
+    the pair once per epoch and passes it to every batch.
+    """
+    return build_true_kernel(policy, epoch), build_false_kernel(policy)
+
+
 def gaussian_weight(p, kernel: KernelParams) -> float:
     """Kernel density at a single point; in (0, norm_const]."""
     d = np.asarray(p, dtype=np.float64) - kernel.mu
@@ -202,12 +213,19 @@ def gaussian_weight(p, kernel: KernelParams) -> float:
     return kernel.norm_const * math.exp(-0.5 * q)
 
 
+def _density(x: np.ndarray, y: np.ndarray, kernel: KernelParams) -> np.ndarray:
+    """Kernel density at the points (x[i], y[i])."""
+    dx = x - kernel.mu[0]
+    dy = y - kernel.mu[1]
+    i = kernel.sigma_inv
+    q = i[0, 0] * dx ** 2 + 2.0 * i[0, 1] * dx * dy + i[1, 1] * dy ** 2
+    return kernel.norm_const * np.exp(-0.5 * q)
+
+
 def gaussian_weight_many(points: np.ndarray, kernel: KernelParams) -> np.ndarray:
     """Kernel density at each row of an (n, 2) array."""
-    d = np.asarray(points, dtype=np.float64) - kernel.mu
-    i = kernel.sigma_inv
-    q = i[0, 0] * d[:, 0] ** 2 + 2.0 * i[0, 1] * d[:, 0] * d[:, 1] + i[1, 1] * d[:, 1] ** 2
-    return kernel.norm_const * np.exp(-0.5 * q)
+    pts = np.asarray(points, dtype=np.float64)
+    return _density(pts[:, 0], pts[:, 1], kernel)
 
 
 def naw_weight(probs, label: int, epoch: int, policy: WeightPolicy) -> float:
@@ -220,12 +238,31 @@ def naw_weight(probs, label: int, epoch: int, policy: WeightPolicy) -> float:
     return gaussian_weight(np.array([pair.p_gt, pair.p_nn]), kernel)
 
 
-def naw_weights(probs: np.ndarray, labels: np.ndarray, epoch: int,
-                policy: WeightPolicy) -> np.ndarray:
+def score_weights(probs: np.ndarray, labels: np.ndarray,
+                  kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
+    """Adaptive weights of probability rows, without input checks.
+
+    The caller guarantees an (n, K) float array and (n,) labels in
+    [0, K); :func:`naw_weights` is the checked form.
+    """
+    rows = np.arange(probs.shape[0])
+    p_gt = probs[rows, labels]
+    masked = probs.copy()
+    masked[rows, labels] = -np.inf
+    p_nn = masked.max(axis=1)
+    true_kernel, false_kernel = kernels
+    return np.where(p_gt >= p_nn, _density(p_gt, p_nn, true_kernel),
+                    _density(p_gt, p_nn, false_kernel))
+
+
+def naw_weights(probs: np.ndarray, labels: np.ndarray,
+                kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
     """Vectorized adaptive weights for a batch.
 
     ``probs`` is (n, K) with rows on the probability simplex; ``labels``
-    is (n,).  Equivalent to calling :func:`naw_weight` per row.
+    is (n,); ``kernels`` is the (true, false) pair from
+    :func:`epoch_kernels`.  Equivalent to calling :func:`naw_weight` per
+    row with that pair's epoch.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -234,14 +271,4 @@ def naw_weights(probs: np.ndarray, labels: np.ndarray, epoch: int,
         raise ValueError("labels must have one entry per probability row")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ValueError("label out of range")
-    rows = np.arange(n)
-    p_gt = probs[rows, labels]
-    masked = probs.copy()
-    masked[rows, labels] = -np.inf
-    p_nn = masked.max(axis=1)
-    pts = np.stack([p_gt, p_nn], axis=1)
-    true_kernel = build_true_kernel(policy, epoch)
-    false_kernel = build_false_kernel(policy)
-    w_true = gaussian_weight_many(pts, true_kernel)
-    w_false = gaussian_weight_many(pts, false_kernel)
-    return np.where(p_gt >= p_nn, w_true, w_false)
+    return score_weights(probs, labels, kernels)

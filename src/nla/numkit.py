@@ -233,12 +233,29 @@ class Rng:
         return np.array([self.normal(loc, scale) for _ in range(n)], dtype=np.float64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Uniform random permutation of range(n) (Fisher-Yates)."""
-        idx = np.arange(n, dtype=np.int64)
+        """Uniform random permutation of range(n) (Fisher-Yates).
+
+        Swap i takes ``j = below(i + 1)``.  The generator update and the
+        bounded draw are inlined here on local variables, so the stream
+        and the result are those of calling :meth:`below` per swap.
+        """
+        idx = list(range(n))
+        mask = _MASK64
+        s0, s1, s2, s3 = self._s
         for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+            x = s1 * 5 & mask
+            # next_u64() is rotl(x, 7) * 9 mod 2**64; below() scales it.
+            j = ((x << 7 | x >> 57) * 9 & mask) * (i + 1) >> 64
+            t = s1 << 17 & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45 | s3 >> 19) & mask
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        self._s = [s0, s1, s2, s3]
+        return np.array(idx, dtype=np.int64)
 
     def choice(self, n: int, size: int) -> np.ndarray:
         """``size`` distinct indices from range(n), uniformly without replacement."""

@@ -17,8 +17,8 @@ import numpy as np
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
 from .model import Arch, backward, forward, gradient_check, init_params
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
-                  covariance_schedule, gaussian_weight, kernel_params,
-                  naw_weights, sigma_from_axis_ratio)
+                  covariance_schedule, epoch_kernels, gaussian_weight,
+                  kernel_params, naw_weights, sigma_from_axis_ratio)
 from .numkit import Rng, softmax
 
 __all__ = ["brute_force_gaussian", "frozen_loss_fn", "run_selfcheck"]
@@ -129,12 +129,13 @@ def frozen_loss_fn(inputs, flipped, labels, epoch, policy, lam, weights):
     adaptive weights stay at the values supplied, exactly as the analytic
     gradients assume.
     """
+    kernels = epoch_kernels(policy, epoch)
 
     def fn(params):
         trace = forward(params, inputs)
         trace_f = forward(params, flipped)
-        loss = batch_total(trace.logits, trace_f.logits, labels, epoch,
-                           policy, lam, mode="nla", frozen_weights=weights)
+        loss = batch_total(trace.logits, trace_f.logits, labels, kernels,
+                           lam, mode="nla", frozen_weights=weights)
         grads = backward(params, trace, loss.grad_z)
         grads.add_(backward(params, trace_f, loss.grad_zf))
         return float(loss.total.mean()), grads
@@ -156,7 +157,7 @@ def check_gradient_fidelity(trials: int = 5, seed: int = 77,
         labels = np.array([draw.below(7) for _ in range(32)])
         epoch = draw.below(61)
         probs = softmax(forward(params, x).logits)
-        weights = naw_weights(probs, labels, epoch, policy)
+        weights = naw_weights(probs, labels, epoch_kernels(policy, epoch))
         fn = frozen_loss_fn(x, xf, labels, epoch, policy, 0.5, weights)
         result = gradient_check(params, fn, tolerance=tol, max_coords=200,
                                 rng=draw)

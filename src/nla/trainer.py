@@ -3,7 +3,10 @@
 One shared parameter set sees both views of every batch; gradients from
 the two views are accumulated before each optimizer step.  The optimizer
 is Adam with decoupled weight decay and an exponentially decayed learning
-rate.  The true-branch weighting kernel is rebuilt once per epoch.  Runs
+rate, applied to the model's flat parameter vector in one pass.  Both
+weighting kernels are built once per epoch and shared by every batch and
+by that epoch's weight statistics.  Inputs are checked once per run, before
+the first step; the per-step loop only guards against divergence.  Runs
 are bit-reproducible functions of (config, datasets).
 """
 
@@ -23,7 +26,7 @@ from .data import Dataset, ViewTransform, default_view, fingerprint
 from .losses import MODES, batch_total
 from .model import (Arch, Gradients, ModelParams, backward, forward,
                     init_params, load_checkpoint, save_checkpoint)
-from .naw import WeightPolicy, naw_weights
+from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
 from .numkit import Rng, softmax
 
 __all__ = [
@@ -162,18 +165,13 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for kind in ("weights", "biases"):
-        ps = getattr(params, kind)
-        gs = getattr(grads, kind)
-        ms = getattr(state.m, kind)
-        vs = getattr(state.v, kind)
-        for p, g, m, v in zip(ps, gs, ms, vs):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * ((m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-                       + cfg.weight_decay * p)
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * ((m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+               + cfg.weight_decay * p)
 
 
 def evaluate(params: ModelParams, test: Dataset) -> EvalResult:
@@ -191,15 +189,16 @@ def evaluate(params: ModelParams, test: Dataset) -> EvalResult:
                       confusion=confusion)
 
 
-def collect_weight_stats(params: ModelParams, train: Dataset, epoch: int,
-                         policy: WeightPolicy) -> np.ndarray:
+def collect_weight_stats(params: ModelParams, train: Dataset,
+                         kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
     """Per-class quartiles (q1, median, q3) of the adaptive weights.
 
     Weights are computed for every training sample under the given
-    epoch's kernels.  Classes absent from the split get NaN rows.
+    (true, false) kernel pair of one epoch (see :func:`nla.naw.epoch_kernels`).
+    Classes absent from the split get NaN rows.
     """
     probs = softmax(forward(params, train.inputs).logits)
-    weights = naw_weights(probs, train.labels, epoch, policy)
+    weights = naw_weights(probs, train.labels, kernels)
     out = np.full((train.n_classes, 3), np.nan)
     for k in range(train.n_classes):
         w_k = weights[train.labels == k]
@@ -208,14 +207,30 @@ def collect_weight_stats(params: ModelParams, train: Dataset, epoch: int,
     return out
 
 
+def _check_splits(train: Dataset, test: Dataset) -> None:
+    """Reject splits a run cannot use, before any step is taken."""
+    if (train.dim, train.n_classes) != (test.dim, test.n_classes):
+        raise ValueError(
+            f"train and test splits disagree: train has dim {train.dim} and "
+            f"{train.n_classes} classes, test has dim {test.dim} and "
+            f"{test.n_classes} classes")
+    for ds in (train, test):
+        if ds.labels.min(initial=0) < 0 or ds.labels.max(initial=0) >= ds.n_classes:
+            raise ValueError(f"{ds.split} labels must lie in [0, {ds.n_classes})")
+
+
 def run_training(config: TrainConfig, train: Dataset, test: Dataset,
                  view: ViewTransform | None = None) -> RunRecord:
     """Full training run; returns all epoch metrics plus the final model.
 
     Sub-streams of the run seed: split 0 initializes parameters, split 1
     drives the per-epoch shuffles.  The flipped view is only evaluated in
-    mode ``nla``; the other modes never look at it.
+    mode ``nla``; the other modes never look at it.  Raises ValueError
+    before the first step when the splits disagree on dim or class count
+    or hold a label outside [0, n_classes), and TrainingDiverged when
+    either view's logits or the loss stop being finite.
     """
+    _check_splits(train, test)
     if view is None:
         view = default_view(train)
     rng = Rng(config.seed)
@@ -225,27 +240,29 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
     params = init_params(arch, rng.split(0))
     shuffle_rng = rng.split(1)
     state = AdamState.zeros_like(params)
-    policy = config.policy
+    use_flip = config.mode == "nla"
     flipped = view.apply(train.inputs)
     n = train.n
 
     metrics: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         lr = config.lr0 * config.lr_gamma ** epoch
+        kernels = epoch_kernels(config.policy, epoch)
         perm = shuffle_rng.permutation(n)
+        # Gather once per epoch; each batch is then a contiguous slice.
+        inputs, labels = train.inputs[perm], train.labels[perm]
+        inputs_f = flipped[perm] if use_flip else None
         sums = np.zeros(4)  # ce, naw_ce, reg, total
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start:start + config.batch_size]
-            trace = forward(params, train.inputs[idx])
-            use_flip = config.mode == "nla"
-            trace_f = forward(params, flipped[idx]) if use_flip else None
-            if not np.all(np.isfinite(trace.logits)):
+            stop = start + config.batch_size
+            trace = forward(params, inputs[start:stop])
+            trace_f = forward(params, inputs_f[start:stop]) if use_flip else trace
+            if not np.isfinite(trace.logits).all() or (
+                    use_flip and not np.isfinite(trace_f.logits).all()):
                 raise TrainingDiverged(epoch, batch_index)
-            loss = batch_total(
-                trace.logits,
-                trace_f.logits if use_flip else trace.logits,
-                train.labels[idx], epoch, policy, config.lam, mode=config.mode)
-            if not np.all(np.isfinite(loss.total)):
+            loss = batch_total(trace.logits, trace_f.logits, labels[start:stop],
+                               kernels, config.lam, mode=config.mode)
+            if not np.isfinite(loss.total).all():
                 raise TrainingDiverged(epoch, batch_index)
             grads = backward(params, trace, loss.grad_z)
             if use_flip:
@@ -254,7 +271,7 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
             sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(),
                      loss.total.sum()]
         ev = evaluate(params, test)
-        quartiles = collect_weight_stats(params, train, epoch, policy)
+        quartiles = collect_weight_stats(params, train, kernels)
         metrics.append(EpochMetrics(
             epoch=epoch, lr=lr,
             loss_ce=float(sums[0] / n), loss_naw_ce=float(sums[1] / n),

@@ -34,8 +34,8 @@ from nla.losses import _batch_consistency, consistency_loss, \
     cross_entropy, naw_ce_loss
 from nla.model import Arch, forward, gradient_check, init_params
 from nla.naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
-                     covariance_schedule, gaussian_weight, kernel_params,
-                     naw_weights, sigma_from_axis_ratio)
+                     covariance_schedule, epoch_kernels, gaussian_weight,
+                     kernel_params, naw_weights, sigma_from_axis_ratio)
 from nla.numkit import Rng, derive_seed, softmax
 from nla.selfcheck import (brute_force_gaussian, draw_kink_safe_batch,
                            frozen_loss_fn)
@@ -205,7 +205,7 @@ def test_criterion_04_gradient_fidelity():
         labels = np.array([draw.below(7) for _ in range(32)])
         epoch = draw.below(61)
         weights = naw_weights(softmax(forward(params, x).logits), labels,
-                              epoch, POLICY60)
+                              epoch_kernels(POLICY60, epoch))
         fn = frozen_loss_fn(x, xf, labels, epoch, POLICY60, 0.5, weights)
         result = gradient_check(params, fn, tolerance=1e-6, h=1e-5,
                                 max_coords=200, rng=draw)

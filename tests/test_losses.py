@@ -5,7 +5,7 @@ import pytest
 
 from nla.losses import (LossBreakdown, batch_total, consistency_loss,
                         cross_entropy, naw_ce_loss, total_loss)
-from nla.naw import WeightPolicy
+from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
 
 POLICY = WeightPolicy(total_epochs=60)
@@ -74,8 +74,8 @@ class TestNawCeLoss:
         rng = Rng(40)
         z = rng.normals(7, scale=3.0).reshape(1, 7)
         label = np.array([rng.below(7)])
-        batch = batch_total(z, z, label, 30, POLICY, 0.5, mode="naw",
-                            frozen_weights=np.zeros(1))
+        batch = batch_total(z, z, label, epoch_kernels(POLICY, 30), 0.5,
+                            mode="naw", frozen_weights=np.zeros(1))
         ce, _ = cross_entropy(z[0], label[0])
         assert batch.total[0] == ce
 
@@ -251,7 +251,8 @@ class TestBatchTotal:
     def test_matches_per_sample_op(self):
         rng = Rng(53)
         z, zf, labels = self._draw(rng)
-        batch = batch_total(z, zf, labels, 15, POLICY, 0.5, mode="nla")
+        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 15), 0.5,
+                            mode="nla")
         for i in range(len(labels)):
             bd = total_loss(z[i], zf[i], labels[i], 15, POLICY, 0.5)
             assert batch.total[i] == pytest.approx(bd.total, rel=1e-12)
@@ -261,7 +262,8 @@ class TestBatchTotal:
     def test_mode_ce_zeroes_weight_and_reg(self):
         rng = Rng(54)
         z, zf, labels = self._draw(rng)
-        batch = batch_total(z, zf, labels, 15, POLICY, 0.5, mode="ce")
+        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 15), 0.5,
+                            mode="ce")
         np.testing.assert_array_equal(batch.weight, 0.0)
         np.testing.assert_array_equal(batch.reg, 0.0)
         np.testing.assert_array_equal(batch.total, batch.ce)
@@ -270,7 +272,8 @@ class TestBatchTotal:
     def test_mode_naw_total_is_weighted_ce(self):
         rng = Rng(55)
         z, zf, labels = self._draw(rng)
-        batch = batch_total(z, zf, labels, 15, POLICY, 0.5, mode="naw")
+        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 15), 0.5,
+                            mode="naw")
         np.testing.assert_allclose(batch.total, (1.0 + batch.weight) * batch.ce,
                                    rtol=1e-12)
         np.testing.assert_array_equal(batch.reg, 0.0)
@@ -278,10 +281,11 @@ class TestBatchTotal:
     def test_batch_mean_is_order_invariant(self):
         rng = Rng(56)
         z, zf, labels = self._draw(rng, n=32)
-        batch = batch_total(z, zf, labels, 7, POLICY, 0.5, mode="nla")
+        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 7), 0.5,
+                            mode="nla")
         perm = Rng(57).permutation(32)
-        shuffled = batch_total(z[perm], zf[perm], labels[perm], 7, POLICY, 0.5,
-                               mode="nla")
+        shuffled = batch_total(z[perm], zf[perm], labels[perm],
+                               epoch_kernels(POLICY, 7), 0.5, mode="nla")
         assert abs(batch.total.mean() - shuffled.total.mean()) < 1e-12
         assert abs(batch.ce.mean() - shuffled.ce.mean()) < 1e-12
 
@@ -289,7 +293,7 @@ class TestBatchTotal:
         rng = Rng(58)
         z, zf, labels = self._draw(rng, n=8)
         frozen = np.full(8, 0.25)
-        batch = batch_total(z, zf, labels, 3, POLICY, 0.5, mode="nla",
-                            frozen_weights=frozen)
+        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 3), 0.5,
+                            mode="nla", frozen_weights=frozen)
         np.testing.assert_array_equal(batch.weight, frozen)
         np.testing.assert_allclose(batch.naw_ce, 1.25 * batch.ce, rtol=1e-15)

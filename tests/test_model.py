@@ -6,7 +6,7 @@ import pytest
 from nla.losses import batch_total
 from nla.model import (Arch, Gradients, backward, forward, gradient_check,
                        init_params, load_checkpoint, save_checkpoint)
-from nla.naw import WeightPolicy, naw_weights
+from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
 from nla.selfcheck import draw_kink_safe_batch, frozen_loss_fn
 
@@ -125,7 +125,7 @@ class TestGradientCheck:
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
         probs = softmax(forward(params, x).logits)
-        weights = naw_weights(probs, labels, 20, policy)
+        weights = naw_weights(probs, labels, epoch_kernels(policy, 20))
         fn = frozen_loss_fn(x, xf, labels, 20, policy, 0.5, weights)
         result = gradient_check(params, fn, tolerance=1e-6)
         assert result.passed, result
@@ -164,8 +164,8 @@ class TestOptimizerContinuity:
         cfg = TrainConfig(epochs=60, seed=0)
         state = AdamState.zeros_like(params)
         trace = forward(params, x)
-        loss = batch_total(trace.logits, trace.logits, labels, 0, cfg.policy,
-                           0.5, mode="nla")
+        loss = batch_total(trace.logits, trace.logits, labels,
+                           epoch_kernels(cfg.policy, 0), 0.5, mode="nla")
         grads = backward(params, trace, loss.grad_z)
         adam_step(params, grads, state, lr=1e-12, cfg=cfg)
         after = forward(params, x).logits

@@ -7,8 +7,9 @@ import pytest
 
 from nla.naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                      build_false_kernel, build_true_kernel,
-                     covariance_schedule, extract_scores, gaussian_weight,
-                     gaussian_weight_many, kernel_params, naw_weight,
+                     covariance_schedule, epoch_kernels, extract_scores,
+                     gaussian_weight, gaussian_weight_many, kernel_params,
+                     naw_weight,
                      naw_weights, sigma_from_axis_ratio)
 from nla.numkit import Rng, softmax
 
@@ -293,7 +294,7 @@ class TestNawWeight:
         z = rng.normals(40 * 7, scale=3.0).reshape(40, 7)
         probs = softmax(z)
         labels = np.array([rng.below(7) for _ in range(40)])
-        batch = naw_weights(probs, labels, 21, POLICY)
+        batch = naw_weights(probs, labels, epoch_kernels(POLICY, 21))
         singles = [naw_weight(probs[i], labels[i], 21, POLICY) for i in range(40)]
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
 

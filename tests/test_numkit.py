@@ -152,6 +152,19 @@ class TestRng:
         perm = rng.permutation(1000)
         assert sorted(perm.tolist()) == list(range(1000))
 
+    @pytest.mark.parametrize("seed", [0, 12, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3500])
+    def test_permutation_is_fisher_yates_on_below(self, seed, n):
+        fast, ref = Rng(seed), Rng(seed)
+        expected = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = ref.below(i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        perm = fast.permutation(n)
+        assert perm.dtype == np.int64
+        assert perm.tolist() == expected
+        assert fast.next_u64() == ref.next_u64()
+
     def test_choice_without_replacement(self):
         rng = Rng(13)
         picked = rng.choice(100, 40)

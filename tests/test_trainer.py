@@ -1,11 +1,16 @@
 """Training loop: determinism, optimizer contracts, metrics, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from nla.data import Dataset, inject_noise, make_synthetic
+import nla.naw
+import nla.trainer
+from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
+                      make_synthetic, standard_instance)
 from nla.model import Arch, Gradients, init_params
-from nla.naw import WeightPolicy
+from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
                          adam_step, collect_weight_stats, evaluate,
@@ -123,7 +128,7 @@ class TestWeightStats:
         train, _ = tiny_data()
         params = init_params(Arch(train.dim, 8, train.n_classes), Rng(7))
         policy = WeightPolicy(total_epochs=10)
-        stats = collect_weight_stats(params, train, 4, policy)
+        stats = collect_weight_stats(params, train, epoch_kernels(policy, 4))
         assert stats.shape == (train.n_classes, 3)
         assert np.all(stats[:, 0] <= stats[:, 1])
         assert np.all(stats[:, 1] <= stats[:, 2])
@@ -135,7 +140,7 @@ class TestWeightStats:
         for w in params.weights:
             w[:] = 0.0
         policy = WeightPolicy(total_epochs=10)
-        stats = collect_weight_stats(params, train, 0, policy)
+        stats = collect_weight_stats(params, train, epoch_kernels(policy, 0))
         for k in range(3):
             assert stats[k, 0] == pytest.approx(stats[k, 2], rel=1e-12)
 
@@ -199,6 +204,32 @@ class TestRunTraining:
         with pytest.raises(TrainingDiverged):
             run_training(cfg, train, test)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_guard_covers_the_flipped_view(self):
+        class Overflowing(ViewTransform):
+            def apply(self, inputs):
+                return np.asarray(inputs, dtype=np.float64) * 1e308
+
+        train, test = tiny_data()
+        view = Overflowing(kind="sign_flip", dim=train.dim)
+        assert not np.all(np.isfinite(view.apply(train.inputs)))
+        with pytest.raises(TrainingDiverged) as info:
+            run_training(tiny_config(mode="nla"), train, test, view=view)
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+
+    def test_kernels_built_at_most_twice_per_epoch(self, monkeypatch):
+        built = []
+        real = nla.naw.kernel_params
+
+        def counting(mu, sigma):
+            built.append(1)
+            return real(mu, sigma)
+
+        monkeypatch.setattr(nla.naw, "kernel_params", counting)
+        train, test = tiny_data()
+        run_training(tiny_config(mode="nla", epochs=3), train, test)
+        assert 0 < len(built) <= 2 * 3
+
     def test_noisy_labels_accepted(self):
         train, test = tiny_data()
         noisy = inject_noise(train, 0.2, Rng(9))
@@ -211,6 +242,72 @@ class TestRunTraining:
         assert select_epoch(record, "final") is record.metrics[-1]
         best = select_epoch(record, "best_mean")
         assert best.test_mean == max(m.test_mean for m in record.metrics)
+
+
+class TestRunValidation:
+    """Unusable splits are rejected before the first training step."""
+
+    @pytest.fixture
+    def no_steps(self, monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran before validation")
+
+        monkeypatch.setattr(nla.trainer, "forward", step)
+
+    @pytest.mark.parametrize("split, bad", [("train", -1), ("train", 3),
+                                            ("test", 3)])
+    def test_label_out_of_range(self, no_steps, split, bad):
+        splits = dict(zip(("train", "test"), tiny_data(k=3)))
+        ds = splits[split]
+        labels = ds.labels.copy()
+        labels[-1] = bad
+        splits[split] = Dataset(inputs=ds.inputs, labels=labels, n_classes=3,
+                                split=split)
+        with pytest.raises(ValueError, match=f"{split} labels must lie in"):
+            run_training(tiny_config(), splits["train"], splits["test"])
+
+    def test_train_and_test_dims_differ(self, no_steps):
+        train, _ = tiny_data(d=4)
+        _, test = tiny_data(d=5)
+        with pytest.raises(ValueError, match="disagree"):
+            run_training(tiny_config(), train, test)
+
+
+# sha256 of (metrics.csv, checkpoint.bin) for 3-epoch runs on the standard
+# instance (master seed 5) with 30% label noise.  Keys: mode, arch,
+# imbalance factor.  Any change to the training path must keep these bytes.
+PINNED_RUNS = {
+    ("ce", "mlp", 1): (
+        "c1a4c71880320f17844d1523afa6a05b8eb61fa06643815162004f2c0aa28d39",
+        "31aff862584318d6a9f403f48219d117023d457f29ac296967559eda6addfd78"),
+    ("naw", "mlp", 1): (
+        "802b637fb50777fe5ed4a6d11a87c1e50b5efb7fb484aec2322297b59a7174b6",
+        "58ee16c9823245924351fbd57294ea0d200fff66df755208ff98e1d094824a5c"),
+    ("nla", "mlp", 1): (
+        "4ad18419ce17cdb0bcb21a94e6354ce37ca8a544ee6a95d1680dccee0877f645",
+        "b3a0daaa0d631cb284ebd82fc607f32287d18319a93d2c614572b704f56a7f8d"),
+    ("nla", "linear", 1): (
+        "319154947896619ae762baa0d023f3b0b88712f80e22433ea62ffd0205ac7a4a",
+        "9bf40bf9b4994a5ef1318e91c0b95ee155ffca7462e47a6ef10bc8a2ebb25464"),
+    ("nla", "mlp", 100): (
+        "1dd8aac40a8276aa154401d9ffee37514829ad8903576efaa4f3acf590d98bb9",
+        "24ecc65aff675d36c69313577a6cc8b6894193d0461ac3b9067b523abea64c49"),
+}
+
+
+@pytest.mark.parametrize("mode, arch, imbalance", sorted(PINNED_RUNS))
+def test_pinned_run_bytes(mode, arch, imbalance, tmp_path):
+    train, test = standard_instance(5)
+    rng = Rng(123)
+    if imbalance > 1:
+        train = apply_imbalance(train, imbalance, rng.split(1))
+    train = inject_noise(train, 0.3, rng.split(0))
+    record = run_training(TrainConfig(mode=mode, epochs=3, seed=41, arch=arch),
+                          train, test)
+    save_run_record(record, tmp_path)
+    got = (hashlib.sha256(metrics_csv_text(record).encode("utf-8")).hexdigest(),
+           hashlib.sha256((tmp_path / "checkpoint.bin").read_bytes()).hexdigest())
+    assert got == PINNED_RUNS[mode, arch, imbalance]
 
 
 class TestPersistence:
