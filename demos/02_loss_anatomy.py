@@ -10,10 +10,9 @@ Run:  python demos/02_loss_anatomy.py
 
 import numpy as np
 
-from nla import (Arch, WeightPolicy, default_view, epoch_kernels, forward,
-                 gradient_check, init_params, naw_weights, softmax,
-                 standard_instance, total_loss)
-from nla.losses import batch_total
+from nla import (Arch, WeightPolicy, batch_total, default_view, epoch_kernels,
+                 forward, gradient_check, init_params, naw_weights, softmax,
+                 standard_instance)
 from nla.numkit import Rng
 from nla.selfcheck import draw_kink_safe_batch, frozen_loss_fn
 
@@ -34,13 +33,14 @@ logits_f = forward(params, xf).logits
 print("Per-sample anatomy at epoch 20 (lambda = 0.5):\n")
 print("  gt_prob  nn_prob  branch   ce      weight  naw_ce  reg     total")
 probs = softmax(logits)
+bd = batch_total(logits, logits_f, labels, epoch_kernels(policy, 20), 0.5, mode="nla")
 for i in range(len(idx)):
-    bd = total_loss(logits[i], logits_f[i], labels[i], 20, policy, 0.5)
     gt = probs[i, labels[i]]
     others = np.delete(probs[i], labels[i])
     branch = "true " if gt >= others.max() else "false"
     print(f"  {gt:.4f}   {others.max():.4f}   {branch}   "
-          f"{bd.ce:.4f}  {bd.weight:.4f}  {bd.naw_ce:.4f}  {bd.reg:.4f}  {bd.total:.4f}")
+          f"{bd.ce[i]:.4f}  {bd.weight[i]:.4f}  {bd.naw_ce[i]:.4f}  {bd.reg[i]:.4f}  "
+          f"{bd.total[i]:.4f}")
 
 print("\nBatch means by training mode (same batch, epoch 20):")
 for mode in ("ce", "naw", "nla"):

@@ -36,7 +36,7 @@ from .numkit import Rng, derive_seed
 from .trainer import (TrainConfig, TrainingDiverged, atomic_write_text,
                       load_run_metrics, run_training, save_run_record)
 
-__all__ = ["main", "load_config", "cell_id", "dataset_id", "DEFAULT_CONFIG"]
+__all__ = ["main", "load_config", "cell_id", "dataset_id", "run_seed", "DEFAULT_CONFIG"]
 
 DEFAULT_CONFIG = {
     "seed": 7,
@@ -243,13 +243,16 @@ class CellSpec:
         return cell_id(self.noise, self.imbalance, self.mode, self.seed)
 
 
+def run_seed(master_seed: int, noise: float, imbalance: float, seed: int) -> int:
+    """Training seed of a cell; mode-independent, so modes are paired per
+    (data, seed) cell."""
+    return derive_seed(master_seed, f"run|{dataset_id(noise, imbalance, seed)}")
+
+
 def _build_train_config(spec: CellSpec) -> TrainConfig:
     fields = dict(spec.train_overrides)
     fields["mode"] = spec.mode
-    # Mode-independent run seed, so modes are paired per (data, seed) cell.
-    fields["seed"] = derive_seed(
-        spec.master_seed,
-        f"run|{dataset_id(spec.noise, spec.imbalance, spec.seed)}")
+    fields["seed"] = run_seed(spec.master_seed, spec.noise, spec.imbalance, spec.seed)
     return TrainConfig.from_dict(fields)
 
 

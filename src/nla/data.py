@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import Rng
+from .numkit import Rng, atomic_write_bytes
 
 __all__ = [
     "FormatError",
@@ -30,7 +30,6 @@ __all__ = [
     "bayes_accuracy",
     "inject_noise",
     "apply_imbalance",
-    "apply_view",
     "default_view",
     "ingest_idx",
     "ingest_csv",
@@ -144,11 +143,6 @@ class ViewTransform:
             return out
         imgs = x.reshape(-1, self.height, self.width)
         return imgs[:, :, ::-1].reshape(x.shape[0], self.dim).copy()
-
-
-def apply_view(inputs: np.ndarray, transform: ViewTransform) -> np.ndarray:
-    """Paired view of every sample."""
-    return transform.apply(inputs)
 
 
 def default_view(ds: Dataset) -> ViewTransform:
@@ -408,8 +402,7 @@ def dataset_bytes(ds: Dataset) -> bytes:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dataset_bytes(ds))
+    atomic_write_bytes(path, dataset_bytes(ds))
 
 
 def load_dataset(path) -> Dataset:

@@ -4,6 +4,12 @@ Cross-entropy, its adaptively weighted variant, a symmetrized-KL
 consistency term between two views of the same batch, and the blended
 total.  The adaptive weight is treated as a per-sample constant in every
 gradient: no gradient flows through the weighting kernel.
+
+:func:`batch_total` is the one implementation of the loss; training calls
+it on every mini-batch.  The single-sample functions check their inputs
+and evaluate one row through the same code: :func:`cross_entropy` and
+:func:`naw_ce_loss` are one-row calls of :func:`batch_total`, and
+:func:`consistency_loss` uses its softmax and consistency core.
 """
 
 from __future__ import annotations
@@ -16,35 +22,16 @@ from .naw import KernelParams, WeightPolicy, epoch_kernels, score_weights
 
 __all__ = [
     "MODES",
-    "LossBreakdown",
     "BatchLoss",
     "cross_entropy",
     "naw_ce_loss",
     "consistency_loss",
-    "total_loss",
     "batch_total",
 ]
 
 MODES = ("ce", "naw", "nla")
 
 _M_FLOOR = 1e-12  # floor on mixture entries before taking logs
-
-
-@dataclass
-class LossBreakdown:
-    """All components of the blended loss for one sample.
-
-    ``grad_logits`` is the gradient with respect to the first view's
-    logits; ``grad_logits_aux`` with respect to the second view's.
-    """
-
-    ce: float
-    weight: float
-    naw_ce: float
-    reg: float
-    total: float
-    grad_logits: np.ndarray
-    grad_logits_aux: np.ndarray
 
 
 @dataclass
@@ -76,11 +63,11 @@ def _as_logit_rows(logits, name: str) -> np.ndarray:
     return z
 
 
-def _one_sample(logits, label: int, name: str = "logits") -> np.ndarray:
+def _one_sample(logits, label: int) -> np.ndarray:
     """Check one logit vector and its label; return the vector as a (1, K) row."""
-    z = _as_logit_rows(logits, name)
+    z = _as_logit_rows(logits, "logits")
     if z.shape[0] != 1:
-        raise ValueError(f"{name} must be a single logit vector")
+        raise ValueError("logits must be a single logit vector")
     if not 0 <= label < z.shape[1]:
         raise ValueError(f"label {label} out of range for {z.shape[1]} categories")
     return z
@@ -112,23 +99,14 @@ def _consistency(p: np.ndarray):
     return kl[0] + kl[1], p * (dual - kl[..., None])
 
 
-def _batch_consistency(za: np.ndarray, zb: np.ndarray):
-    """Consistency losses of two (n, K) logit matrices and both gradients."""
-    p, _ = _softmax_lse(np.array((za, zb)))
-    losses, grads = _consistency(p)
-    return losses, grads[0], grads[1]
-
-
 def cross_entropy(logits, label: int):
     """Negative log-probability of the labeled class.
 
     Returns ``(loss, grad)`` where ``grad = softmax(logits) - onehot``.
     """
     z = _one_sample(logits, label)
-    p, lse = _softmax_lse(z)
-    grad = p[0]
-    grad[label] -= 1.0
-    return float(lse[0] - z[0, label]), grad
+    batch = batch_total(z, z, np.array([label]), None, 1.0, mode="ce")
+    return float(batch.ce[0]), batch.grad_z[0]
 
 
 def naw_ce_loss(logits, label: int, epoch: int, policy: WeightPolicy):
@@ -155,38 +133,13 @@ def consistency_loss(logits_a, logits_b):
         raise ValueError("both views must have the same shape")
     if za.shape[0] != 1:
         raise ValueError("consistency_loss takes single logit vectors")
-    losses, ga, gb = _batch_consistency(za, zb)
-    return float(losses[0]), ga[0], gb[0]
-
-
-def total_loss(logits, flipped_logits, label: int, epoch: int,
-               policy: WeightPolicy, lam: float) -> LossBreakdown:
-    """Blend of weighted cross-entropy and the consistency term.
-
-    total = lam * (1 + w) * ce(view 1) + (1 - lam) * reg(view 1, view 2).
-    The cross-entropy part reads only the first (original) view.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    z = _one_sample(logits, label)
-    zf = _one_sample(flipped_logits, label, "flipped logits")
-    if zf.shape != z.shape:
-        raise ValueError("both views must have the same shape")
-    batch = batch_total(z, zf, np.array([label]), epoch_kernels(policy, epoch),
-                        lam, mode="nla")
-    return LossBreakdown(
-        ce=float(batch.ce[0]),
-        weight=float(batch.weight[0]),
-        naw_ce=float(batch.naw_ce[0]),
-        reg=float(batch.reg[0]),
-        total=float(batch.total[0]),
-        grad_logits=batch.grad_z[0],
-        grad_logits_aux=batch.grad_zf[0],
-    )
+    p, _ = _softmax_lse(np.array((za, zb)))
+    losses, grads = _consistency(p)
+    return float(losses[0]), grads[0, 0], grads[1, 0]
 
 
 def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray,
-                kernels: tuple[KernelParams, KernelParams], lam: float,
+                kernels: tuple[KernelParams, KernelParams] | None, lam: float,
                 mode: str = "nla",
                 frozen_weights: np.ndarray | None = None) -> BatchLoss:
     """Vectorized loss for one mini-batch under a training mode.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Rng
+from .numkit import Rng, atomic_write_bytes
 
 __all__ = [
     "Arch",
@@ -234,38 +234,36 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
     central differences cannot resolve near-zero gradients below roundoff.
     """
     _, analytic = loss_fn(params)
-    coords = []
-    arrays = [("W", i, w) for i, w in enumerate(params.weights)]
-    arrays += [("b", i, b) for i, b in enumerate(params.biases)]
-    for kind, layer, arr in arrays:
-        for flat in range(arr.size):
-            coords.append((kind, layer, flat))
-    if max_coords is not None and len(coords) > max_coords:
+    # Each layer's contiguous run of positions in the flat vector, in
+    # reporting order: all W, then all b.
+    w_at, b_at = _layer_views(np.arange(params.flat.size), params.arch.layer_shapes)
+    blocks = [("W", layer, a.ravel()) for layer, a in enumerate(w_at)]
+    blocks += [("b", layer, a) for layer, a in enumerate(b_at)]
+    index = np.concatenate([a for _, _, a in blocks])
+    if max_coords is not None and index.size > max_coords:
         if max_coords < 200:
             raise ValueError("sampled gradient checks need at least 200 coordinates")
         if rng is None:
             raise ValueError("rng required when sampling coordinates")
-        picked = rng.choice(len(coords), max_coords)
-        coords = [coords[i] for i in picked]
+        index = index[rng.choice(index.size, max_coords)]
 
-    worst = 0.0
-    worst_coord = ("W", 0, 0)
-    for kind, layer, flat in coords:
-        arr = params.weights[layer] if kind == "W" else params.biases[layer]
-        an = (analytic.weights[layer] if kind == "W" else analytic.biases[layer]).flat[flat]
-        old = arr.flat[flat]
-        arr.flat[flat] = old + h
+    flat, grad = params.flat, analytic.flat
+    worst, worst_at = 0.0, 0
+    for i in index:
+        old = flat[i]
+        flat[i] = old + h
         up = loss_fn(params)[0]
-        arr.flat[flat] = old - h
+        flat[i] = old - h
         down = loss_fn(params)[0]
-        arr.flat[flat] = old
+        flat[i] = old
         fd = (up - down) / (2.0 * h)
-        err = abs(fd - an) / max(abs(fd), abs(an), denom_floor)
+        err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), denom_floor)
         if err > worst:
-            worst = err
-            worst_coord = (kind, layer, flat)
+            worst, worst_at = err, i
+    kind, layer, at = next(blk for blk in blocks if blk[2][0] <= worst_at <= blk[2][-1])
+    worst_coord = (kind, layer, int(worst_at - at[0]))
     return GradCheckResult(max_rel_error=worst, worst_coordinate=worst_coord,
-                           n_checked=len(coords), tolerance=tolerance)
+                           n_checked=int(index.size), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +279,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     a = params.arch
     header = _MAGIC + struct.pack("<IIIIQ", _VERSION, a.input_dim, a.hidden_dim,
                                   a.n_classes, params.seed)
-    with open(path, "wb") as fh:
-        fh.write(header + params.flat.astype("<f8", copy=False).tobytes())
+    atomic_write_bytes(path, header + params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -15,6 +15,10 @@ and elongating along the y = -x direction so that clean samples regain
 weight late in training.  Otherwise a fixed kernel centered at
 (0.3, 0.15) and elongated along y = x is used, which suppresses
 confidently wrong (noisy) samples while keeping weight on ambiguous ones.
+
+One density implementation serves every caller: :func:`naw_weights`
+evaluates it on a batch of probability rows, and :func:`gaussian_weight`
+on a single point.
 """
 
 from __future__ import annotations
@@ -29,10 +33,8 @@ from .numkit import mat2_det, mat2_inverse
 __all__ = [
     "ALONG_Y_EQ_X",
     "ALONG_Y_EQ_NEG_X",
-    "PredictionPair",
     "KernelParams",
     "WeightPolicy",
-    "extract_scores",
     "covariance_schedule",
     "sigma_from_axis_ratio",
     "kernel_params",
@@ -40,8 +42,6 @@ __all__ = [
     "build_false_kernel",
     "epoch_kernels",
     "gaussian_weight",
-    "gaussian_weight_many",
-    "naw_weight",
     "score_weights",
     "naw_weights",
 ]
@@ -51,20 +51,6 @@ ALONG_Y_EQ_X = "y=x"
 ALONG_Y_EQ_NEG_X = "y=-x"
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class PredictionPair:
-    """Ground-truth and nearest-negative scores for one sample.
-
-    ``is_true_prediction`` is True when the labeled class attains the
-    maximum probability; the tie p_gt == p_nn counts as true, so the
-    (0.5, 0.5) center of the true-branch kernel is reachable.
-    """
-
-    p_gt: float
-    p_nn: float
-    is_true_prediction: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,19 +112,6 @@ class WeightPolicy:
             raise ValueError("axis ratios must be >= 1")
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be >= 1")
-
-
-def extract_scores(probs, label: int) -> PredictionPair:
-    """Split a probability vector into (labeled score, best other score)."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValueError("probs must be a vector with at least 2 entries")
-    if not 0 <= label < p.shape[0]:
-        raise ValueError(f"label {label} out of range for {p.shape[0]} categories")
-    p_gt = float(p[label])
-    others = np.delete(p, label)
-    p_nn = float(others.max())
-    return PredictionPair(p_gt=p_gt, p_nn=p_nn, is_true_prediction=p_gt >= p_nn)
 
 
 def covariance_schedule(epoch: int, total_epochs: int) -> float:
@@ -206,13 +179,6 @@ def epoch_kernels(policy: WeightPolicy, epoch: int) -> tuple[KernelParams, Kerne
     return build_true_kernel(policy, epoch), build_false_kernel(policy)
 
 
-def gaussian_weight(p, kernel: KernelParams) -> float:
-    """Kernel density at a single point; in (0, norm_const]."""
-    d = np.asarray(p, dtype=np.float64) - kernel.mu
-    q = float(d @ kernel.sigma_inv @ d)
-    return kernel.norm_const * math.exp(-0.5 * q)
-
-
 def _density(x: np.ndarray, y: np.ndarray, kernel: KernelParams) -> np.ndarray:
     """Kernel density at the points (x[i], y[i])."""
     dx = x - kernel.mu[0]
@@ -222,20 +188,13 @@ def _density(x: np.ndarray, y: np.ndarray, kernel: KernelParams) -> np.ndarray:
     return kernel.norm_const * np.exp(-0.5 * q)
 
 
-def gaussian_weight_many(points: np.ndarray, kernel: KernelParams) -> np.ndarray:
-    """Kernel density at each row of an (n, 2) array."""
-    pts = np.asarray(points, dtype=np.float64)
-    return _density(pts[:, 0], pts[:, 1], kernel)
+def gaussian_weight(p, kernel: KernelParams) -> float:
+    """Kernel density at a single point; in (0, norm_const].
 
-
-def naw_weight(probs, label: int, epoch: int, policy: WeightPolicy) -> float:
-    """Adaptive weight for one sample at the given epoch's kernels."""
-    pair = extract_scores(probs, label)
-    if pair.is_true_prediction:
-        kernel = build_true_kernel(policy, epoch)
-    else:
-        kernel = build_false_kernel(policy)
-    return gaussian_weight(np.array([pair.p_gt, pair.p_nn]), kernel)
+    A one-point call of the density that :func:`naw_weights` evaluates.
+    """
+    x, y = np.asarray(p, dtype=np.float64)
+    return float(_density(x, y, kernel))
 
 
 def score_weights(probs: np.ndarray, labels: np.ndarray,
@@ -261,8 +220,9 @@ def naw_weights(probs: np.ndarray, labels: np.ndarray,
 
     ``probs`` is (n, K) with rows on the probability simplex; ``labels``
     is (n,); ``kernels`` is the (true, false) pair from
-    :func:`epoch_kernels`.  Equivalent to calling :func:`naw_weight` per
-    row with that pair's epoch.
+    :func:`epoch_kernels`.  Row i's weight is the density of the
+    true-branch kernel at (p_gt, p_nn) when p_gt >= p_nn, else of the
+    false-branch kernel.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

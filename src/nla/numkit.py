@@ -3,12 +3,15 @@
 Stable softmax / log-sum-exp, tiny 2x2 linear algebra for covariance
 matrices, and a seedable pseudo-random source whose stream is identical
 on every platform.  Everything here is 64-bit float or 64-bit integer
-arithmetic; nothing depends on process state or hashing.
+arithmetic; nothing depends on process state or hashing.  Also the one
+atomic file write that every cache, checkpoint and record goes through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -21,6 +24,7 @@ __all__ = [
     "mat2_inverse",
     "Rng",
     "derive_seed",
+    "atomic_write_bytes",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -266,3 +270,25 @@ class Rng:
             j = i + self.below(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:size].copy()
+
+
+# ---------------------------------------------------------------------------
+# Output files
+# ---------------------------------------------------------------------------
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename.
+
+    Readers see the previous file or the complete new one, never a partial
+    write.  If the write fails, the temp file is removed and ``path`` is
+    left as it was.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .losses import MODES, batch_total
 from .model import (Arch, Gradients, ModelParams, backward, forward,
                     init_params, load_checkpoint, save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
-from .numkit import Rng, softmax
+from .numkit import Rng, atomic_write_bytes, softmax
 
 __all__ = [
     "TrainConfig",
@@ -328,11 +327,8 @@ def metrics_csv_text(record: RunRecord) -> str:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write UTF-8 text via :func:`nla.numkit.atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def save_run_record(record: RunRecord, out_dir) -> None:

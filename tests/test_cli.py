@@ -191,9 +191,12 @@ class TestPlotdata:
 class TestCheck:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5
-        assert "FAIL" not in out
+        assert capsys.readouterr().out == (
+            "[check] PASS kernel-oracle-equivalence\n"
+            "[check] PASS scheduler-endpoints\n"
+            "[check] PASS covariance-eigenstructure\n"
+            "[check] PASS gradient-fidelity\n"
+            "[check] PASS loss-identities\n")
 
 
 class TestUsage:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nla.data import (Dataset, FormatError, ViewTransform, apply_imbalance,
-                      apply_view, bayes_accuracy, class_centers, default_view,
+                      bayes_accuracy, class_centers, default_view,
                       fingerprint, ingest_csv, ingest_idx, inject_noise,
                       load_dataset, make_synthetic, save_dataset,
                       standard_instance)
@@ -93,7 +93,7 @@ class TestViewTransform:
     def test_dimension_mismatch_rejected(self):
         view = ViewTransform(kind="sign_flip", dim=4)
         with pytest.raises(ValueError):
-            apply_view(np.zeros((2, 5)), view)
+            view.apply(np.zeros((2, 5)))
 
 
 class TestInjectNoise:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nla.losses import (LossBreakdown, batch_total, consistency_loss,
-                        cross_entropy, naw_ce_loss, total_loss)
+from nla.losses import (BatchLoss, batch_total, consistency_loss,
+                        cross_entropy, naw_ce_loss)
 from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
 
@@ -183,23 +183,30 @@ class TestConsistencyLoss:
         assert np.all(np.isfinite(gb))
 
 
+def one_row_total(z, zf, label: int, epoch: int, lam: float) -> BatchLoss:
+    """The blended loss of one sample: a one-row call of batch_total."""
+    return batch_total(np.array([z]), np.array([zf]), np.array([label]),
+                       epoch_kernels(POLICY, epoch), lam, mode="nla")
+
+
 class TestTotalLoss:
     def test_lambda_one_disables_regularizer_gradient(self):
         rng = Rng(49)
         z = rng.normals(7, scale=2.0)
         zf = rng.normals(7, scale=2.0)
-        bd = total_loss(z, zf, 2, 10, POLICY, lam=1.0)
-        assert bd.total == pytest.approx(bd.naw_ce, rel=1e-15)
-        np.testing.assert_array_equal(bd.grad_logits_aux, 0.0)
+        bd = one_row_total(z, zf, 2, 10, lam=1.0)
+        assert bd.total[0] == pytest.approx(bd.naw_ce[0], rel=1e-15)
+        np.testing.assert_array_equal(bd.grad_zf, 0.0)
 
     def test_linear_combination(self):
         rng = Rng(50)
         z = rng.normals(7, scale=2.0)
         zf = rng.normals(7, scale=2.0)
-        bd = total_loss(z, zf, 1, 20, POLICY, lam=0.5)
-        assert bd.total == pytest.approx(0.5 * bd.naw_ce + 0.5 * bd.reg, rel=1e-12)
-        assert bd.naw_ce == pytest.approx((1.0 + bd.weight) * bd.ce, rel=1e-12)
-        assert 0.0 <= bd.reg <= TWO_LN2 + 1e-9
+        bd = one_row_total(z, zf, 1, 20, lam=0.5)
+        assert bd.total[0] == pytest.approx(0.5 * bd.naw_ce[0] + 0.5 * bd.reg[0],
+                                            rel=1e-12)
+        assert bd.naw_ce[0] == pytest.approx((1.0 + bd.weight[0]) * bd.ce[0], rel=1e-12)
+        assert 0.0 <= bd.reg[0] <= TWO_LN2 + 1e-9
 
     def test_component_arithmetic(self):
         # direct check of the blend on fixed components
@@ -212,13 +219,14 @@ class TestTotalLoss:
             zf = rng.normals(7, scale=3.0)
             label = rng.below(7)
             epoch = rng.below(61)
-            bd = total_loss(z, zf, label, epoch, POLICY, lam=0.5)
-            assert isinstance(bd, LossBreakdown)
-            assert abs(bd.naw_ce - (1.0 + bd.weight) * bd.ce) < 1e-12 * max(1.0, bd.naw_ce)
-            assert abs(bd.total - (0.5 * bd.naw_ce + 0.5 * bd.reg)) < 1e-12
-            assert bd.reg >= 0.0
-            assert bd.reg <= TWO_LN2 + 1e-9
-            assert bd.weight > 0.0
+            bd = one_row_total(z, zf, label, epoch, lam=0.5)
+            ce, weight, naw_ce, reg, total = (float(a[0]) for a in (
+                bd.ce, bd.weight, bd.naw_ce, bd.reg, bd.total))
+            assert abs(naw_ce - (1.0 + weight) * ce) < 1e-12 * max(1.0, naw_ce)
+            assert abs(total - (0.5 * naw_ce + 0.5 * reg)) < 1e-12
+            assert reg >= 0.0
+            assert reg <= TWO_LN2 + 1e-9
+            assert weight > 0.0
 
     def test_grads_match_finite_differences_with_frozen_weight(self):
         rng = Rng(52)
@@ -227,8 +235,8 @@ class TestTotalLoss:
             zf = rng.normals(7, scale=2.0)
             label = rng.below(7)
             epoch = rng.below(61)
-            bd = total_loss(z, zf, label, epoch, POLICY, lam=0.5)
-            w = bd.weight
+            bd = one_row_total(z, zf, label, epoch, lam=0.5)
+            w = bd.weight[0]
 
             def frozen(v, vf):
                 ce, _ = cross_entropy(v, label)
@@ -237,8 +245,8 @@ class TestTotalLoss:
 
             num_z = fd_gradient(lambda v: frozen(v, zf), z)
             num_zf = fd_gradient(lambda vf: frozen(z, vf), zf)
-            assert_grad_close(bd.grad_logits, num_z)
-            assert_grad_close(bd.grad_logits_aux, num_zf)
+            assert_grad_close(bd.grad_z[0], num_z)
+            assert_grad_close(bd.grad_zf[0], num_zf)
 
 
 class TestBatchTotal:
@@ -254,10 +262,10 @@ class TestBatchTotal:
         batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 15), 0.5,
                             mode="nla")
         for i in range(len(labels)):
-            bd = total_loss(z[i], zf[i], labels[i], 15, POLICY, 0.5)
-            assert batch.total[i] == pytest.approx(bd.total, rel=1e-12)
+            bd = one_row_total(z[i], zf[i], labels[i], 15, 0.5)
+            assert batch.total[i] == pytest.approx(bd.total[0], rel=1e-12)
             np.testing.assert_allclose(batch.grad_z[i] * len(labels),
-                                       bd.grad_logits, rtol=1e-9, atol=1e-15)
+                                       bd.grad_z[0], rtol=1e-9, atol=1e-15)
 
     def test_mode_ce_zeroes_weight_and_reg(self):
         rng = Rng(54)

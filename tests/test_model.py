@@ -145,6 +145,26 @@ class TestGradientCheck:
         assert kind == "W" and layer == 0
         assert 0 <= flat < params.weights[0].size
 
+    def test_sampled_check_is_pinned(self):
+        # max_rel_error and worst_coordinate pinned from the coordinate-list
+        # implementation: the sample and its (kind, layer, index) labels
+        # follow the order all W, then all b.
+        rng = Rng(23)
+        params = init_params(MLP, Rng(24))
+        x = draw_kink_safe_batch(params, rng)
+        xf = x.copy()
+        xf[:, 0] = -xf[:, 0]
+        labels = np.array([rng.below(7) for _ in range(32)])
+        policy = WeightPolicy(total_epochs=60)
+        weights = naw_weights(softmax(forward(params, x).logits), labels,
+                              epoch_kernels(policy, 20))
+        fn = frozen_loss_fn(x, xf, labels, 20, policy, 0.5, weights)
+        result = gradient_check(params, fn, tolerance=1e-6, max_coords=200,
+                                rng=Rng(30))
+        assert result.max_rel_error == 1.5538475429742536e-09
+        assert result.worst_coordinate == ("W", 1, 59)
+        assert result.n_checked == 200
+
     def test_sampled_subset_requires_at_least_200(self):
         params = init_params(MLP, Rng(26))
         with pytest.raises(ValueError):

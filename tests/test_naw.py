@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from nla import naw
 from nla.naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                      build_false_kernel, build_true_kernel,
-                     covariance_schedule, epoch_kernels, extract_scores,
-                     gaussian_weight, gaussian_weight_many, kernel_params,
-                     naw_weight,
-                     naw_weights, sigma_from_axis_ratio)
+                     covariance_schedule, epoch_kernels, gaussian_weight,
+                     kernel_params, naw_weights, sigma_from_axis_ratio)
 from nla.numkit import Rng, softmax
+from nla.selfcheck import check_kernel_oracle
 
 POLICY = WeightPolicy(total_epochs=60)
 
@@ -23,37 +23,47 @@ CS_FULL = 0.9999546000702375            # 1 - e^-10
 CS_HALF = 0.9932620530009145            # 1 - e^-5
 
 
-def brute_force_density(p, mu, sigma) -> float:
-    """Independent oracle: generic linear algebra, no 2x2 shortcuts."""
-    d = np.asarray(p, float) - np.asarray(mu, float)
-    quad = float(d @ np.linalg.inv(sigma) @ d)
-    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(np.linalg.det(sigma)))
+def one_row_weight(probs, label: int, epoch: int) -> float:
+    """Adaptive weight of one sample: a one-row call of naw_weights."""
+    return float(naw_weights([probs], [label], epoch_kernels(POLICY, epoch))[0])
+
+
+def reference_weight(probs, label: int, epoch: int) -> float:
+    """Per-sample reference: scores by deletion, branch by comparison."""
+    p_gt = probs[label]
+    p_nn = np.delete(probs, label).max()
+    true_kernel, false_kernel = epoch_kernels(POLICY, epoch)
+    kernel = true_kernel if p_gt >= p_nn else false_kernel
+    return gaussian_weight([p_gt, p_nn], kernel)
 
 
 class TestExtractScores:
+    # Scores are read through the weight: (p_gt, p_nn) picks the point and
+    # the branch whose density naw_weights returns.
     def test_direct_selection_true(self):
-        pair = extract_scores([0.7, 0.2, 0.1], 0)
-        assert (pair.p_gt, pair.p_nn, pair.is_true_prediction) == (0.7, 0.2, True)
+        assert one_row_weight([0.7, 0.2, 0.1], 0, 9) == pytest.approx(
+            gaussian_weight([0.7, 0.2], build_true_kernel(POLICY, 9)), rel=1e-15)
 
     def test_direct_selection_false(self):
-        pair = extract_scores([0.1, 0.6, 0.3], 0)
-        assert (pair.p_gt, pair.p_nn, pair.is_true_prediction) == (0.1, 0.6, False)
+        assert one_row_weight([0.1, 0.6, 0.3], 0, 9) == pytest.approx(
+            gaussian_weight([0.1, 0.6], build_false_kernel(POLICY)), rel=1e-15)
 
     def test_tie_counts_as_true(self):
-        pair = extract_scores([0.5, 0.5, 0.0], 0)
-        assert (pair.p_gt, pair.p_nn, pair.is_true_prediction) == (0.5, 0.5, True)
+        assert one_row_weight([0.5, 0.5, 0.0], 0, 9) == pytest.approx(
+            gaussian_weight([0.5, 0.5], build_true_kernel(POLICY, 9)), rel=1e-15)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            extract_scores([0.5, 0.5], 2)
+            one_row_weight([0.5, 0.5], 2, 0)
 
     def test_scores_from_a_simplex_point_sum_below_one(self):
         rng = Rng(19)
         for _ in range(300):
             probs = softmax(rng.normals(6, scale=4.0))
-            pair = extract_scores(probs, rng.below(6))
-            assert pair.p_gt + pair.p_nn <= 1.0 + 1e-9
-            assert pair.is_true_prediction == (pair.p_gt >= pair.p_nn)
+            label = rng.below(6)
+            assert probs[label] + np.delete(probs, label).max() <= 1.0 + 1e-9
+            assert one_row_weight(probs, label, 9) == pytest.approx(
+                reference_weight(probs, label, 9), rel=1e-15)
 
 
 class TestCovarianceSchedule:
@@ -176,31 +186,31 @@ class TestGaussianWeight:
         assert gaussian_weight([1.5, 0.5], k) == pytest.approx(expected, rel=1e-14)
 
     def test_matches_brute_force_oracle(self):
-        rng = Rng(21)
-        for _ in range(2000):
-            p = np.array([rng.random(), rng.random()])
-            mu = np.array([rng.random(), rng.random()])
-            a = 0.1 + 1.9 * rng.random()
-            b = 0.1 + 1.9 * rng.random()
-            rho = -0.95 + 1.9 * rng.random()
-            sigma = np.array([[a, rho * math.sqrt(a * b)],
-                              [rho * math.sqrt(a * b), b]])
-            ours = gaussian_weight(p, kernel_params(mu, sigma))
-            assert ours == pytest.approx(brute_force_density(p, mu, sigma),
-                                         rel=1e-10)
+        ok, detail = check_kernel_oracle(seed=21, n=2000)
+        assert ok, detail
+
+    def test_oracle_check_sees_the_training_density(self, monkeypatch):
+        # The oracle reaches the density naw_weights uses, so an error of
+        # 1e-9 in it fails the 1e-10 check.
+        density = naw._density
+        monkeypatch.setattr(naw, "_density",
+                            lambda x, y, k: density(x, y, k) * (1.0 + 1e-9))
+        ok, _ = check_kernel_oracle(seed=21, n=100)
+        assert not ok
 
     def test_many_matches_scalar(self):
         rng = Rng(22)
         k = build_true_kernel(POLICY, 13)
         pts = np.array([[rng.random(), rng.random()] for _ in range(64)])
         singles = [gaussian_weight(p, k) for p in pts]
-        np.testing.assert_allclose(gaussian_weight_many(pts, k), singles, rtol=1e-15)
+        np.testing.assert_allclose(naw._density(pts[:, 0], pts[:, 1], k), singles,
+                                   rtol=1e-15)
 
     def test_bounded_by_norm_const(self):
         rng = Rng(23)
         k = build_false_kernel(POLICY)
         pts = np.array([[rng.random(), rng.random()] for _ in range(500)])
-        w = gaussian_weight_many(pts, k)
+        w = naw._density(pts[:, 0], pts[:, 1], k)
         assert np.all(w > 0.0)
         assert np.all(w <= k.norm_const + 1e-15)
 
@@ -215,7 +225,7 @@ class TestNawWeight:
     def test_tie_point_epoch_zero(self):
         # (0.5, 0.5) ties, so the true branch applies and sits at its mean.
         probs = [0.5, 0.5, 0.0]
-        assert naw_weight(probs, 0, 0, POLICY) == pytest.approx(C_ISOTROPIC, rel=1e-14)
+        assert one_row_weight(probs, 0, 0) == pytest.approx(C_ISOTROPIC, rel=1e-14)
 
     def test_false_kernel_peak_value(self):
         # The false-branch mean (0.3, 0.15) itself lies in the true-prediction
@@ -229,25 +239,25 @@ class TestNawWeight:
         probs[0] = 0.02
         probs[2:] = 0.03 / 5
         for epoch in (0, 30, 60):
-            w_noisy = naw_weight(probs, 0, epoch, POLICY)
+            w_noisy = one_row_weight(probs, 0, epoch)
             peak = gaussian_weight([0.3, 0.15], build_false_kernel(POLICY))
             assert w_noisy < peak
 
     def test_false_branch_used_when_wrong(self):
         probs = [0.2, 0.5, 0.3]
         k = build_false_kernel(POLICY)
-        assert naw_weight(probs, 0, 7, POLICY) == pytest.approx(
+        assert one_row_weight(probs, 0, 7) == pytest.approx(
             gaussian_weight([0.2, 0.5], k), rel=1e-15)
 
     def test_invariant_under_permuting_non_gt_entries(self):
         probs = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
-        w = naw_weight(probs, 0, 11, POLICY)
+        w = one_row_weight(probs, 0, 11)
         rng = Rng(31)
         for _ in range(20):
             tail = probs[1:].copy()
             tail = tail[rng.permutation(tail.size)]
             shuffled = np.concatenate([[probs[0]], tail])
-            assert naw_weight(shuffled, 0, 11, POLICY) == pytest.approx(w, rel=1e-15)
+            assert one_row_weight(shuffled, 0, 11) == pytest.approx(w, rel=1e-15)
 
     def test_bounded_by_branch_constants(self):
         rng = Rng(32)
@@ -256,7 +266,7 @@ class TestNawWeight:
             probs = softmax(z)
             label = rng.below(7)
             epoch = rng.below(61)
-            w = naw_weight(probs, label, epoch, POLICY)
+            w = one_row_weight(probs, label, epoch)
             c_true = build_true_kernel(POLICY, epoch).norm_const
             c_false = build_false_kernel(POLICY).norm_const
             assert 0.0 < w <= max(c_true, c_false)
@@ -295,7 +305,7 @@ class TestNawWeight:
         probs = softmax(z)
         labels = np.array([rng.below(7) for _ in range(40)])
         batch = naw_weights(probs, labels, epoch_kernels(POLICY, 21))
-        singles = [naw_weight(probs[i], labels[i], 21, POLICY) for i in range(40)]
+        singles = [reference_weight(probs[i], labels[i], 21) for i in range(40)]
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
 

@@ -1,10 +1,17 @@
-"""Numeric foundation: softmax stability, 2x2 algebra, random source."""
+"""Numeric foundation: softmax stability, 2x2 algebra, random source,
+atomic file writes."""
+
+import builtins
 
 import numpy as np
 import pytest
 
+from nla import numkit
+from nla.data import make_synthetic, save_dataset
+from nla.model import Arch, init_params, save_checkpoint
 from nla.numkit import (Rng, SingularMatrixError, derive_seed, log_softmax,
                         logsumexp, mat2_det, mat2_inverse, softmax)
+from nla.trainer import atomic_write_text
 
 
 class TestSoftmax:
@@ -186,3 +193,61 @@ class TestRng:
         assert derive_seed(7, "train-base") == derive_seed(7, "train-base")
         assert derive_seed(7, "a") != derive_seed(7, "b")
         assert derive_seed(7, "a") != derive_seed(8, "a")
+
+
+class _HalfWriter:
+    """File stand-in that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+def _write_dataset(path, variant):
+    save_dataset(make_synthetic(3, 4, 20, 0.5, Rng(variant)), path)
+
+
+def _write_checkpoint(path, variant):
+    save_checkpoint(init_params(Arch(8, 16, 7), Rng(variant)), path)
+
+
+def _write_text(path, variant):
+    atomic_write_text(path, f"run {variant}\n" * 100)
+
+
+class TestAtomicWrites:
+    """Caches, checkpoints and records are replaced whole or not at all."""
+
+    @pytest.mark.parametrize("writer", [_write_dataset, _write_checkpoint, _write_text])
+    def test_write_failing_partway_keeps_previous_bytes(self, writer, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "out.bin"
+        writer(path, 1)
+        before = path.read_bytes()
+        monkeypatch.setattr(numkit, "open",
+                            lambda *a, **k: _HalfWriter(builtins.open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            writer(path, 2)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("writer", [_write_dataset, _write_checkpoint, _write_text])
+    def test_first_write_failing_partway_leaves_no_file(self, writer, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(numkit, "open",
+                            lambda *a, **k: _HalfWriter(builtins.open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            writer(tmp_path / "out.bin", 1)
+        assert list(tmp_path.iterdir()) == []
