@@ -11,8 +11,7 @@ Run:  python demos/02_loss_anatomy.py
 import numpy as np
 
 from nla import (Arch, WeightPolicy, batch_total, default_view, epoch_kernels,
-                 forward, gradient_check, init_params, naw_weights, softmax,
-                 standard_instance)
+                 forward, gradient_check, init_params, softmax, standard_instance)
 from nla.numkit import Rng
 from nla.selfcheck import draw_kink_safe_batch, frozen_loss_fn
 
@@ -54,9 +53,7 @@ check_x = draw_kink_safe_batch(params, rng.split(1))
 check_xf = check_x.copy()
 check_xf[:, 0] = -check_xf[:, 0]
 check_labels = np.array([rng.below(train.n_classes) for _ in range(32)])
-weights = naw_weights(softmax(forward(params, check_x).logits), check_labels,
-                      epoch_kernels(policy, 20))
-fn = frozen_loss_fn(check_x, check_xf, check_labels, 20, policy, 0.5, weights)
+fn = frozen_loss_fn(params, check_x, check_xf, check_labels, 20, policy, 0.5)
 result = gradient_check(params, fn, tolerance=1e-6)
 print(f"  checked {result.n_checked} coordinates, "
       f"max relative error {result.max_rel_error:.3e} "

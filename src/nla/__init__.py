@@ -16,15 +16,14 @@ from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, KernelParams, WeightPolicy,
                   epoch_kernels, gaussian_weight, naw_weights,
                   sigma_from_axis_ratio)
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
-from .model import Arch, ForwardTrace, GradCheckResult, Gradients, ModelParams, \
-    backward, forward, gradient_check, init_params, load_checkpoint, \
-    save_checkpoint
+from .model import Arch, ForwardTrace, GradCheckResult, ModelParams, backward, \
+    forward, gradient_check, init_params, load_checkpoint, save_checkpoint
 from .data import (Dataset, FormatError, ViewTransform, apply_imbalance,
                    bayes_accuracy, default_view, fingerprint, ingest_csv,
                    ingest_idx, inject_noise, load_dataset, make_synthetic,
                    save_dataset, standard_instance)
 from .trainer import (EpochMetrics, EvalResult, RunRecord, TrainConfig,
                       TrainingDiverged, collect_weight_stats, evaluate,
-                      run_training, save_run_record, select_epoch)
+                      run_training, save_run_record, select_epoch, train_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

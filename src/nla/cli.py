@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .data import (Dataset, apply_imbalance, fingerprint, ingest_csv,
-                   ingest_idx, inject_noise, load_dataset, make_synthetic,
-                   save_dataset)
+                   ingest_idx, inject_noise, load_dataset, save_dataset,
+                   synthetic_splits)
 from .losses import MODES
 from .numkit import Rng, derive_seed
 from .trainer import (TrainConfig, TrainingDiverged, atomic_write_text,
@@ -140,15 +140,9 @@ def _base_splits(cfg: dict) -> tuple[Dataset, Dataset]:
     ds_cfg = cfg["dataset"]
     kind = ds_cfg.get("kind", "synthetic")
     if kind == "synthetic":
-        train = make_synthetic(ds_cfg["k"], ds_cfg["d"], ds_cfg["n_per_class"],
-                               ds_cfg["spread"],
-                               Rng(derive_seed(cfg["seed"], "train-base")),
-                               split="train")
-        test = make_synthetic(ds_cfg["k"], ds_cfg["d"], ds_cfg["test_per_class"],
-                              ds_cfg["spread"],
-                              Rng(derive_seed(cfg["seed"], "test")),
-                              split="test")
-        return train, test
+        return synthetic_splits(cfg["seed"], ds_cfg["k"], ds_cfg["d"],
+                                ds_cfg["n_per_class"], ds_cfg["test_per_class"],
+                                ds_cfg["spread"])
     if kind == "idx":
         train = ingest_idx(ds_cfg["train_images"], ds_cfg["train_labels"], "train")
         test = ingest_idx(ds_cfg["test_images"], ds_cfg["test_labels"], "test")
@@ -257,18 +251,21 @@ def _build_train_config(spec: CellSpec) -> TrainConfig:
 
 
 def run_cell(spec: CellSpec) -> dict:
-    """Execute one cell; idempotent unless forced.  Returns a status dict."""
-    run_dir = Path(spec.run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if manifest_path.exists() and not spec.force:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("status") == "complete":
-            return {"cell": spec.id, "ok": True, "skipped": True}
+    """Execute one cell unless forced or its run directory holds a complete
+    run of the same config (compared as the manifest's JSON).  Returns a
+    status dict."""
+    manifest_path = Path(spec.run_dir) / "manifest.json"
     try:
+        config = _build_train_config(spec)
+        if manifest_path.exists() and not spec.force:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            if (manifest.get("status") == "complete" and manifest.get("config")
+                    == json.loads(json.dumps(config.to_dict()))):
+                return {"cell": spec.id, "ok": True, "skipped": True}
         train = load_dataset(spec.train_path)
         test = load_dataset(spec.test_path)
-        record = run_training(_build_train_config(spec), train, test)
-        save_run_record(record, run_dir)
+        record = run_training(config, train, test)
+        save_run_record(record, spec.run_dir)
         return {"cell": spec.id, "ok": True, "skipped": False}
     except TrainingDiverged as exc:
         return {"cell": spec.id, "ok": False, "error": str(exc)}
@@ -354,12 +351,12 @@ def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> Non
         key = (spec.noise, spec.imbalance, spec.mode)
         by_group.setdefault(key, []).append(_final_row(spec.run_dir))
 
-    rows = []
+    rows = {}  # (noise, imbalance, mode) -> summary row, in sorted key order
     for (noise, imbalance, mode), finals in sorted(by_group.items()):
         overall = np.array([m.test_overall for m in finals])
         mean_acc = np.array([m.test_mean for m in finals])
         per_class = np.stack([m.per_class_acc for m in finals]).mean(axis=0)
-        rows.append({
+        rows[noise, imbalance, mode] = {
             "noise": noise, "imbalance": imbalance, "mode": mode,
             "n_seeds": len(finals),
             "overall_mean": float(overall.mean()),
@@ -367,27 +364,27 @@ def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> Non
             "mean_acc_mean": float(mean_acc.mean()),
             "mean_acc_std": float(mean_acc.std(ddof=1)) if len(finals) > 1 else 0.0,
             "per_class_mean": [float(v) for v in per_class],
-        })
+        }
 
     deltas = {}
-    for (noise, imbalance, mode), _ in sorted(by_group.items()):
+    for (noise, imbalance, mode), a in rows.items():
         for other in cfg["modes"]:
-            if other == mode or (noise, imbalance, other) not in by_group:
+            b = rows.get((noise, imbalance, other))
+            if other == mode or b is None:
                 continue
-            a = next(r for r in rows if (r["noise"], r["imbalance"], r["mode"]) == (noise, imbalance, mode))
-            b = next(r for r in rows if (r["noise"], r["imbalance"], r["mode"]) == (noise, imbalance, other))
             deltas[f"n{noise:g}_f{imbalance:g}:{mode}-{other}"] = {
                 "overall": a["overall_mean"] - b["overall_mean"],
                 "mean_acc": a["mean_acc_mean"] - b["mean_acc_mean"],
             }
 
     out = Path(cfg["out"])
-    k = len(rows[0]["per_class_mean"]) if rows else 0
+    cells = list(rows.values())
+    k = len(cells[0]["per_class_mean"]) if cells else 0
     header = ["noise", "imbalance", "mode", "n_seeds", "overall_mean",
               "overall_std", "mean_acc_mean", "mean_acc_std"]
     header += [f"acc_c{i}" for i in range(k)]
     lines = [",".join(header)]
-    for r in rows:
+    for r in cells:
         line = [f"{r['noise']:g}", f"{r['imbalance']:g}", r["mode"],
                 str(r["n_seeds"]), repr(r["overall_mean"]), repr(r["overall_std"]),
                 repr(r["mean_acc_mean"]), repr(r["mean_acc_std"])]
@@ -396,7 +393,7 @@ def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> Non
     atomic_write_text(out / "summary.csv", "\n".join(lines) + "\n")
     incomplete = [r["cell"] for r in results if not r["ok"]]
     atomic_write_text(out / "summary.json", json.dumps({
-        "cells": rows, "pairwise_deltas": deltas,
+        "cells": cells, "pairwise_deltas": deltas,
         "incomplete": incomplete, "version": __version__,
     }, indent=2, sort_keys=True) + "\n")
     _print_pivot(rows)
@@ -404,15 +401,15 @@ def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> Non
           + (f" ({len(incomplete)} incomplete)" if incomplete else ""))
 
 
-def _print_pivot(rows: list[dict]) -> None:
+def _print_pivot(rows: dict[tuple, dict]) -> None:
     """Compact accuracy tables: one block per imbalance factor and metric,
-    modes as rows and noise rates as columns."""
+    modes as rows and noise rates as columns.  ``rows`` maps
+    (noise, imbalance, mode) to a summary row."""
     if not rows:
         return
-    noises = sorted({r["noise"] for r in rows})
-    factors = sorted({r["imbalance"] for r in rows})
-    modes = sorted({r["mode"] for r in rows})
-    lookup = {(r["noise"], r["imbalance"], r["mode"]): r for r in rows}
+    noises = sorted({n for n, _, _ in rows})
+    factors = sorted({f for _, f, _ in rows})
+    modes = sorted({m for _, _, m in rows})
     for factor in factors:
         for metric, label in (("overall", "overall acc"),
                               ("mean_acc", "mean acc")):
@@ -422,7 +419,7 @@ def _print_pivot(rows: list[dict]) -> None:
             for mode in modes:
                 cells = []
                 for n in noises:
-                    r = lookup.get((n, factor, mode))
+                    r = rows.get((n, factor, mode))
                     cells.append("      --         " if r is None else
                                  f"  {r[f'{metric}_mean']:.4f}±{r[f'{metric}_std']:.4f}")
                 print(f"  {mode:>5s}: " + "".join(cells))

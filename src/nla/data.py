@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import Rng, atomic_write_bytes
+from .numkit import Rng, atomic_write_bytes, derive_seed
 
 __all__ = [
     "FormatError",
@@ -37,6 +37,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "fingerprint",
+    "synthetic_splits",
     "STANDARD_K",
     "STANDARD_DIM",
     "STANDARD_TRAIN_PER_CLASS",
@@ -47,6 +48,7 @@ __all__ = [
 
 _MAGIC = b"NLAD"
 _VERSION = 1
+_HEADER = struct.Struct("<HBBQIIQddII")  # after the magic; see "Cache format"
 _CENTER_RADIUS = 2.0   # class layout radius in the non-mirrored coordinates
 _MIRROR_OFFSET = 1.0   # distance of each cluster pair from the mirror plane
 
@@ -389,8 +391,8 @@ def dataset_bytes(ds: Dataset) -> bytes:
     shape = ds.meta.get("image_shape", (0, 0))
     blob = bytearray()
     blob += _MAGIC
-    blob += struct.pack(
-        "<HBBQIIQddII", _VERSION, 0 if ds.split == "train" else 1, flags,
+    blob += _HEADER.pack(
+        _VERSION, 0 if ds.split == "train" else 1, flags,
         ds.n, ds.dim, ds.n_classes, int(ds.meta.get("seed", 0)),
         float(ds.meta.get("noise_rate", 0.0)), float(ds.meta.get("imbalance", 1.0)),
         int(shape[0]), int(shape[1]))
@@ -410,12 +412,11 @@ def load_dataset(path) -> Dataset:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}", offset=0)
-    fmt = "<HBBQIIQddII"
     version, split_code, flags, n, d, k, seed, noise_rate, imbalance, img_h, img_w = \
-        struct.unpack_from(fmt, blob, 4)
+        _HEADER.unpack_from(blob, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported cache version {version}", offset=4)
-    offset = 4 + struct.calcsize(fmt)
+    offset = 4 + _HEADER.size
     labels = np.frombuffer(blob, dtype="<i8", count=n, offset=offset).astype(np.int64)
     offset += n * 8
     clean = None
@@ -439,18 +440,24 @@ def fingerprint(ds: Dataset) -> str:
     return hashlib.sha256(dataset_bytes(ds)).hexdigest()
 
 
+def synthetic_splits(master_seed: int, n_classes: int, dim: int,
+                     n_per_class: int, test_per_class: int,
+                     spread: float) -> tuple[Dataset, Dataset]:
+    """Clean synthetic splits from the master seed's ``"train-base"`` and
+    ``"test"`` streams: the experiment runner's and :func:`standard_instance`'s."""
+    train = make_synthetic(n_classes, dim, n_per_class, spread,
+                           Rng(derive_seed(master_seed, "train-base")), split="train")
+    test = make_synthetic(n_classes, dim, test_per_class, spread,
+                          Rng(derive_seed(master_seed, "test")), split="test")
+    return train, test
+
+
 def standard_instance(master_seed: int) -> tuple[Dataset, Dataset]:
     """The clean standard benchmark instance: balanced train and test splits.
 
-    Seeded with the same stream tags the experiment runner uses, so these
-    splits are byte-identical to the runner's caches for the same master
-    seed.
+    Byte-identical to the runner's caches for the same master seed under
+    the default dataset config.
     """
-    from .numkit import derive_seed
-    train = make_synthetic(STANDARD_K, STANDARD_DIM, STANDARD_TRAIN_PER_CLASS,
-                           STANDARD_SPREAD, Rng(derive_seed(master_seed, "train-base")),
-                           split="train")
-    test = make_synthetic(STANDARD_K, STANDARD_DIM, STANDARD_TEST_PER_CLASS,
-                          STANDARD_SPREAD, Rng(derive_seed(master_seed, "test")),
-                          split="test")
-    return train, test
+    return synthetic_splits(master_seed, STANDARD_K, STANDARD_DIM,
+                            STANDARD_TRAIN_PER_CLASS, STANDARD_TEST_PER_CLASS,
+                            STANDARD_SPREAD)

@@ -9,7 +9,8 @@ gradient: no gradient flows through the weighting kernel.
 it on every mini-batch.  The single-sample functions check their inputs
 and evaluate one row through the same code: :func:`cross_entropy` and
 :func:`naw_ce_loss` are one-row calls of :func:`batch_total`, and
-:func:`consistency_loss` uses its softmax and consistency core.
+:func:`consistency_loss` uses its consistency core.  Every softmax here is
+the one of :mod:`nla.numkit`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .naw import KernelParams, WeightPolicy, epoch_kernels, score_weights
+from .numkit import _softmax_lse
 
 __all__ = [
     "MODES",
@@ -71,14 +73,6 @@ def _one_sample(logits, label: int) -> np.ndarray:
     if not 0 <= label < z.shape[1]:
         raise ValueError(f"label {label} out of range for {z.shape[1]} categories")
     return z
-
-
-def _softmax_lse(z: np.ndarray):
-    """Softmax and log-sum-exp over the last axis from one max/exp/sum."""
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    return e / s, m[..., 0] + np.log(s[..., 0])
 
 
 def _consistency(p: np.ndarray):

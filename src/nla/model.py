@@ -5,11 +5,13 @@ ReLU perceptron (d -> h -> K).  The ReLU derivative at exactly 0 is taken
 as 0 (the left limit), so gradient checks have a fixed convention at the
 kink.  Checkpoints round-trip bit-exactly through a small binary format.
 
-Parameters and gradients each live in one contiguous float64 vector,
-``flat``, ordered W0, b0 [, W1, b1] with every W row-major; the per-layer
-``weights`` and ``biases`` lists hold views into it.  This is also the
-checkpoint's byte order, so a checkpoint is a header plus the vector, and
-the optimizer updates a model with one pass over the vector.
+Parameters live in one contiguous float64 vector, ``ModelParams.flat``,
+ordered W0, b0 [, W1, b1] with every W row-major; the per-layer
+``weights`` and ``biases`` lists hold views into it.  A gradient is a
+plain vector in the same layout: :func:`backward` returns one, so
+accumulating views and taking an optimizer step are single operations on
+vectors.  This is also the checkpoint's byte order, so a checkpoint is a
+header plus the vector.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "Arch",
     "ModelParams",
     "ForwardTrace",
-    "Gradients",
     "GradCheckResult",
     "init_params",
     "forward",
@@ -37,6 +38,7 @@ __all__ = [
 
 _MAGIC = b"NLAM"
 _VERSION = 1
+_HEADER = struct.Struct("<IIIIQ")  # after the magic; see "Checkpoint format"
 
 
 @dataclass(frozen=True)
@@ -77,45 +79,25 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list, list]:
     return weights, biases
 
 
-class _LayerVector:
-    """Per-layer weight and bias views over one contiguous float64 vector.
+class ModelParams:
+    """Dense weights and biases, ordered input side first, in one vector.
 
-    ``flat`` holds W0, b0, W1, b1, ... in that order, each W row-major:
-    the checkpoint's parameter order.  ``weights`` and ``biases`` are
-    views into it, so writing through them writes ``flat`` and whole-model
-    arithmetic (optimizer, gradient accumulation) is one operation on
-    ``flat``.  Building from per-layer arrays copies them into a new
-    vector.
+    Owns ``flat`` (not copied), which must hold ``arch.param_count``
+    float64 values in the layout of :attr:`Arch.layer_shapes`.
     """
 
-    def __init__(self, weights, biases) -> None:
-        if len(weights) != len(biases):
-            raise ValueError("need one bias vector per weight matrix")
-        shapes = [np.shape(w) for w in weights]
-        for shape, b in zip(shapes, biases):
-            if len(shape) != 2 or np.shape(b) != shape[1:]:
-                raise ValueError(f"bias of shape {np.shape(b)} does not match "
-                                 f"weights of shape {shape}")
-        flat = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb])
-        self._bind(flat.astype(np.float64, copy=False), shapes)
-
-    def _bind(self, flat: np.ndarray, shapes) -> None:
-        self.flat = flat
-        self.weights, self.biases = _layer_views(flat, shapes)
-
-
-class ModelParams(_LayerVector):
-    """Dense weights and biases, ordered input side first, in one vector."""
-
-    def __init__(self, arch: Arch, weights, biases, seed: int = 0) -> None:
-        super().__init__(weights, biases)
-        if [w.shape for w in self.weights] != arch.layer_shapes:
-            raise ValueError(f"parameter shapes do not match {arch}")
+    def __init__(self, arch: Arch, flat: np.ndarray, seed: int = 0) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (arch.param_count,):
+            raise ValueError(f"{arch} needs a vector of {arch.param_count} "
+                             f"parameters, got shape {flat.shape}")
         self.arch = arch
+        self.flat = flat
         self.seed = seed
+        self.weights, self.biases = _layer_views(flat, arch.layer_shapes)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.weights, self.biases, self.seed)
+        return ModelParams(self.arch, self.flat.copy(), self.seed)
 
 
 @dataclass
@@ -128,35 +110,16 @@ class ForwardTrace:
     hidden: np.ndarray | None = None
 
 
-class Gradients(_LayerVector):
-    """Parameter gradients with the same shapes and layout as the model."""
-
-    @staticmethod
-    def zeros_like(params: ModelParams) -> "Gradients":
-        return Gradients._over(np.zeros_like(params.flat), params.arch)
-
-    @staticmethod
-    def _over(flat: np.ndarray, arch: Arch) -> "Gradients":
-        grads = Gradients.__new__(Gradients)
-        grads._bind(flat, arch.layer_shapes)
-        return grads
-
-    def add_(self, other: "Gradients") -> None:
-        self.flat += other.flat
-
-
 def init_params(arch: Arch, rng: Rng) -> ModelParams:
     """Zero-mean normal weights scaled by 1/sqrt(fan_in); zero biases.
 
     Draw order is fixed (layer by layer, row-major within a layer), so a
     seed fully determines the parameters.
     """
-    weights, biases = [], []
+    parts = []
     for fan_in, fan_out in arch.layer_shapes:
-        w = rng.normals(fan_in * fan_out).reshape(fan_in, fan_out) / np.sqrt(fan_in)
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return ModelParams(arch=arch, weights=weights, biases=biases, seed=rng.seed)
+        parts += [rng.normals(fan_in * fan_out) / np.sqrt(fan_in), np.zeros(fan_out)]
+    return ModelParams(arch, np.concatenate(parts), rng.seed)
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> ForwardTrace:
@@ -175,26 +138,27 @@ def forward(params: ModelParams, inputs: np.ndarray) -> ForwardTrace:
 
 
 def backward(params: ModelParams, trace: ForwardTrace,
-             grad_logits: np.ndarray) -> Gradients:
-    """Exact reverse-mode gradients for the supplied logit gradients.
+             grad_logits: np.ndarray) -> np.ndarray:
+    """Exact reverse-mode gradient for the supplied logit gradients.
 
     ``grad_logits`` must be dL/d(logits) of the scalar loss being
-    differentiated (any batch-mean factor included by the caller).  The
-    per-layer products are written straight into the gradient vector.
+    differentiated (any batch-mean factor included by the caller).
+    Returns a new float64 vector in the layout of ``params.flat``; the
+    per-layer products are written straight into it.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
     if trace.inputs.shape[1] != params.arch.input_dim:
         raise ValueError("trace does not match the model architecture")
-    grads = Gradients._over(np.empty_like(params.flat), params.arch)
-    d_w, d_b = grads.weights, grads.biases
+    grad = np.empty_like(params.flat)
+    d_w, d_b = _layer_views(grad, params.arch.layer_shapes)
     if params.arch.is_linear:
         if trace.pre_hidden is not None:
             raise ValueError("trace does not match the model architecture")
         np.matmul(trace.inputs.T, g, out=d_w[0])
         np.add.reduce(g, axis=0, out=d_b[0])
-        return grads
+        return grad
     if trace.pre_hidden is None or trace.hidden is None:
         raise ValueError("trace does not match the model architecture")
     np.matmul(trace.hidden.T, g, out=d_w[1])
@@ -203,7 +167,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
     d_pre = d_hid * (trace.pre_hidden > 0.0)
     np.matmul(trace.inputs.T, d_pre, out=d_w[0])
     np.add.reduce(d_pre, axis=0, out=d_b[0])
-    return grads
+    return grad
 
 
 @dataclass
@@ -226,7 +190,8 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
                    denom_floor: float = 1e-2) -> GradCheckResult:
     """Compare analytic parameter gradients against central differences.
 
-    ``loss_fn(params)`` must deterministically return ``(loss, Gradients)``.
+    ``loss_fn(params)`` must deterministically return ``(loss, grad)``,
+    ``grad`` a vector in the layout of ``params.flat``.
     Every coordinate is perturbed by +/- h unless ``max_coords`` (at least
     200 when sampling) limits the check to a random subset.  The reported
     error is ``|fd - analytic| / max(|fd|, |analytic|, denom_floor)``: a
@@ -247,7 +212,7 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
             raise ValueError("rng required when sampling coordinates")
         index = index[rng.choice(index.size, max_coords)]
 
-    flat, grad = params.flat, analytic.flat
+    flat, grad = params.flat, analytic
     worst, worst_at = 0.0, 0
     for i in index:
         old = flat[i]
@@ -277,8 +242,8 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
 
 def save_checkpoint(params: ModelParams, path) -> None:
     a = params.arch
-    header = _MAGIC + struct.pack("<IIIIQ", _VERSION, a.input_dim, a.hidden_dim,
-                                  a.n_classes, params.seed)
+    header = _MAGIC + _HEADER.pack(_VERSION, a.input_dim, a.hidden_dim,
+                                   a.n_classes, params.seed)
     atomic_write_bytes(path, header + params.flat.astype("<f8", copy=False).tobytes())
 
 
@@ -287,16 +252,15 @@ def load_checkpoint(path) -> ModelParams:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"not a model checkpoint: bad magic {blob[:4]!r}")
-    version, d, h, k, seed = struct.unpack_from("<IIIIQ", blob, 4)
+    version, d, h, k, seed = _HEADER.unpack_from(blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     arch = Arch(input_dim=d, hidden_dim=h, n_classes=k)
-    offset = 4 + struct.calcsize("<IIIIQ")
+    offset = 4 + _HEADER.size
     size = len(blob) - offset
     if size < arch.param_count * 8:
         raise ValueError("checkpoint is truncated")
     if size > arch.param_count * 8:
         raise ValueError("checkpoint has trailing bytes")
-    weights, biases = _layer_views(np.frombuffer(blob, dtype="<f8", offset=offset),
-                                   arch.layer_shapes)
-    return ModelParams(arch=arch, weights=weights, biases=biases, seed=seed)
+    flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+    return ModelParams(arch, flat, seed)

@@ -1,10 +1,11 @@
 """Deterministic numeric foundation.
 
-Stable softmax / log-sum-exp, tiny 2x2 linear algebra for covariance
-matrices, and a seedable pseudo-random source whose stream is identical
-on every platform.  Everything here is 64-bit float or 64-bit integer
-arithmetic; nothing depends on process state or hashing.  Also the one
-atomic file write that every cache, checkpoint and record goes through.
+Stable softmax / log-sum-exp from one core that the loss shares, tiny
+2x2 linear algebra for covariance matrices, and a seedable pseudo-random
+source whose stream is identical on every platform.  Everything here is
+64-bit float or 64-bit integer arithmetic; nothing depends on process
+state or hashing.  Also the one atomic file write that every cache,
+checkpoint and record goes through.
 """
 
 from __future__ import annotations
@@ -47,15 +48,24 @@ def _as_finite_array(values, name: str) -> np.ndarray:
 # Softmax family
 # ---------------------------------------------------------------------------
 
+def _softmax_lse(z: np.ndarray):
+    """Softmax and log-sum-exp over the last axis from one max/exp/sum.
+
+    The package's only softmax; ``z`` must be a finite float64 array.
+    """
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, m[..., 0] + np.log(s[..., 0])
+
+
 def logsumexp(logits) -> float | np.ndarray:
     """log(sum(exp(logits))) over the last axis, via max subtraction.
 
     Safe for entries with magnitude up to ~700 where a naive exp would
     overflow.
     """
-    z = _as_finite_array(logits, "logits")
-    m = z.max(axis=-1, keepdims=True)
-    out = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+    out = _softmax_lse(_as_finite_array(logits, "logits"))[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -68,9 +78,7 @@ def softmax(logits) -> np.ndarray:
     z = _as_finite_array(logits, "logits")
     if z.shape[-1] < 2:
         raise ValueError("softmax needs at least 2 categories")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_lse(z)[0]
 
 
 def log_softmax(logits) -> np.ndarray:
@@ -83,8 +91,7 @@ def log_softmax(logits) -> np.ndarray:
     z = _as_finite_array(logits, "logits")
     if z.shape[-1] < 2:
         raise ValueError("log_softmax needs at least 2 categories")
-    m = z.max(axis=-1, keepdims=True)
-    return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    return z - _softmax_lse(z)[1][..., None]
 
 
 # ---------------------------------------------------------------------------

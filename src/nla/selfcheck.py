@@ -5,9 +5,10 @@ brute-force density oracle on a separate linear-algebra path, scheduler
 endpoints and monotonicity, covariance eigenstructure, end-to-end gradient
 fidelity, and the loss identities.  Each ``check_*`` function takes its
 seed and sizes (and its tolerance, defaulting to the criterion's) and
-returns ``(ok, detail)``.  The acceptance suite calls them at the sizes
-the criteria state; :func:`run_selfcheck`, behind ``nla check``, calls
-them at reduced size with its own seeds.
+returns ``(ok, detail)``.  Gradient fidelity is checked on the step that
+training runs, :func:`nla.trainer.train_step`.  The acceptance suite calls
+them at the sizes the criteria state; :func:`run_selfcheck`, behind
+``nla check``, calls them at reduced size with its own seeds.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import math
 import numpy as np
 
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
-from .model import Arch, backward, forward, gradient_check, init_params
+from .model import Arch, forward, gradient_check, init_params
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                   covariance_schedule, epoch_kernels, gaussian_weight,
-                  kernel_params, naw_weights, sigma_from_axis_ratio)
-from .numkit import Rng, softmax
+                  kernel_params, sigma_from_axis_ratio)
+from .numkit import Rng
+from .trainer import train_step
 
 __all__ = [
     "brute_force_gaussian",
@@ -145,24 +147,22 @@ def draw_kink_safe_batch(params, rng: Rng, n: int = 32, h: float = 1e-5,
     raise RuntimeError("could not draw a kink-safe batch")
 
 
-def frozen_loss_fn(inputs, flipped, labels, epoch, policy, lam, weights):
-    """Deterministic total-loss closure with the sample weights pinned.
+def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
+    """The training step as a loss function, with the sample weights pinned.
 
-    Returns a callable for :func:`nla.model.gradient_check`: it maps
-    params to (batch-mean loss, analytic parameter gradients) while the
-    adaptive weights stay at the values supplied, exactly as the analytic
-    gradients assume.
+    Returns a callable for :func:`nla.model.gradient_check` that maps
+    params to (batch-mean loss, flat gradient) through
+    :func:`nla.trainer.train_step` in mode ``nla``.  The adaptive weights
+    stay at the values one unfrozen step takes at ``params``, exactly as
+    the analytic gradients assume.
     """
     kernels = epoch_kernels(policy, epoch)
+    weights = train_step(params, inputs, flipped, labels, kernels, lam, "nla")[0].weight
 
-    def fn(params):
-        trace = forward(params, inputs)
-        trace_f = forward(params, flipped)
-        loss = batch_total(trace.logits, trace_f.logits, labels, kernels,
-                           lam, mode="nla", frozen_weights=weights)
-        grads = backward(params, trace, loss.grad_z)
-        grads.add_(backward(params, trace_f, loss.grad_zf))
-        return float(loss.total.mean()), grads
+    def fn(p):
+        loss, grad = train_step(p, inputs, flipped, labels, kernels, lam, "nla",
+                                frozen_weights=weights)
+        return float(loss.total.mean()), grad
 
     return fn
 
@@ -173,7 +173,7 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
 
     Each trial draws an 8-64-7 MLP, a kink-safe batch of 32 with its
     mirrored view, labels and an epoch, freezes the adaptive weights, and
-    checks 200 sampled coordinates.
+    checks 200 sampled coordinates of the training step's gradient.
     """
     rng = Rng(seed)
     arch = Arch(input_dim=8, hidden_dim=64, n_classes=7)
@@ -186,9 +186,7 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
         xf[:, 0] = -xf[:, 0]
         labels = np.array([draw.below(7) for _ in range(32)])
         epoch = draw.below(61)
-        weights = naw_weights(softmax(forward(params, x).logits), labels,
-                              epoch_kernels(POLICY60, epoch))
-        fn = frozen_loss_fn(x, xf, labels, epoch, POLICY60, 0.5, weights)
+        fn = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
         result = gradient_check(params, fn, tolerance=tol, h=1e-5,
                                 max_coords=200, rng=draw)
         worst = max(worst, result.max_rel_error)

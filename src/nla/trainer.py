@@ -1,13 +1,14 @@
 """Mini-batch training loop with epoch-scheduled adaptive weighting.
 
-One shared parameter set sees both views of every batch; gradients from
-the two views are accumulated before each optimizer step.  The optimizer
-is Adam with decoupled weight decay and an exponentially decayed learning
-rate, applied to the model's flat parameter vector in one pass.  Both
-weighting kernels are built once per epoch and shared by every batch and
-by that epoch's weight statistics.  Inputs are checked once per run, before
-the first step; the per-step loop only guards against divergence.  Runs
-are bit-reproducible functions of (config, datasets).
+One shared parameter set sees both views of every batch.  Every optimizer
+step takes its loss and flat gradient from :func:`train_step`, the step
+that the gradient-fidelity check verifies.  The optimizer is Adam with
+decoupled weight decay and an exponentially decayed learning rate, applied
+to the flat parameter vector in one pass.  Both weighting kernels are
+built once per epoch and shared by every batch and by that epoch's weight
+statistics.  Inputs are checked once per run, before the first step; the
+per-step loop only guards against divergence.  Runs are bit-reproducible
+functions of (config, datasets).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, ViewTransform, default_view, fingerprint
-from .losses import MODES, batch_total
-from .model import (Arch, Gradients, ModelParams, backward, forward,
-                    init_params, load_checkpoint, save_checkpoint)
+from .losses import MODES, BatchLoss, batch_total
+from .model import (Arch, ModelParams, backward, forward, init_params,
+                    load_checkpoint, save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
 from .numkit import Rng, atomic_write_bytes, softmax
 
@@ -36,6 +37,7 @@ __all__ = [
     "TrainingDiverged",
     "AdamState",
     "adam_step",
+    "train_step",
     "run_training",
     "evaluate",
     "collect_weight_stats",
@@ -144,17 +146,16 @@ class RunRecord:
 
 @dataclass
 class AdamState:
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
     def zeros_like(params: ModelParams) -> "AdamState":
-        return AdamState(m=Gradients.zeros_like(params),
-                         v=Gradients.zeros_like(params))
+        return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
               lr: float, cfg: TrainConfig) -> None:
     """One Adam update with decoupled weight decay.
 
@@ -164,7 +165,7 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    p, g, m, v = params.flat, grad, state.m, state.v
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
@@ -206,6 +207,33 @@ def collect_weight_stats(params: ModelParams, train: Dataset,
     return out
 
 
+def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
+               labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
+               lam: float, mode: str,
+               frozen_weights: np.ndarray | None = None) -> tuple[BatchLoss, np.ndarray]:
+    """Loss of one mini-batch and the flat gradient of its mean at ``params``.
+
+    ``flipped``, the mirrored view of ``inputs``, is read only in mode
+    ``nla``, where the gradient is view 0's plus view 1's.  Raises
+    FloatingPointError when either view's logits (checked before the loss
+    is evaluated) or the loss are not finite.
+    """
+    use_flip = mode == "nla"
+    trace = forward(params, inputs)
+    trace_f = forward(params, flipped) if use_flip else trace
+    if not np.isfinite(trace.logits).all() or (
+            use_flip and not np.isfinite(trace_f.logits).all()):
+        raise FloatingPointError("non-finite logits")
+    loss = batch_total(trace.logits, trace_f.logits, labels, kernels, lam,
+                       mode=mode, frozen_weights=frozen_weights)
+    if not np.isfinite(loss.total).all():
+        raise FloatingPointError("non-finite loss")
+    grad = backward(params, trace, loss.grad_z)
+    if use_flip:
+        grad += backward(params, trace_f, loss.grad_zf)
+    return loss, grad
+
+
 def _check_splits(train: Dataset, test: Dataset) -> None:
     """Reject splits a run cannot use, before any step is taken."""
     if (train.dim, train.n_classes) != (test.dim, test.n_classes):
@@ -239,7 +267,6 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
     params = init_params(arch, rng.split(0))
     shuffle_rng = rng.split(1)
     state = AdamState.zeros_like(params)
-    use_flip = config.mode == "nla"
     flipped = view.apply(train.inputs)
     n = train.n
 
@@ -249,24 +276,17 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
         kernels = epoch_kernels(config.policy, epoch)
         perm = shuffle_rng.permutation(n)
         # Gather once per epoch; each batch is then a contiguous slice.
-        inputs, labels = train.inputs[perm], train.labels[perm]
-        inputs_f = flipped[perm] if use_flip else None
+        inputs, labels, inputs_f = train.inputs[perm], train.labels[perm], flipped[perm]
         sums = np.zeros(4)  # ce, naw_ce, reg, total
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             stop = start + config.batch_size
-            trace = forward(params, inputs[start:stop])
-            trace_f = forward(params, inputs_f[start:stop]) if use_flip else trace
-            if not np.isfinite(trace.logits).all() or (
-                    use_flip and not np.isfinite(trace_f.logits).all()):
-                raise TrainingDiverged(epoch, batch_index)
-            loss = batch_total(trace.logits, trace_f.logits, labels[start:stop],
-                               kernels, config.lam, mode=config.mode)
-            if not np.isfinite(loss.total).all():
-                raise TrainingDiverged(epoch, batch_index)
-            grads = backward(params, trace, loss.grad_z)
-            if use_flip:
-                grads.add_(backward(params, trace_f, loss.grad_zf))
-            adam_step(params, grads, state, lr, config)
+            try:
+                loss, grad = train_step(params, inputs[start:stop],
+                                        inputs_f[start:stop], labels[start:stop],
+                                        kernels, config.lam, config.mode)
+            except FloatingPointError:
+                raise TrainingDiverged(epoch, batch_index) from None
+            adam_step(params, grad, state, lr, config)
             sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(),
                      loss.total.sum()]
         ev = evaluate(params, test)

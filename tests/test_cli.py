@@ -2,12 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nla.cli import DEFAULT_CONFIG, cell_id, dataset_id, load_config, main
-from nla.data import load_dataset
+from nla import __version__
+from nla.cli import (DEFAULT_CONFIG, _base_splits, cell_id, dataset_id,
+                     load_config, main)
+from nla.data import fingerprint, load_dataset, standard_instance
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, **overrides):
@@ -66,6 +74,11 @@ class TestGenerate:
         assert main(["generate", "--config", str(path), "--force"]) == 0
         assert target.read_bytes() == first
 
+    def test_default_splits_are_the_standard_instance(self):
+        runner = _base_splits(load_config(None))
+        for ours, standard in zip(runner, standard_instance(7)):
+            assert fingerprint(ours) == fingerprint(standard)
+
     def test_imbalance_audit_ratio(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path, imbalance=[8.0], seeds=[1])
         assert main(["generate", "--config", str(path)]) == 0
@@ -87,6 +100,21 @@ class TestTrain:
         assert main(args) == 0
         assert "skipped" in capsys.readouterr().out
         assert (run_dir / "metrics.csv").read_bytes() == first
+
+    def test_changed_config_is_rerun(self, tmp_path, capsys):
+        # A complete run is reused only for the config it was made with.
+        path, cfg = write_config(tmp_path, seeds=[1], modes=["nla"])
+        args = ["train", "--config", str(path), "--noise", "0.1", "--mode", "nla",
+                "--seed", "1"]
+        csv = tmp_path / "out" / "runs" / "n0.1_f1_nla_s1" / "metrics.csv"
+        assert main(args + ["--epochs", "2"]) == 0
+        assert len(csv.read_text().strip().split("\n")) == 1 + 2
+        capsys.readouterr()
+        assert main(args + ["--epochs", "4"]) == 0
+        assert "skipped" not in capsys.readouterr().out
+        assert len(csv.read_text().strip().split("\n")) == 1 + 4
+        assert main(args + ["--epochs", "4"]) == 0
+        assert "skipped (already complete)" in capsys.readouterr().out
 
     def test_epochs_flag_controls_row_count(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -200,6 +228,13 @@ class TestCheck:
 
 
 class TestUsage:
+    def test_runs_as_python_dash_m(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "nla", "--version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{__version__}\n"
+
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import nla.trainer
 from nla.losses import batch_total
-from nla.model import (Arch, Gradients, backward, forward, gradient_check,
+from nla.model import (Arch, _layer_views, backward, forward, gradient_check,
                        init_params, load_checkpoint, save_checkpoint)
-from nla.naw import WeightPolicy, epoch_kernels, naw_weights
+from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
-from nla.selfcheck import draw_kink_safe_batch, frozen_loss_fn
+from nla.selfcheck import (check_gradient_fidelity, draw_kink_safe_batch,
+                           frozen_loss_fn)
 
 MLP = Arch(input_dim=8, hidden_dim=16, n_classes=7)
 LINEAR = Arch(input_dim=8, hidden_dim=0, n_classes=7)
@@ -70,18 +72,17 @@ class TestBackward:
     def test_zero_logit_gradients_give_zero_parameter_gradients(self):
         params = init_params(MLP, Rng(14))
         trace = forward(params, np.ones((3, 8)))
-        grads = backward(params, trace, np.zeros_like(trace.logits))
-        for g in grads.weights + grads.biases:
-            np.testing.assert_array_equal(g, 0.0)
+        grad = backward(params, trace, np.zeros_like(trace.logits))
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_linear_closed_form(self):
         params = init_params(LINEAR, Rng(15))
         x = Rng(16).normals(5 * 8).reshape(5, 8)
         trace = forward(params, x)
         g = Rng(17).normals(5 * 7).reshape(5, 7)
-        grads = backward(params, trace, g)
-        np.testing.assert_allclose(grads.weights[0], x.T @ g, rtol=1e-12)
-        np.testing.assert_allclose(grads.biases[0], g.sum(axis=0), rtol=1e-12)
+        (d_w,), (d_b,) = _layer_views(backward(params, trace, g), LINEAR.layer_shapes)
+        np.testing.assert_allclose(d_w, x.T @ g, rtol=1e-12)
+        np.testing.assert_allclose(d_b, g.sum(axis=0), rtol=1e-12)
 
     def test_trace_model_mismatch_rejected(self):
         mlp_params = init_params(MLP, Rng(18))
@@ -96,11 +97,9 @@ class TestBackward:
         trace = forward(params, x)
         g = np.ones_like(trace.logits)
         a = backward(params, trace, g)
-        b = backward(params, trace, g)
-        a.add_(b)
+        a += backward(params, trace, g)
         c = backward(params, trace, 2.0 * g)
-        for ga, gc in zip(a.weights, c.weights):
-            np.testing.assert_allclose(ga, gc, rtol=1e-12)
+        np.testing.assert_allclose(a, c, rtol=1e-12)
 
 
 class TestGradientCheck:
@@ -109,8 +108,7 @@ class TestGradientCheck:
 
         def quadratic(p):
             loss = 0.5 * sum(float((a * a).sum()) for a in p.weights + p.biases)
-            return loss, Gradients(weights=[w.copy() for w in p.weights],
-                                   biases=[b.copy() for b in p.biases])
+            return loss, p.flat.copy()
 
         result = gradient_check(params, quadratic, tolerance=1e-8)
         assert result.max_rel_error < 1e-8
@@ -124,9 +122,7 @@ class TestGradientCheck:
         xf[:, 0] = -xf[:, 0]
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
-        probs = softmax(forward(params, x).logits)
-        weights = naw_weights(probs, labels, epoch_kernels(policy, 20))
-        fn = frozen_loss_fn(x, xf, labels, 20, policy, 0.5, weights)
+        fn = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
         result = gradient_check(params, fn, tolerance=1e-6)
         assert result.passed, result
 
@@ -135,9 +131,10 @@ class TestGradientCheck:
 
         def broken(p):
             loss = 0.5 * sum(float((a * a).sum()) for a in p.weights + p.biases)
-            grads = Gradients(weights=[2.0 * w for w in p.weights],
-                              biases=[b.copy() for b in p.biases])
-            return loss, grads
+            grad = p.flat.copy()
+            (w,), _ = _layer_views(grad, p.arch.layer_shapes)
+            w *= 2.0
+            return loss, grad
 
         result = gradient_check(params, broken, tolerance=1e-6)
         assert not result.passed
@@ -156,19 +153,31 @@ class TestGradientCheck:
         xf[:, 0] = -xf[:, 0]
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
-        weights = naw_weights(softmax(forward(params, x).logits), labels,
-                              epoch_kernels(policy, 20))
-        fn = frozen_loss_fn(x, xf, labels, 20, policy, 0.5, weights)
+        fn = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
         result = gradient_check(params, fn, tolerance=1e-6, max_coords=200,
                                 rng=Rng(30))
         assert result.max_rel_error == 1.5538475429742536e-09
         assert result.worst_coordinate == ("W", 1, 59)
         assert result.n_checked == 200
 
+    def test_fidelity_check_sees_the_training_step(self, monkeypatch):
+        # A training step that drops the flipped view's gradient must fail
+        # the check that nla check and criterion 4 run.
+        real = nla.trainer.batch_total
+
+        def without_flipped_gradient(*args, **kwargs):
+            loss = real(*args, **kwargs)
+            loss.grad_zf[:] = 0.0
+            return loss
+
+        assert check_gradient_fidelity(77, 5)[0]
+        monkeypatch.setattr(nla.trainer, "batch_total", without_flipped_gradient)
+        assert not check_gradient_fidelity(77, 5)[0]
+
     def test_sampled_subset_requires_at_least_200(self):
         params = init_params(MLP, Rng(26))
         with pytest.raises(ValueError):
-            gradient_check(params, lambda p: (0.0, Gradients.zeros_like(p)),
+            gradient_check(params, lambda p: (0.0, np.zeros_like(p.flat)),
                            max_coords=50, rng=Rng(0))
 
 
@@ -186,8 +195,8 @@ class TestOptimizerContinuity:
         trace = forward(params, x)
         loss = batch_total(trace.logits, trace.logits, labels,
                            epoch_kernels(cfg.policy, 0), 0.5, mode="nla")
-        grads = backward(params, trace, loss.grad_z)
-        adam_step(params, grads, state, lr=1e-12, cfg=cfg)
+        grad = backward(params, trace, loss.grad_z)
+        adam_step(params, grad, state, lr=1e-12, cfg=cfg)
         after = forward(params, x).logits
         assert np.abs(after - before).max() < 1e-8
 

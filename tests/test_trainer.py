@@ -9,7 +9,7 @@ import nla.naw
 import nla.trainer
 from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
                       make_synthetic, standard_instance)
-from nla.model import Arch, Gradients, init_params
+from nla.model import Arch, init_params
 from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
@@ -61,7 +61,7 @@ class TestAdam:
         params = init_params(Arch(4, 6, 3), Rng(2))
         reference = params.copy()
         state = AdamState.zeros_like(params)
-        adam_step(params, Gradients.zeros_like(params), state, lr=1e-2, cfg=cfg)
+        adam_step(params, np.zeros_like(params.flat), state, lr=1e-2, cfg=cfg)
         for p, r in zip(params.weights, reference.weights):
             np.testing.assert_allclose(p, r - 1e-2 * 1e-4 * r, rtol=0, atol=1e-12)
 
@@ -71,9 +71,9 @@ class TestAdam:
         params = init_params(Arch(2, 0, 2), Rng(3))
         reference = params.copy()
         state = AdamState.zeros_like(params)
-        grads = Gradients(weights=[np.full_like(params.weights[0], 0.5)],
-                          biases=[np.zeros_like(params.biases[0])])
-        adam_step(params, grads, state, lr=1e-3, cfg=cfg)
+        grad = np.concatenate([np.full(params.weights[0].size, 0.5),
+                               np.zeros_like(params.biases[0])])
+        adam_step(params, grad, state, lr=1e-3, cfg=cfg)
         expected_step = 1e-3 * 0.5 / (0.5 + cfg.eps)
         np.testing.assert_allclose(reference.weights[0] - params.weights[0],
                                    expected_step, rtol=1e-12)
