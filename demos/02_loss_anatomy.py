@@ -49,9 +49,7 @@ for mode in ("ce", "naw", "nla"):
           f"(ce={batch.ce.mean():.4f}, reg={batch.reg.mean():.4f})")
 
 print("\nGradient check (weights frozen, central differences, h = 1e-5):")
-check_x = draw_kink_safe_batch(params, rng.split(1))
-check_xf = check_x.copy()
-check_xf[:, 0] = -check_xf[:, 0]
+check_x, check_xf = draw_kink_safe_batch(params, rng.split(1))
 check_labels = np.array([rng.below(train.n_classes) for _ in range(32)])
 fn = frozen_loss_fn(params, check_x, check_xf, check_labels, 20, policy, 0.5)
 result = gradient_check(params, fn, tolerance=1e-6)

@@ -18,6 +18,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime error or divergence,
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -167,14 +169,17 @@ def _cell_dataset(base_train: Dataset, cfg: dict, noise: float,
 
 
 def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dict:
-    """Write any missing dataset caches; return path map for all cells."""
+    """Write every dataset cache that is forced, missing or stale (see
+    :func:`_cache_is_current`); return the path map for all cells.  The
+    base splits are built only when some cache is written."""
     out = Path(cfg["out"])
     data_dir = out / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    base_train, test = _base_splits(cfg)
+    base_splits = functools.cache(lambda: _base_splits(cfg))
 
     paths = {"test": data_dir / "test.ds"}
-    if force or not paths["test"].exists():
+    if force or not _cache_is_current(paths["test"], cfg):
+        test = base_splits()[1]
         save_dataset(test, paths["test"])
         _write_dataset_fingerprint(test, paths["test"], cfg)
     for noise in cfg["noise"]:
@@ -183,9 +188,9 @@ def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dic
                 did = dataset_id(noise, imbalance, seed)
                 path = data_dir / f"{did}_train.ds"
                 paths[did] = path
-                if not force and path.exists():
+                if not force and _cache_is_current(path, cfg):
                     continue
-                ds = _cell_dataset(base_train, cfg, noise, imbalance, seed)
+                ds = _cell_dataset(base_splits()[0], cfg, noise, imbalance, seed)
                 save_dataset(ds, path)
                 _write_dataset_fingerprint(ds, path, cfg)
                 if not quiet:
@@ -196,6 +201,26 @@ def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dic
                     print(f"[generate] {did}: n={ds.n} flipped={flipped} "
                           f"max/min={ratio:.2f} sha={fingerprint(ds)[:12]}")
     return paths
+
+
+def _as_json(value):
+    """``value`` as it reads back from a JSON file."""
+    return json.loads(json.dumps(value))
+
+
+def _cache_is_current(path: Path, cfg: dict) -> bool:
+    """Whether a dataset cache may be reused for ``cfg``: its ``.json``
+    sidecar records the requested generator and master seed, and the
+    file's sha256 equals the sidecar's."""
+    try:
+        info = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+        blob = path.read_bytes()
+    except (OSError, ValueError):
+        return False
+    return (isinstance(info, dict)
+            and info.get("generator") == _as_json(cfg["dataset"])
+            and info.get("master_seed") == cfg["seed"]
+            and info.get("sha256") == hashlib.sha256(blob).hexdigest())
 
 
 def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict) -> None:
@@ -250,18 +275,30 @@ def _build_train_config(spec: CellSpec) -> TrainConfig:
     return TrainConfig.from_dict(fields)
 
 
-def run_cell(spec: CellSpec) -> dict:
-    """Execute one cell unless forced or its run directory holds a complete
-    run of the same config (compared as the manifest's JSON).  Returns a
-    status dict."""
+def _is_complete(spec: CellSpec) -> bool:
+    """Whether the cell's run directory holds a complete run of the same
+    config (compared as the manifest's JSON); never when forced.  Raises
+    when the config cannot be built or the manifest cannot be read."""
     manifest_path = Path(spec.run_dir) / "manifest.json"
+    if spec.force or not manifest_path.exists():
+        return False
+    config = _build_train_config(spec)
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    return (manifest.get("status") == "complete"
+            and manifest.get("config") == _as_json(config.to_dict()))
+
+
+def _skipped(spec: CellSpec) -> dict:
+    return {"cell": spec.id, "ok": True, "skipped": True}
+
+
+def run_cell(spec: CellSpec) -> dict:
+    """Execute one cell unless :func:`_is_complete`.  Returns a status
+    dict."""
     try:
+        if _is_complete(spec):
+            return _skipped(spec)
         config = _build_train_config(spec)
-        if manifest_path.exists() and not spec.force:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            if (manifest.get("status") == "complete" and manifest.get("config")
-                    == json.loads(json.dumps(config.to_dict()))):
-                return {"cell": spec.id, "ok": True, "skipped": True}
         train = load_dataset(spec.train_path)
         test = load_dataset(spec.test_path)
         record = run_training(config, train, test)
@@ -271,6 +308,16 @@ def run_cell(spec: CellSpec) -> dict:
         return {"cell": spec.id, "ok": False, "error": str(exc)}
     except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
         return {"cell": spec.id, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _is_pending(spec: CellSpec) -> bool:
+    """Whether a sweep must hand the cell to :func:`run_cell`: it is not
+    complete, or its completeness cannot be decided (run_cell then
+    reports why)."""
+    try:
+        return not _is_complete(spec)
+    except Exception:  # noqa: BLE001 - reported by run_cell
+        return True
 
 
 def _cells(cfg: dict, paths: dict, force: bool) -> list[CellSpec]:
@@ -322,12 +369,18 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_sweep(cfg: dict, args) -> int:
     paths = _ensure_datasets(cfg, quiet=True)
     specs = _cells(cfg, paths, args.force)
-    workers = max(1, args.workers)
-    if workers == 1:
-        results = [run_cell(s) for s in specs]
+    # Only pending cells are dispatched, one cell per task, to
+    # min(workers, pending) processes; results keep spec order.
+    results = [_skipped(s) for s in specs]
+    pending = [i for i, s in enumerate(specs) if _is_pending(s)]
+    workers = min(max(1, args.workers), len(pending))
+    if workers <= 1:
+        done = [run_cell(specs[i]) for i in pending]
     else:
         with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            results = pool.map(run_cell, specs)
+            done = pool.map(run_cell, [specs[i] for i in pending], chunksize=1)
+    for i, result in zip(pending, done):
+        results[i] = result
     failures = [r for r in results if not r["ok"]]
     for r in results:
         tag = "ok" if r["ok"] else f"FAILED: {r['error']}"

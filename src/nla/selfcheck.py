@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .data import ViewTransform
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
 from .model import Arch, forward, gradient_check, init_params
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
@@ -119,8 +120,9 @@ def check_covariance_shapes(tol: float = 1e-9):
 
 
 def draw_kink_safe_batch(params, rng: Rng, n: int = 32, h: float = 1e-5,
-                         attempts: int = 100) -> np.ndarray:
-    """Random batch whose ReLU pre-activations clear the kink by > h.
+                         attempts: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Random batch and its mirrored view (the synthetic data's sign flip
+    of coordinate 0), both with ReLU pre-activations clear of the kink by > h.
 
     A +/-h perturbation of one first-layer parameter shifts a hidden
     pre-activation by at most h * max(|x|, 1); any pre-activation closer
@@ -131,19 +133,19 @@ def draw_kink_safe_batch(params, rng: Rng, n: int = 32, h: float = 1e-5,
     margin.
     """
     d = params.arch.input_dim
+    view = ViewTransform(kind="sign_flip", dim=d)
     for _ in range(attempts):
         x = rng.normals(n * d).reshape(n, d)
-        xf = x.copy()
-        xf[:, 0] = -xf[:, 0]
+        xf = view.apply(x)
         margin = 4.0 * h * max(float(np.abs(x).max()), 1.0)
         safe = True
-        for view in (x, xf):
-            pre = forward(params, view).pre_hidden
+        for batch in (x, xf):
+            pre = forward(params, batch).pre_hidden
             if pre is not None and np.abs(pre).min() <= margin:
                 safe = False
                 break
         if safe:
-            return x
+            return x, xf
     raise RuntimeError("could not draw a kink-safe batch")
 
 
@@ -181,9 +183,7 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
     for trial in range(trials):
         params = init_params(arch, rng.split(trial))
         draw = rng.split(10_000 + trial)
-        x = draw_kink_safe_batch(params, draw)
-        xf = x.copy()
-        xf[:, 0] = -xf[:, 0]
+        x, xf = draw_kink_safe_batch(params, draw)
         labels = np.array([draw.below(7) for _ in range(32)])
         epoch = draw.below(61)
         fn = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)

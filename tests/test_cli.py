@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nla.cli
 from nla import __version__
 from nla.cli import (DEFAULT_CONFIG, _base_splits, cell_id, dataset_id,
                      load_config, main)
@@ -73,6 +76,45 @@ class TestGenerate:
         first = target.read_bytes()
         assert main(["generate", "--config", str(path), "--force"]) == 0
         assert target.read_bytes() == first
+
+    def test_changed_generator_rewrites_caches(self, tmp_path):
+        path, cfg = write_config(tmp_path, noise=[0.2], seeds=[1])
+        data_dir = tmp_path / "out" / "data"
+        cfg["dataset"]["spread"] = 0.5
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["generate", "--config", str(path)]) == 0
+        before = {p.name: p.read_bytes() for p in data_dir.glob("*.ds")}
+        cfg["dataset"] = {"spread": 0.9}  # merged over the defaults
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["generate", "--config", str(path)]) == 0
+        for name, old in before.items():
+            assert (data_dir / name).read_bytes() != old
+            info = json.loads((data_dir / name).with_suffix(".json").read_text())
+            assert info["generator"]["spread"] == 0.9
+        fresh = tmp_path / "fresh"
+        cfg["out"] = str(fresh)
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["generate", "--config", str(path)]) == 0
+        for name in before:
+            assert (data_dir / name).read_bytes() == (fresh / "data" / name).read_bytes()
+
+    def test_stale_cache_is_regenerated(self, tmp_path):
+        path, cfg = write_config(tmp_path, seeds=[1])
+        assert main(["generate", "--config", str(path)]) == 0
+        target = tmp_path / "out" / "data" / "n0_f1_s1_train.ds"
+        good = target.read_bytes()
+        # A cache whose bytes differ from its sidecar's sha256 (a write cut
+        # short, an edit) is rewritten.
+        target.write_bytes(good[:-8] + bytes(8))
+        assert main(["generate", "--config", str(path)]) == 0
+        assert target.read_bytes() == good
+        # So is one made under another master seed.
+        cfg["seed"] = 6
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["generate", "--config", str(path)]) == 0
+        assert target.read_bytes() != good
+        info = json.loads(target.with_suffix(".json").read_text())
+        assert info["master_seed"] == 6
 
     def test_default_splits_are_the_standard_instance(self):
         runner = _base_splits(load_config(None))
@@ -139,6 +181,49 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--mode", "ce"]) == 1
 
 
+def deterministic_files(out):
+    """Bytes of every file a sweep writes deterministically, by path."""
+    names = {"metrics.csv", "checkpoint.bin", "summary.csv", "summary.json"}
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.name in names or p.suffix == ".ds"}
+
+
+def file_states(root):
+    """(size, mtime_ns, inode) of every file under root."""
+    return {str(p.relative_to(root)): (p.stat().st_size, p.stat().st_mtime_ns,
+                                       p.stat().st_ino)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+class InProcessContext:
+    """Stand-in for a multiprocessing context: its pool runs tasks in this
+    process and records (method, processes, cells, chunksize)."""
+
+    def __init__(self, method, pools):
+        self.method, self.pools = method, pools
+
+    def Pool(self, processes):  # noqa: N802 - multiprocessing's name
+        context = self
+
+        class Pool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=None):
+                context.pools.append((context.method, processes,
+                                      [s.id for s in items], chunksize))
+                return [fn(s) for s in items]
+
+        return Pool()
+
+
 class TestSweep:
     def test_full_grid_and_summary(self, tmp_path):
         path, cfg = write_config(tmp_path, noise=[0.0, 0.25])
@@ -175,9 +260,45 @@ class TestSweep:
         path_b, _ = write_config(tmp_path / "b")
         assert main(["sweep", "--config", str(path_a)]) == 0
         assert main(["sweep", "--config", str(path_b), "--workers", "2"]) == 0
-        csv_a = (tmp_path / "a" / "out" / "runs" / "n0_f1_ce_s1" / "metrics.csv").read_bytes()
-        csv_b = (tmp_path / "b" / "out" / "runs" / "n0_f1_ce_s1" / "metrics.csv").read_bytes()
-        assert csv_a == csv_b
+        files_a = deterministic_files(tmp_path / "a" / "out")
+        assert len(files_a) == 4 * 2 + 2 + 3  # cells x 2, summaries, caches
+        assert deterministic_files(tmp_path / "b" / "out") == files_a
+
+    def test_complete_resume_starts_no_pool_and_writes_nothing(self, tmp_path,
+                                                               monkeypatch):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path)]) == 0
+        # The summaries are rewritten with the same bytes; no cache or run
+        # file is touched.
+        before = file_states(out / "data"), file_states(out / "runs")
+        summary = (out / "summary.csv").read_bytes()
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        monkeypatch.setattr(nla.cli, "_base_splits", forbidden)
+        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 0
+        assert (file_states(out / "data"), file_states(out / "runs")) == before
+        assert (out / "summary.csv").read_bytes() == summary
+
+    def test_only_pending_cells_are_dispatched(self, tmp_path, monkeypatch):
+        path, _ = write_config(tmp_path, seeds=[1, 2, 3])
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path)]) == 0
+        # Three of six cells pending: one never run, one cut short before
+        # its manifest, one with an unreadable manifest.
+        shutil.rmtree(out / "runs" / "n0_f1_ce_s2")
+        (out / "runs" / "n0_f1_nla_s1" / "manifest.json").unlink()
+        (out / "runs" / "n0_f1_nla_s3" / "manifest.json").write_text("{")
+        untouched = ["n0_f1_ce_s1", "n0_f1_ce_s3", "n0_f1_nla_s2"]
+        before = {c: file_states(out / "runs" / c) for c in untouched}
+        pools = []
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: InProcessContext(method, pools))
+        assert main(["sweep", "--config", str(path), "--workers", "8"]) == 3
+        assert pools == [("spawn", 3, ["n0_f1_ce_s2", "n0_f1_nla_s1", "n0_f1_nla_s3"], 1)]
+        for c in untouched:
+            assert file_states(out / "runs" / c) == before[c]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["incomplete"] == ["n0_f1_nla_s3"]
 
     def test_pairwise_deltas_present(self, tmp_path):
         path, cfg = write_config(tmp_path)

@@ -117,9 +117,7 @@ class TestGradientCheck:
     def test_full_pipeline_mlp(self):
         rng = Rng(23)
         params = init_params(MLP, Rng(24))
-        x = draw_kink_safe_batch(params, rng)
-        xf = x.copy()
-        xf[:, 0] = -xf[:, 0]
+        x, xf = draw_kink_safe_batch(params, rng)
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
         fn = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
@@ -148,9 +146,7 @@ class TestGradientCheck:
         # follow the order all W, then all b.
         rng = Rng(23)
         params = init_params(MLP, Rng(24))
-        x = draw_kink_safe_batch(params, rng)
-        xf = x.copy()
-        xf[:, 0] = -xf[:, 0]
+        x, xf = draw_kink_safe_batch(params, rng)
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
         fn = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)

@@ -9,9 +9,9 @@ import nla.naw
 import nla.trainer
 from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
                       make_synthetic, standard_instance)
-from nla.model import Arch, init_params
-from nla.naw import WeightPolicy, epoch_kernels
-from nla.numkit import Rng
+from nla.model import Arch, forward, init_params
+from nla.naw import WeightPolicy, epoch_kernels, naw_weights
+from nla.numkit import Rng, softmax
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
                          adam_step, collect_weight_stats, evaluate,
                          load_run_metrics, load_run_params, metrics_csv_text,
@@ -143,6 +143,59 @@ class TestWeightStats:
         stats = collect_weight_stats(params, train, epoch_kernels(policy, 0))
         for k in range(3):
             assert stats[k, 0] == pytest.approx(stats[k, 2], rel=1e-12)
+
+
+def split_of(ds, n, split):
+    """n rows of ``ds`` in shuffled order, every class among the first K."""
+    order = Rng(99).permutation(ds.n)
+    firsts = [int(order[np.flatnonzero(ds.labels[order] == k)[0]])
+              for k in range(ds.n_classes)]
+    rest = [int(i) for i in order if i not in firsts]
+    rows = np.array(firsts + rest)[:n]
+    return Dataset(inputs=ds.inputs[rows], labels=ds.labels[rows],
+                   n_classes=ds.n_classes, split=split)
+
+
+class TestChunkedPasses:
+    """The per-epoch passes run the split in row chunks; each must equal
+    one whole-split forward bit for bit, on both sides of a chunk edge."""
+
+    SIZES = [1, 511, 512, 513, 1400, 3500]
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        train, _ = standard_instance(3)
+        params = init_params(Arch(8, 64, 7), Rng(12))
+        return train, params, epoch_kernels(WeightPolicy(total_epochs=60), 30)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_weight_stats_equal_whole_split(self, setting, n):
+        base, params, kernels = setting
+        train = split_of(base, n, "train")
+        probs = softmax(forward(params, train.inputs).logits)
+        weights = naw_weights(probs, train.labels, kernels)
+        expected = np.full((7, 3), np.nan)
+        for k in range(7):
+            if np.any(train.labels == k):
+                expected[k] = np.percentile(weights[train.labels == k], [25.0, 50.0, 75.0])
+        np.testing.assert_array_equal(collect_weight_stats(params, train, kernels),
+                                      expected)
+
+    # A split of one row cannot hold every class, which evaluate requires;
+    # seven rows is the smallest split that can.
+    @pytest.mark.parametrize("n", [7] + SIZES[1:])
+    def test_evaluate_equals_whole_split(self, setting, n):
+        base, params, _ = setting
+        test = split_of(base, n, "test")
+        preds = forward(params, test.inputs).logits.argmax(axis=1)
+        confusion = np.zeros((7, 7), dtype=np.int64)
+        np.add.at(confusion, (test.labels, preds), 1)
+        result = evaluate(params, test)
+        np.testing.assert_array_equal(result.confusion, confusion)
+        per_class = np.diag(confusion) / confusion.sum(axis=1)
+        np.testing.assert_array_equal(result.per_class, per_class)
+        assert result.overall == float(np.trace(confusion) / n)
+        assert result.mean == float(per_class.mean())
 
 
 class TestRunTraining:
