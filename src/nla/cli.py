@@ -170,37 +170,41 @@ def _cell_dataset(base_train: Dataset, cfg: dict, noise: float,
 
 def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dict:
     """Write every dataset cache that is forced, missing or stale (see
-    :func:`_cache_is_current`); return the path map for all cells.  The
-    base splits are built only when some cache is written."""
+    :func:`_cached_sha256`); return ``{"test" or dataset id: (path,
+    sha256)}`` for all cells.  The base splits are built only when some
+    cache is written."""
     out = Path(cfg["out"])
     data_dir = out / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
     base_splits = functools.cache(lambda: _base_splits(cfg))
 
-    paths = {"test": data_dir / "test.ds"}
-    if force or not _cache_is_current(paths["test"], cfg):
+    path = data_dir / "test.ds"
+    sha = None if force else _cached_sha256(path, cfg)
+    if sha is None:
         test = base_splits()[1]
-        save_dataset(test, paths["test"])
-        _write_dataset_fingerprint(test, paths["test"], cfg)
+        save_dataset(test, path)
+        sha = _write_dataset_fingerprint(test, path, cfg)
+    caches = {"test": (path, sha)}
     for noise in cfg["noise"]:
         for imbalance in cfg["imbalance"]:
             for seed in cfg["seeds"]:
                 did = dataset_id(noise, imbalance, seed)
                 path = data_dir / f"{did}_train.ds"
-                paths[did] = path
-                if not force and _cache_is_current(path, cfg):
+                sha = None if force else _cached_sha256(path, cfg)
+                if sha is not None:
+                    caches[did] = (path, sha)
                     continue
                 ds = _cell_dataset(base_splits()[0], cfg, noise, imbalance, seed)
                 save_dataset(ds, path)
-                _write_dataset_fingerprint(ds, path, cfg)
+                caches[did] = (path, _write_dataset_fingerprint(ds, path, cfg))
                 if not quiet:
                     flipped = 0 if ds.clean_labels is None else int(
                         (ds.labels != ds.clean_labels).sum())
                     counts = ds.class_counts
                     ratio = float(counts.max() / counts.min())
                     print(f"[generate] {did}: n={ds.n} flipped={flipped} "
-                          f"max/min={ratio:.2f} sha={fingerprint(ds)[:12]}")
-    return paths
+                          f"max/min={ratio:.2f} sha={caches[did][1][:12]}")
+    return caches
 
 
 def _as_json(value):
@@ -208,22 +212,26 @@ def _as_json(value):
     return json.loads(json.dumps(value))
 
 
-def _cache_is_current(path: Path, cfg: dict) -> bool:
-    """Whether a dataset cache may be reused for ``cfg``: its ``.json``
-    sidecar records the requested generator and master seed, and the
-    file's sha256 equals the sidecar's."""
+def _cached_sha256(path: Path, cfg: dict) -> str | None:
+    """The sha256 of a dataset cache that may be reused for ``cfg``, else
+    None.  Reusable means: its ``.json`` sidecar records the requested
+    generator and master seed, and the file's sha256 equals the
+    sidecar's."""
     try:
         info = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-        blob = path.read_bytes()
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
     except (OSError, ValueError):
-        return False
-    return (isinstance(info, dict)
+        return None
+    if (isinstance(info, dict)
             and info.get("generator") == _as_json(cfg["dataset"])
             and info.get("master_seed") == cfg["seed"]
-            and info.get("sha256") == hashlib.sha256(blob).hexdigest())
+            and info.get("sha256") == sha):
+        return sha
+    return None
 
 
-def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict) -> None:
+def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict) -> str:
+    """Write the cache's ``.json`` sidecar; return its sha256."""
     info = {
         "sha256": fingerprint(ds),
         "n": ds.n,
@@ -238,6 +246,7 @@ def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict) -> None:
     }
     atomic_write_text(path.with_suffix(".json"),
                       json.dumps(info, indent=2, sort_keys=True) + "\n")
+    return info["sha256"]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +261,8 @@ class CellSpec:
     seed: int
     train_path: str
     test_path: str
+    train_sha256: str
+    test_sha256: str
     run_dir: str
     train_overrides: dict
     master_seed: int
@@ -277,19 +288,18 @@ def _build_train_config(spec: CellSpec) -> TrainConfig:
 
 def _is_complete(spec: CellSpec) -> bool:
     """Whether the cell's run directory holds a complete run of the same
-    config (compared as the manifest's JSON); never when forced.  Raises
-    when the config cannot be built or the manifest cannot be read."""
+    config (compared as the manifest's JSON) on the same dataset caches
+    (the manifest's fingerprints); never when forced.  Raises when the
+    config cannot be built or the manifest cannot be read."""
     manifest_path = Path(spec.run_dir) / "manifest.json"
     if spec.force or not manifest_path.exists():
         return False
     config = _build_train_config(spec)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     return (manifest.get("status") == "complete"
-            and manifest.get("config") == _as_json(config.to_dict()))
-
-
-def _skipped(spec: CellSpec) -> dict:
-    return {"cell": spec.id, "ok": True, "skipped": True}
+            and manifest.get("config") == _as_json(config.to_dict())
+            and manifest.get("train_fingerprint") == spec.train_sha256
+            and manifest.get("test_fingerprint") == spec.test_sha256)
 
 
 def run_cell(spec: CellSpec) -> dict:
@@ -297,7 +307,7 @@ def run_cell(spec: CellSpec) -> dict:
     dict."""
     try:
         if _is_complete(spec):
-            return _skipped(spec)
+            return {"cell": spec.id, "ok": True, "skipped": True}
         config = _build_train_config(spec)
         train = load_dataset(spec.train_path)
         test = load_dataset(spec.test_path)
@@ -320,7 +330,7 @@ def _is_pending(spec: CellSpec) -> bool:
         return True
 
 
-def _cells(cfg: dict, paths: dict, force: bool) -> list[CellSpec]:
+def _cells(cfg: dict, caches: dict, force: bool) -> list[CellSpec]:
     out = Path(cfg["out"])
     specs = []
     for noise in cfg["noise"]:
@@ -329,9 +339,12 @@ def _cells(cfg: dict, paths: dict, force: bool) -> list[CellSpec]:
                 for seed in cfg["seeds"]:
                     did = dataset_id(noise, imbalance, seed)
                     cid = cell_id(noise, imbalance, mode, seed)
+                    (train_path, train_sha), (test_path, test_sha) = (
+                        caches[did], caches["test"])
                     specs.append(CellSpec(
                         noise=noise, imbalance=imbalance, mode=mode, seed=seed,
-                        train_path=str(paths[did]), test_path=str(paths["test"]),
+                        train_path=str(train_path), test_path=str(test_path),
+                        train_sha256=train_sha, test_sha256=test_sha,
                         run_dir=str(out / "runs" / cid),
                         train_overrides=dict(cfg["train"]),
                         master_seed=cfg["seed"], force=force))
@@ -355,8 +368,8 @@ def cmd_train(cfg: dict, args) -> int:
         raise UsageError("train needs exactly one --mode value")
     if len(cfg["seeds"]) != 1:
         raise UsageError("train needs exactly one --seed value")
-    paths = _ensure_datasets(cfg, quiet=True)
-    spec = _cells(cfg, paths, args.force)[0]
+    caches = _ensure_datasets(cfg, quiet=True)
+    spec = _cells(cfg, caches, args.force)[0]
     result = run_cell(spec)
     if not result["ok"]:
         print(f"[train] {result['cell']} FAILED: {result['error']}", file=sys.stderr)
@@ -367,20 +380,19 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    paths = _ensure_datasets(cfg, quiet=True)
-    specs = _cells(cfg, paths, args.force)
-    # Only pending cells are dispatched, one cell per task, to
-    # min(workers, pending) processes; results keep spec order.
-    results = [_skipped(s) for s in specs]
-    pending = [i for i, s in enumerate(specs) if _is_pending(s)]
-    workers = min(max(1, args.workers), len(pending))
-    if workers <= 1:
-        done = [run_cell(specs[i]) for i in pending]
-    else:
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            done = pool.map(run_cell, [specs[i] for i in pending], chunksize=1)
-    for i, result in zip(pending, done):
-        results[i] = result
+    specs = _cells(cfg, _ensure_datasets(cfg, quiet=True), args.force)
+    # With more than one pending cell and worker, the pending cells go to
+    # a pool of min(workers, pending) processes, one cell per task.
+    # run_cell runs every other cell in this process, where a complete
+    # one is skipped.  Results keep spec order.
+    pending = [s for s in specs if _is_pending(s)] if args.workers > 1 else []
+    pooled = {}
+    if len(pending) > 1:
+        with multiprocessing.get_context("spawn").Pool(
+                min(args.workers, len(pending))) as pool:
+            pooled = dict(zip([s.id for s in pending],
+                              pool.map(run_cell, pending, chunksize=1)))
+    results = [pooled.get(s.id) or run_cell(s) for s in specs]
     failures = [r for r in results if not r["ok"]]
     for r in results:
         tag = "ok" if r["ok"] else f"FAILED: {r['error']}"

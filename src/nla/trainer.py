@@ -26,7 +26,7 @@ from .data import Dataset, ViewTransform, default_view, fingerprint
 from .losses import MODES, BatchLoss, batch_total
 from .model import (Arch, ModelParams, backward, forward, init_params,
                     load_checkpoint, save_checkpoint)
-from .naw import KernelParams, WeightPolicy, epoch_kernels, score_weights
+from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
 from .numkit import Rng, atomic_write_bytes, softmax
 
 __all__ = [
@@ -47,11 +47,6 @@ __all__ = [
     "load_run_metrics",
     "atomic_write_text",
 ]
-
-# Rows per forward in the per-epoch full-split passes.  On 3500 x 8 rows
-# and an 8-64-7 MLP, one whole-split forward took about 4x as long as the
-# same rows in 512-row chunks; 1024-row chunks were no faster.
-_CHUNK_ROWS = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -179,22 +174,12 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
                + cfg.weight_decay * p)
 
 
-def _row_chunks(params: ModelParams, ds: Dataset, fn) -> np.ndarray:
-    """``fn(logits, labels)`` over the split's rows in chunks of
-    ``_CHUNK_ROWS``, concatenated; each row's logits are bit-identical to
-    a whole-split forward.  An empty split is one empty chunk.
-    """
-    return np.concatenate([
-        fn(forward(params, ds.inputs[start:start + _CHUNK_ROWS]).logits,
-           ds.labels[start:start + _CHUNK_ROWS])
-        for start in range(0, max(ds.n, 1), _CHUNK_ROWS)])
-
-
 def evaluate(params: ModelParams, test: Dataset) -> EvalResult:
     """Accuracy on the original view only."""
     if test.n == 0 or np.any(test.class_counts == 0):
         raise ValueError("test split must contain every class")
-    preds = _row_chunks(params, test, lambda logits, _: logits.argmax(axis=1))
+    logits = forward(params, test.inputs, logits_only=True).logits
+    preds = logits.argmax(axis=1)
     k = test.n_classes
     confusion = np.bincount(test.labels * k + preds, minlength=k * k).reshape(k, k)
     per_class = np.diag(confusion) / confusion.sum(axis=1)
@@ -210,11 +195,10 @@ def collect_weight_stats(params: ModelParams, train: Dataset,
 
     Weights are computed for every training sample under the given
     (true, false) kernel pair of one epoch (see :func:`nla.naw.epoch_kernels`).
-    Labels must lie in [0, n_classes), as :func:`run_training` checks.
     Classes absent from the split get NaN rows.
     """
-    weights = _row_chunks(params, train, lambda logits, labels: score_weights(
-        softmax(logits), labels, kernels))
+    probs = softmax(forward(params, train.inputs, logits_only=True).logits)
+    weights = naw_weights(probs, train.labels, kernels)
     out = np.full((train.n_classes, 3), np.nan)
     for k in range(train.n_classes):
         w_k = weights[train.labels == k]

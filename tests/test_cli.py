@@ -264,6 +264,20 @@ class TestSweep:
         assert len(files_a) == 4 * 2 + 2 + 3  # cells x 2, summaries, caches
         assert deterministic_files(tmp_path / "b" / "out") == files_a
 
+    def test_changed_dataset_reruns_every_cell(self, tmp_path):
+        # A complete run is reused only on the dataset caches it was
+        # trained on: after a changed dataset section the directory must
+        # equal a fresh sweep of the new request.
+        path, cfg = write_config(tmp_path / "a")
+        assert main(["sweep", "--config", str(path)]) == 0
+        cfg["dataset"]["spread"] = 0.9
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["sweep", "--config", str(path)]) == 0
+        fresh, _ = write_config(tmp_path / "b", dataset=cfg["dataset"])
+        assert main(["sweep", "--config", str(fresh)]) == 0
+        assert (deterministic_files(tmp_path / "a" / "out")
+                == deterministic_files(tmp_path / "b" / "out"))
+
     def test_complete_resume_starts_no_pool_and_writes_nothing(self, tmp_path,
                                                                monkeypatch):
         path, _ = write_config(tmp_path)

@@ -62,6 +62,28 @@ class TestForward:
         perm = Rng(12).permutation(6)
         np.testing.assert_array_equal(forward(params, x[perm]).logits, logits[perm])
 
+    @pytest.mark.parametrize("arch", [MLP, LINEAR])
+    @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 514, 1025, 1400])
+    def test_logits_only_chunks_equal_one_pass(self, arch, n):
+        # A logits-only forward runs the rows in chunks; its logits must
+        # equal one unchunked pass bit for bit, on both sides of an edge.
+        params = init_params(arch, Rng(14))
+        x = Rng(15).normals(n * 8).reshape(n, 8)
+        trace = forward(params, x, logits_only=True)
+        np.testing.assert_array_equal(trace.logits, forward(params, x).logits)
+        w, b = params.weights, params.biases
+        whole = x @ w[0] + b[0]
+        if not arch.is_linear:
+            whole = np.maximum(whole, 0.0) @ w[1] + b[1]
+        np.testing.assert_array_equal(trace.logits, whole)
+        assert trace.pre_hidden is None and trace.hidden is None
+
+    def test_logits_only_trace_rejected_by_backward(self):
+        params = init_params(MLP, Rng(16))
+        trace = forward(params, np.ones((3, 8)), logits_only=True)
+        with pytest.raises(ValueError, match="does not match"):
+            backward(params, trace, np.ones((3, 7)))
+
     def test_dimension_mismatch_rejected(self):
         params = init_params(MLP, Rng(13))
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import nla.naw
 import nla.trainer
 from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
                       make_synthetic, standard_instance)
-from nla.model import Arch, forward, init_params
+from nla.model import Arch, init_params
 from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
@@ -144,6 +144,16 @@ class TestWeightStats:
         for k in range(3):
             assert stats[k, 0] == pytest.approx(stats[k, 2], rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_out_of_range_rejected(self, bad):
+        train, _ = tiny_data(k=3)
+        labels = train.labels.copy()
+        labels[-1] = bad
+        train = Dataset(inputs=train.inputs, labels=labels, n_classes=3, split="train")
+        params = init_params(Arch(train.dim, 8, 3), Rng(7))
+        with pytest.raises(ValueError, match="label out of range"):
+            collect_weight_stats(params, train, epoch_kernels(WeightPolicy(total_epochs=10), 4))
+
 
 def split_of(ds, n, split):
     """n rows of ``ds`` in shuffled order, every class among the first K."""
@@ -156,9 +166,16 @@ def split_of(ds, n, split):
                    n_classes=ds.n_classes, split=split)
 
 
+def whole_split_logits(params, inputs):
+    """One unchunked pass of the split through the MLP."""
+    w, b = params.weights, params.biases
+    return np.maximum(inputs @ w[0] + b[0], 0.0) @ w[1] + b[1]
+
+
 class TestChunkedPasses:
-    """The per-epoch passes run the split in row chunks; each must equal
-    one whole-split forward bit for bit, on both sides of a chunk edge."""
+    """The per-epoch passes run the split through forward's row chunks;
+    each must equal one unchunked whole-split pass bit for bit, on both
+    sides of a chunk edge."""
 
     SIZES = [1, 511, 512, 513, 1400, 3500]
 
@@ -172,7 +189,7 @@ class TestChunkedPasses:
     def test_weight_stats_equal_whole_split(self, setting, n):
         base, params, kernels = setting
         train = split_of(base, n, "train")
-        probs = softmax(forward(params, train.inputs).logits)
+        probs = softmax(whole_split_logits(params, train.inputs))
         weights = naw_weights(probs, train.labels, kernels)
         expected = np.full((7, 3), np.nan)
         for k in range(7):
@@ -187,7 +204,7 @@ class TestChunkedPasses:
     def test_evaluate_equals_whole_split(self, setting, n):
         base, params, _ = setting
         test = split_of(base, n, "test")
-        preds = forward(params, test.inputs).logits.argmax(axis=1)
+        preds = whole_split_logits(params, test.inputs).argmax(axis=1)
         confusion = np.zeros((7, 7), dtype=np.int64)
         np.add.at(confusion, (test.labels, preds), 1)
         result = evaluate(params, test)
