@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, apply_imbalance, fingerprint, ingest_csv,
-                   ingest_idx, inject_noise, load_dataset, save_dataset,
-                   synthetic_splits)
+from .data import (Dataset, apply_imbalance, ingest_csv, ingest_idx,
+                   inject_noise, load_dataset, save_dataset, synthetic_splits)
 from .losses import MODES
 from .numkit import Rng, derive_seed
 from .trainer import (TrainConfig, TrainingDiverged, atomic_write_text,
@@ -182,8 +181,8 @@ def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dic
     sha = None if force else _cached_sha256(path, cfg)
     if sha is None:
         test = base_splits()[1]
-        save_dataset(test, path)
-        sha = _write_dataset_fingerprint(test, path, cfg)
+        sha = save_dataset(test, path)
+        _write_dataset_fingerprint(test, path, cfg, sha)
     caches = {"test": (path, sha)}
     for noise in cfg["noise"]:
         for imbalance in cfg["imbalance"]:
@@ -195,8 +194,9 @@ def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dic
                     caches[did] = (path, sha)
                     continue
                 ds = _cell_dataset(base_splits()[0], cfg, noise, imbalance, seed)
-                save_dataset(ds, path)
-                caches[did] = (path, _write_dataset_fingerprint(ds, path, cfg))
+                sha = save_dataset(ds, path)
+                _write_dataset_fingerprint(ds, path, cfg, sha)
+                caches[did] = (path, sha)
                 if not quiet:
                     flipped = 0 if ds.clean_labels is None else int(
                         (ds.labels != ds.clean_labels).sum())
@@ -230,10 +230,11 @@ def _cached_sha256(path: Path, cfg: dict) -> str | None:
     return None
 
 
-def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict) -> str:
-    """Write the cache's ``.json`` sidecar; return its sha256."""
+def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) -> None:
+    """Write the ``.json`` sidecar of the cache at ``path``, whose sha256
+    :func:`nla.data.save_dataset` returned."""
     info = {
-        "sha256": fingerprint(ds),
+        "sha256": sha256,
         "n": ds.n,
         "d": ds.dim,
         "k": ds.n_classes,
@@ -246,7 +247,6 @@ def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict) -> str:
     }
     atomic_write_text(path.with_suffix(".json"),
                       json.dumps(info, indent=2, sort_keys=True) + "\n")
-    return info["sha256"]
 
 
 # ---------------------------------------------------------------------------

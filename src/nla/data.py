@@ -403,8 +403,12 @@ def dataset_bytes(ds: Dataset) -> bytes:
     return bytes(blob)
 
 
-def save_dataset(ds: Dataset, path) -> None:
-    atomic_write_bytes(path, dataset_bytes(ds))
+def save_dataset(ds: Dataset, path) -> str:
+    """Write the dataset's cache file; return the sha256 of its bytes, which
+    is :func:`fingerprint` of ``ds``."""
+    blob = dataset_bytes(ds)
+    atomic_write_bytes(path, blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def load_dataset(path) -> Dataset:

@@ -59,12 +59,15 @@ class KernelParams:
 
     ``norm_const`` is 1 / (2 pi sqrt(det(sigma))), the kernel's value at
     its mean and the upper bound of every weight it produces.
+    ``constants`` is what the density reads: (mu_x, mu_y, inv_xx, inv_xy,
+    inv_yy, norm_const), with inv = sigma_inv.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
     sigma_inv: np.ndarray
     norm_const: float
+    constants: np.ndarray
 
 
 def kernel_params(mu, sigma) -> KernelParams:
@@ -86,8 +89,11 @@ def kernel_params(mu, sigma) -> KernelParams:
     sigma.flags.writeable = False
     inv = mat2_inverse(sigma)
     inv.flags.writeable = False
-    return KernelParams(mu=mu, sigma=sigma, sigma_inv=inv,
-                        norm_const=1.0 / (_TWO_PI * math.sqrt(det)))
+    norm_const = 1.0 / (_TWO_PI * math.sqrt(det))
+    constants = np.array([mu[0], mu[1], inv[0, 0], inv[0, 1], inv[1, 1], norm_const])
+    constants.flags.writeable = False
+    return KernelParams(mu=mu, sigma=sigma, sigma_inv=inv, norm_const=norm_const,
+                        constants=constants)
 
 
 @dataclass(frozen=True)
@@ -179,13 +185,16 @@ def epoch_kernels(policy: WeightPolicy, epoch: int) -> tuple[KernelParams, Kerne
     return build_true_kernel(policy, epoch), build_false_kernel(policy)
 
 
-def _density(x: np.ndarray, y: np.ndarray, kernel: KernelParams) -> np.ndarray:
-    """Kernel density at the points (x[i], y[i])."""
-    dx = x - kernel.mu[0]
-    dy = y - kernel.mu[1]
-    i = kernel.sigma_inv
-    q = i[0, 0] * dx ** 2 + 2.0 * i[0, 1] * dx * dy + i[1, 1] * dy ** 2
-    return kernel.norm_const * np.exp(-0.5 * q)
+def _density(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Kernel density at the points (x[i], y[i]).
+
+    ``c`` holds a kernel's :attr:`KernelParams.constants`, each a scalar
+    or one value per point.
+    """
+    dx = x - c[0]
+    dy = y - c[1]
+    q = c[2] * dx ** 2 + 2.0 * c[3] * dx * dy + c[4] * dy ** 2
+    return c[5] * np.exp(-0.5 * q)
 
 
 def gaussian_weight(p, kernel: KernelParams) -> float:
@@ -194,7 +203,7 @@ def gaussian_weight(p, kernel: KernelParams) -> float:
     A one-point call of the density that :func:`naw_weights` evaluates.
     """
     x, y = np.asarray(p, dtype=np.float64)
-    return float(_density(x, y, kernel))
+    return float(_density(x, y, kernel.constants))
 
 
 def score_weights(probs: np.ndarray, labels: np.ndarray,
@@ -210,8 +219,10 @@ def score_weights(probs: np.ndarray, labels: np.ndarray,
     masked[rows, labels] = -np.inf
     p_nn = masked.max(axis=1)
     true_kernel, false_kernel = kernels
-    return np.where(p_gt >= p_nn, _density(p_gt, p_nn, true_kernel),
-                    _density(p_gt, p_nn, false_kernel))
+    # One density per row, with the constants of the row's branch.
+    constants = np.where(p_gt >= p_nn, true_kernel.constants[:, None],
+                         false_kernel.constants[:, None])
+    return _density(p_gt, p_nn, constants)
 
 
 def naw_weights(probs: np.ndarray, labels: np.ndarray,

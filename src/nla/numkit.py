@@ -2,15 +2,18 @@
 
 Stable softmax / log-sum-exp from one core that the loss shares, tiny
 2x2 linear algebra for covariance matrices, and a seedable pseudo-random
-source whose stream is identical on every platform.  Everything here is
-64-bit float or 64-bit integer arithmetic; nothing depends on process
-state or hashing.  Also the one atomic file write that every cache,
-checkpoint and record goes through.
+source whose stream is identical on every platform.  The generator steps
+in Python integers one draw at a time, or draws whole blocks of the same
+stream with numpy uint64 arrays (shuffles, sampling without replacement,
+arrays of uniforms).  Everything here is 64-bit float or 64-bit integer
+arithmetic; nothing depends on process state or hashing.  Also the one
+atomic file write that every cache, checkpoint and record goes through.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 
@@ -31,6 +34,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
 _INV_2_53 = 2.0 ** -53
+# Outputs per block draw.  The block table holds 256 x (_BLOCK + 4) words
+# (0.5 MiB), and a power of two keeps the jump tables that a shorter last
+# block needs to log2(_BLOCK).
+_BLOCK = 256
 
 
 class SingularMatrixError(ValueError):
@@ -180,6 +187,12 @@ class Rng:
       * ``normal()``   -> Box-Muller on two open-interval uniforms; the
         sine twin is cached and returned by the next call.
 
+    Block draws: ``uniforms(n)``, ``permutation(n)`` and ``choice(n,
+    size)`` take their outputs ``_BLOCK`` at a time from tables built on
+    first use (see :func:`_stream_tables`).  They return exactly what the
+    scalar draws above would and leave the same state, so the two kinds
+    of draw interleave freely.  Bounds of block draws must be below 2**32.
+
     Instances are single-owner: do not share one across threads.
     """
 
@@ -243,40 +256,134 @@ class Rng:
         """Array of ``n`` normal draws."""
         return np.array([self.normal(loc, scale) for _ in range(n)], dtype=np.float64)
 
+    def _blocks(self, n: int):
+        """Yield ``(lo, u)`` until the next ``n`` outputs are drawn.
+
+        ``u`` holds outputs ``lo, lo + 1, ...`` as uint64, at most
+        ``_BLOCK`` of them; it is scratch that the next block overwrites.
+        The state advances as ``n`` calls of :meth:`next_u64` would.
+        """
+        rows, jumps = _stream_tables()
+        words = np.empty(_BLOCK + 4, dtype=np.uint64)
+        spill = np.empty(_BLOCK, dtype=np.uint64)
+        for lo in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - lo)
+            bits = _state_bits(self._s)
+            if m == _BLOCK:
+                np.bitwise_xor.reduce(rows[bits], axis=0, out=words)
+                self._s = words[_BLOCK:].tolist()
+            else:
+                np.bitwise_xor.reduce(rows[bits, :m], axis=0, out=words[:m])
+                for i in range(m.bit_length()):
+                    if m >> i & 1:
+                        self._s = np.bitwise_xor.reduce(
+                            jumps[i][_state_bits(self._s)], axis=0).tolist()
+            # The scrambler of next_u64: rotl(s1 * 5, 7) * 9 mod 2**64.
+            block, high = words[:m], spill[:m]
+            block *= 5
+            np.right_shift(block, 57, out=high)
+            block <<= 7
+            block |= high
+            block *= 9
+            yield lo, block
+
+    def _descending_below(self, n: int, count: int) -> np.ndarray:
+        """``[below(n), below(n - 1), ..., below(n - count + 1)]`` as uint64."""
+        if n >= 1 << 32:
+            raise ValueError("bounds must be below 2**32")
+        out = np.empty(count, dtype=np.uint64)
+        for lo, u in self._blocks(count):
+            m = u.size
+            bound = np.arange(n - lo, n - lo - m, -1, dtype=np.uint64)
+            # (u * b) >> 64 from the 32-bit halves u = h 2**32 + l: it is
+            # (h b + (l b >> 32)) >> 32, and no product or sum reaches 2**64
+            # while b < 2**32.
+            low = u & 0xFFFFFFFF
+            low *= bound
+            low >>= 32
+            u >>= 32
+            u *= bound
+            u += low
+            np.right_shift(u, 32, out=out[lo:lo + m])
+        return out
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """``n`` uniform float64 draws in [0, 1): ``[random() for _ in range(n)]``."""
+        out = np.empty(n, dtype=np.float64)
+        for lo, u in self._blocks(n):
+            u >>= 11
+            np.multiply(u, _INV_2_53, out=out[lo:lo + u.size])
+        return out
+
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n) (Fisher-Yates).
 
-        Swap i takes ``j = below(i + 1)``.  The generator update and the
-        bounded draw are inlined here on local variables, so the stream
-        and the result are those of calling :meth:`below` per swap.
+        Swap i takes ``j = below(i + 1)``; the draws come from one block
+        draw, so the stream and the result are those of calling
+        :meth:`below` per swap.
         """
+        swaps = self._descending_below(n, max(n - 1, 0)).tolist()
         idx = list(range(n))
-        mask = _MASK64
-        s0, s1, s2, s3 = self._s
-        for i in range(n - 1, 0, -1):
-            x = s1 * 5 & mask
-            # next_u64() is rotl(x, 7) * 9 mod 2**64; below() scales it.
-            j = ((x << 7 | x >> 57) * 9 & mask) * (i + 1) >> 64
-            t = s1 << 17 & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << 45 | s3 >> 19) & mask
+        for i, j in zip(range(n - 1, 0, -1), swaps):
             idx[i], idx[j] = idx[j], idx[i]
-        self._s = [s0, s1, s2, s3]
         return np.array(idx, dtype=np.int64)
 
     def choice(self, n: int, size: int) -> np.ndarray:
-        """``size`` distinct indices from range(n), uniformly without replacement."""
+        """``size`` distinct indices from range(n), uniformly without replacement.
+
+        Swap i takes ``j = i + below(n - i)``, drawn as in :meth:`permutation`.
+        """
         if not 0 <= size <= n:
             raise ValueError(f"cannot choose {size} from {n}")
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(size):
-            j = i + self.below(n - i)
+        swaps = self._descending_below(n, size).tolist()
+        pool = list(range(n))
+        for i, j in enumerate(swaps):
+            j += i
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:size].copy()
+        return np.array(pool[:size], dtype=np.int64)
+
+
+def _state_bits(state) -> np.ndarray:
+    """Indices of the set bits of a state; bit b is bit b % 64 of word b // 64."""
+    raw = np.array(state, dtype="<u8").view(np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+@functools.cache
+def _stream_tables() -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The tables of the block draw, built on first use.
+
+    The xoshiro256** state update is linear over GF(2), so the state k
+    steps on is the XOR, over the state's set bits b, of unit state b (bit
+    b alone set) k steps on.  The tables run the state update of
+    :meth:`Rng.next_u64` on all 256 unit states at once, as rows of a
+    uint64 array:
+
+    * ``rows[b, k]`` for k < ``_BLOCK``: word 1 (the scrambler's input)
+      of unit state b after k steps; ``rows[b, _BLOCK:]``: its four
+      words after ``_BLOCK`` steps;
+    * ``jumps[i][b]``: the four words of unit state b after 2**i steps,
+      for 2**i < ``_BLOCK``.
+    """
+    state = np.zeros((4, 256), dtype=np.uint64)
+    one_hot = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    for word in range(4):
+        state[word, 64 * word:64 * word + 64] = one_hot
+    rows = np.empty((256, _BLOCK + 4), dtype=np.uint64)
+    jumps = []
+    for k in range(_BLOCK):
+        if k and k & (k - 1) == 0:
+            jumps.append(state.T.copy())
+        rows[:, k] = state[1]
+        t = state[1] << 17
+        state[2:] ^= state[:2]      # s2 ^= s0; s3 ^= s1
+        state[1::-1] ^= state[2:]   # s1 ^= s2; s0 ^= s3
+        state[2] ^= t
+        state[3] = state[3] << 45 | state[3] >> 19
+    rows[:, _BLOCK:] = state.T
+    for table in (rows, *jumps):
+        table.flags.writeable = False
+    return rows, tuple(jumps)
 
 
 # ---------------------------------------------------------------------------

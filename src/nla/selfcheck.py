@@ -39,6 +39,7 @@ __all__ = [
 
 POLICY60 = WeightPolicy(total_epochs=60)
 _BOUND_CHUNK = 1000  # rows per batch_total call in the consistency bound check
+_ORACLE_CHUNK = 1000  # kernel cases per block of uniforms in the oracle check
 
 
 def brute_force_gaussian(p, mu, sigma) -> float:
@@ -56,13 +57,14 @@ def brute_force_gaussian(p, mu, sigma) -> float:
     return const * math.exp(-0.5 * quad)
 
 
-def random_kernel_case(rng: Rng):
-    """One random (point, mean, SPD covariance) triple."""
-    p = np.array([rng.random(), rng.random()])
-    mu = np.array([rng.random(), rng.random()])
-    a = 0.1 + 1.9 * rng.random()
-    b = 0.1 + 1.9 * rng.random()
-    rho = -0.95 + 1.9 * rng.random()
+def random_kernel_case(draws):
+    """One random (point, mean, SPD covariance) triple from 7 uniforms in [0, 1)."""
+    px, py, mx, my, ua, ub, urho = draws
+    p = np.array([px, py])
+    mu = np.array([mx, my])
+    a = 0.1 + 1.9 * ua
+    b = 0.1 + 1.9 * ub
+    rho = -0.95 + 1.9 * urho
     off = rho * math.sqrt(a * b)
     sigma = np.array([[a, off], [off, b]])
     return p, mu, sigma
@@ -77,11 +79,13 @@ def check_kernel_oracle(seed: int, n: int, tol: float = 1e-10):
     """
     rng = Rng(seed)
     worst = 0.0
-    for _ in range(n):
-        p, mu, sigma = random_kernel_case(rng)
-        ours = gaussian_weight(p, kernel_params(mu, sigma))
-        ref = brute_force_gaussian(p, mu, sigma)
-        worst = max(worst, abs(ours - ref) / ref)
+    for lo in range(0, n, _ORACLE_CHUNK):
+        cases = rng.uniforms(7 * min(_ORACLE_CHUNK, n - lo)).reshape(-1, 7)
+        for draws in cases.tolist():
+            p, mu, sigma = random_kernel_case(draws)
+            ours = gaussian_weight(p, kernel_params(mu, sigma))
+            ref = brute_force_gaussian(p, mu, sigma)
+            worst = max(worst, abs(ours - ref) / ref)
     return worst <= tol, f"max rel err={worst:.3e} over {n} triples"
 
 
@@ -210,9 +214,7 @@ def check_loss_identities(seed: int, n_equal: int, n_pairs: int, n_dominance: in
         zero_ok &= loss == 0.0 and not ga.any() and not gb.any()
 
     def uniform_logits():
-        draws = np.fromiter((rng.random() for _ in range(5 * n_pairs)),
-                            np.float64, 5 * n_pairs)
-        return (draws.reshape(n_pairs, 5) - 0.5) * 16.0
+        return (rng.uniforms(5 * n_pairs).reshape(n_pairs, 5) - 0.5) * 16.0
 
     za = uniform_logits()
     zb = uniform_logits()

@@ -48,6 +48,8 @@ __all__ = [
     "atomic_write_text",
 ]
 
+_QUARTILES = np.array([0.25, 0.5, 0.75])  # np.percentile's q / 100
+
 
 class TrainingDiverged(RuntimeError):
     """Non-finite loss encountered; carries the epoch and batch index."""
@@ -199,11 +201,32 @@ def collect_weight_stats(params: ModelParams, train: Dataset,
     """
     probs = softmax(forward(params, train.inputs, logits_only=True).logits)
     weights = naw_weights(probs, train.labels, kernels)
-    out = np.full((train.n_classes, 3), np.nan)
-    for k in range(train.n_classes):
-        w_k = weights[train.labels == k]
-        if w_k.size:
-            out[k] = np.percentile(w_k, [25.0, 50.0, 75.0])
+    return _class_quartiles(weights, train.labels, train.n_classes)
+
+
+def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """``np.percentile(values[labels == k], [25, 50, 75])`` for every class
+    k, bit for bit, from one sort by (label, value); NaN rows for absent
+    classes."""
+    ranked = values[np.lexsort((values, labels))]
+    counts = np.bincount(labels, minlength=n_classes)
+    present = counts > 0
+    n = counts[present][:, None]
+    start = (np.cumsum(counts) - counts)[present][:, None]
+    # numpy's "linear" method: rank (n - 1) q, then its lerp between the
+    # neighbouring order statistics, taken from the upper one when the
+    # fraction is >= 0.5.
+    rank = (n - 1) * _QUARTILES
+    below = np.floor(rank)
+    frac = rank - below
+    below = start + below.astype(np.intp)
+    lo = ranked[below]
+    hi = ranked[np.minimum(below + 1, start + n - 1)]
+    diff = hi - lo
+    quartiles = lo + diff * frac
+    np.subtract(hi, diff * (1 - frac), out=quartiles, where=frac >= 0.5)
+    out = np.full((n_classes, 3), np.nan)
+    out[present] = quartiles
     return out
 
 

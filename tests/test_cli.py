@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nla.cli
+import nla.data
 from nla import __version__
 from nla.cli import (DEFAULT_CONFIG, _base_splits, cell_id, dataset_id,
                      load_config, main)
@@ -68,6 +69,20 @@ class TestGenerate:
         info = json.loads(train_path.with_suffix(".json").read_text())
         assert info["sha256"]
         assert info["noise_rate"] == 0.2
+
+    def test_each_cache_is_serialized_once(self, tmp_path, monkeypatch):
+        # The sidecar's sha256 is the digest of the bytes save_dataset wrote.
+        calls = []
+        serialize = nla.data.dataset_bytes
+        monkeypatch.setattr(nla.data, "dataset_bytes",
+                            lambda ds: calls.append(ds.split) or serialize(ds))
+        path, cfg = write_config(tmp_path, noise=[0.0, 0.2], seeds=[1, 2])
+        assert main(["generate", "--config", str(path)]) == 0
+        assert sorted(calls) == ["test"] + ["train"] * 4
+        for cache in (tmp_path / "out" / "data").glob("*.ds"):
+            info = json.loads(cache.with_suffix(".json").read_text())
+            assert info["sha256"] == hashlib.sha256(cache.read_bytes()).hexdigest()
+            assert info["sha256"] == fingerprint(load_dataset(cache))
 
     def test_regeneration_is_identical(self, tmp_path):
         path, cfg = write_config(tmp_path, noise=[0.1], imbalance=[5.0])

@@ -203,14 +203,14 @@ class TestGaussianWeight:
         k = build_true_kernel(POLICY, 13)
         pts = np.array([[rng.random(), rng.random()] for _ in range(64)])
         singles = [gaussian_weight(p, k) for p in pts]
-        np.testing.assert_allclose(naw._density(pts[:, 0], pts[:, 1], k), singles,
+        np.testing.assert_allclose(naw._density(pts[:, 0], pts[:, 1], k.constants), singles,
                                    rtol=1e-15)
 
     def test_bounded_by_norm_const(self):
         rng = Rng(23)
         k = build_false_kernel(POLICY)
         pts = np.array([[rng.random(), rng.random()] for _ in range(500)])
-        w = naw._density(pts[:, 0], pts[:, 1], k)
+        w = naw._density(pts[:, 0], pts[:, 1], k.constants)
         assert np.all(w > 0.0)
         assert np.all(w <= k.norm_const + 1e-15)
 
@@ -307,6 +307,34 @@ class TestNawWeight:
         batch = naw_weights(probs, labels, epoch_kernels(POLICY, 21))
         singles = [reference_weight(probs[i], labels[i], 21) for i in range(40)]
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
+
+
+    @pytest.mark.parametrize("epoch", [0, 13, 60])
+    def test_one_density_per_row_equals_both_densities(self, epoch):
+        # The parent formula: both kernels' densities on every row, then
+        # np.where on the branch.  The weights must equal it bit for bit.
+        def density(x, y, k):
+            dx = x - k.mu[0]
+            dy = y - k.mu[1]
+            i = k.sigma_inv
+            q = i[0, 0] * dx ** 2 + 2.0 * i[0, 1] * dx * dy + i[1, 1] * dy ** 2
+            return k.norm_const * np.exp(-0.5 * q)
+
+        rng = Rng(34 + epoch)
+        n = 600
+        z = rng.normals(n * 7, scale=3.0).reshape(n, 7)
+        labels = np.array([rng.below(7) for _ in range(n)])
+        for i in range(0, n, 3):  # a tie p_gt == p_nn on every third row
+            z[i, labels[i]] = z[i, (labels[i] + 1) % 7] = z[i].max()
+        probs = softmax(z)
+        rows = np.arange(n)
+        p_gt = probs[rows, labels]
+        p_nn = np.where(np.arange(7) == labels[:, None], -np.inf, probs).max(axis=1)
+        assert (p_gt == p_nn).sum() == n // 3
+        kernels = epoch_kernels(POLICY, epoch)
+        expected = np.where(p_gt >= p_nn, density(p_gt, p_nn, kernels[0]),
+                            density(p_gt, p_nn, kernels[1]))
+        assert naw_weights(probs, labels, kernels).tobytes() == expected.tobytes()
 
 
 class TestWeightPolicyValidation:

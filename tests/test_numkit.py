@@ -2,6 +2,10 @@
 atomic file writes."""
 
 import builtins
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,29 @@ class TestMat2:
             assert v @ inv @ v >= 0.0
 
 
+B = numkit._BLOCK
+STREAM_SEEDS = [0, 1, 2**64 - 1, derive_seed(7, "train-base")]
+STREAM_COUNTS = [0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 3499, 70_000]
+
+
+def fisher_yates(rng, n):
+    """Reference shuffle: swap i takes below(i + 1), one scalar draw each."""
+    out = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def partial_fisher_yates(rng, n, size):
+    """Reference choice: swap i takes i + below(n - i), one scalar draw each."""
+    pool = list(range(n))
+    for i in range(size):
+        j = i + rng.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:size]
+
+
 class TestRng:
     def test_fixed_seed_repeats_exactly(self):
         a = Rng(123456789)
@@ -160,16 +187,12 @@ class TestRng:
         assert sorted(perm.tolist()) == list(range(1000))
 
     @pytest.mark.parametrize("seed", [0, 12, 2**64 - 1])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3500])
+    @pytest.mark.parametrize("n", [0, 1, 2, B, B + 1, 929, 3500])
     def test_permutation_is_fisher_yates_on_below(self, seed, n):
         fast, ref = Rng(seed), Rng(seed)
-        expected = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = ref.below(i + 1)
-            expected[i], expected[j] = expected[j], expected[i]
         perm = fast.permutation(n)
         assert perm.dtype == np.int64
-        assert perm.tolist() == expected
+        assert perm.tolist() == fisher_yates(ref, n)
         assert fast.next_u64() == ref.next_u64()
 
     def test_choice_without_replacement(self):
@@ -177,6 +200,65 @@ class TestRng:
         picked = rng.choice(100, 40)
         assert len(set(picked.tolist())) == 40
         assert all(0 <= i < 100 for i in picked)
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**64 - 1])
+    @pytest.mark.parametrize("n, size", [(0, 0), (1, 1), (5, 0), (B, 3), (B + 1, B + 1),
+                                         (929, 929), (929, 400), (3500, 17)])
+    def test_choice_is_partial_fisher_yates_on_below(self, seed, n, size):
+        fast, ref = Rng(seed), Rng(seed)
+        picked = fast.choice(n, size)
+        assert picked.dtype == np.int64
+        assert picked.tolist() == partial_fisher_yates(ref, n, size)
+        assert fast.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", STREAM_COUNTS)
+    def test_block_draw_equals_next_u64(self, seed, n):
+        block, ref = Rng(seed), Rng(seed)
+        starts, words = [], []
+        for lo, u in block._blocks(n):
+            starts.append(lo)
+            words.extend(u.tolist())
+        assert starts == list(range(0, n, B))
+        assert words == [ref.next_u64() for _ in range(n)]
+        assert block._s == ref._s
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", STREAM_COUNTS)
+    def test_uniforms_equal_random(self, seed, n):
+        block, ref = Rng(seed), Rng(seed)
+        draws = block.uniforms(n)
+        assert draws.dtype == np.float64
+        assert draws.tolist() == [ref.random() for _ in range(n)]
+        assert block._s == ref._s
+
+    def test_block_and_scalar_draws_interleave(self):
+        mixed, ref = Rng(5), Rng(5)
+        for n in [3, B + 7, 1, 2 * B, 0, 5, B - 1]:
+            assert mixed.normal() == ref.normal()
+            assert mixed.uniforms(n).tolist() == [ref.random() for _ in range(n)]
+            assert mixed.normal() == ref.normal()
+            assert mixed.permutation(n).tolist() == fisher_yates(ref, n)
+            assert mixed.below(n + 1) == ref.below(n + 1)
+            assert mixed.choice(n + 2, n).tolist() == partial_fisher_yates(ref, n + 2, n)
+        assert mixed._s == ref._s
+
+    def test_bounds_up_to_the_32_bit_limit_are_exact(self):
+        top = 2**32 - 1
+        block, ref = Rng(17), Rng(17)
+        assert (block._descending_below(top, B + 3).tolist()
+                == [ref.below(top - t) for t in range(B + 3)])
+        with pytest.raises(ValueError):
+            Rng(17)._descending_below(2**32, 1)
+
+    def test_tables_are_built_on_first_use(self):
+        code = ("import nla, nla.cli, nla.selfcheck\n"
+                "print(nla.numkit._stream_tables.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(numkit.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     def test_split_streams_differ_from_parent_and_siblings(self):
         rng = Rng(14)

@@ -155,6 +155,29 @@ class TestWeightStats:
             collect_weight_stats(params, train, epoch_kernels(WeightPolicy(total_epochs=10), 4))
 
 
+class TestClassQuartiles:
+    """The one-sort quartiles equal numpy's per-class percentiles."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equal_per_class_percentile(self, seed):
+        rng = Rng(seed)
+        # Absent classes, 1, 2 and 3 samples, and larger classes, in random
+        # label order; half the cases draw from 4 values, so ties are common.
+        sizes = [0, 1, 2, 3, 4, 7, 40]
+        order = rng.permutation(len(sizes))
+        labels = np.concatenate([np.full(sizes[i], k) for k, i in enumerate(order)])
+        labels = labels[rng.permutation(labels.size)]
+        if seed % 2:
+            values = np.array([0.05 * rng.below(4) for _ in range(labels.size)])
+        else:
+            values = rng.normals(labels.size, scale=0.3) ** 2
+        got = nla.trainer._class_quartiles(values, labels, 8)
+        for k in range(8):
+            expected = (np.percentile(values[labels == k], [25.0, 50.0, 75.0])
+                        if (labels == k).any() else np.full(3, np.nan))
+            assert got[k].tobytes() == np.asarray(expected).tobytes(), k
+
+
 def split_of(ds, n, split):
     """n rows of ``ds`` in shuffled order, every class among the first K."""
     order = Rng(99).permutation(ds.n)
