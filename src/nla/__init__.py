@@ -9,21 +9,13 @@ consistency term ties predictions on a sample and its mirrored view.
 
 __version__ = "0.1.0"
 
-from .numkit import Rng, SingularMatrixError, log_softmax, logsumexp, mat2_det, \
-    mat2_inverse, softmax
-from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, KernelParams, WeightPolicy,
-                  build_false_kernel, build_true_kernel, covariance_schedule,
-                  epoch_kernels, gaussian_weight, naw_weights,
-                  sigma_from_axis_ratio)
-from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
-from .model import Arch, ForwardTrace, GradCheckResult, ModelParams, backward, \
-    forward, gradient_check, init_params, load_checkpoint, save_checkpoint
-from .data import (Dataset, FormatError, ViewTransform, apply_imbalance,
-                   bayes_accuracy, default_view, fingerprint, ingest_csv,
-                   ingest_idx, inject_noise, load_dataset, make_synthetic,
-                   save_dataset, standard_instance)
-from .trainer import (EpochMetrics, EvalResult, RunRecord, TrainConfig,
-                      TrainingDiverged, collect_weight_stats, evaluate,
-                      run_training, save_run_record, select_epoch, train_step)
+from .numkit import softmax
+from .naw import (WeightPolicy, build_false_kernel, build_true_kernel,
+                  epoch_kernels, gaussian_weight)
+from .losses import batch_total
+from .model import Arch, forward, gradient_check, init_params
+from .data import (apply_imbalance, bayes_accuracy, default_view, fingerprint,
+                   inject_noise, save_dataset, standard_instance)
+from .trainer import TrainConfig, run_training
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -82,10 +82,16 @@ def load_config(path: str | None) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         user = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(user, dict):
+            raise UsageError("a config file must hold a JSON object")
         for key, value in user.items():
             if key not in cfg:
                 raise UsageError(f"unknown config key {key!r}")
-            if isinstance(cfg[key], dict) and isinstance(value, dict):
+            kind = type(cfg[key])
+            if kind in (dict, list) and not isinstance(value, kind):
+                raise UsageError(f"config key {key!r} must be a JSON "
+                                 + ("object" if kind is dict else "list"))
+            if kind is dict:
                 cfg[key].update(value)
             else:
                 cfg[key] = value
@@ -115,11 +121,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
     if getattr(args, "imbalance", None) is not None:
         cfg["imbalance"] = _parse_float_list(args.imbalance)
     if getattr(args, "mode", None) is not None:
-        modes = args.mode.split(",")
-        for m in modes:
-            if m not in MODES:
-                raise UsageError(f"unknown mode {m!r}")
-        cfg["modes"] = modes
+        cfg["modes"] = args.mode.split(",")
     if getattr(args, "seeds", None) is not None:
         cfg["seeds"] = _parse_seeds(args.seeds)
     if getattr(args, "seed", None) is not None:
@@ -130,6 +132,9 @@ def _apply_overrides(cfg: dict, args) -> dict:
         cfg["out"] = args.out
     if cfg["out"] is None:
         cfg["out"] = os.environ.get("NLA_OUT_DIR", "nla_out")
+    for m in cfg["modes"]:
+        if m not in MODES:
+            raise UsageError(f"unknown mode {m!r}")
     return cfg
 
 
@@ -245,8 +250,11 @@ def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) 
         "generator": cfg["dataset"],
         "master_seed": cfg["seed"],
     }
-    atomic_write_text(path.with_suffix(".json"),
-                      json.dumps(info, indent=2, sort_keys=True) + "\n")
+    _write_json(path.with_suffix(".json"), info)
+
+
+def _write_json(path: Path, value) -> None:
+    atomic_write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +294,35 @@ def _build_train_config(spec: CellSpec) -> TrainConfig:
     return TrainConfig.from_dict(fields)
 
 
+def _manifest(spec: CellSpec, config: TrainConfig) -> dict:
+    """The cell's ``manifest.json``, written once its run is saved: the
+    config, the sha256 of the dataset caches it was trained on, and the
+    package version."""
+    return {
+        "config": config.to_dict(),
+        "train_fingerprint": spec.train_sha256,
+        "test_fingerprint": spec.test_sha256,
+        "epochs_completed": config.epochs,
+        "version": __version__,
+        "status": "complete",
+    }
+
+
 def _is_complete(spec: CellSpec) -> bool:
-    """Whether the cell's run directory holds a complete run of the same
-    config (compared as the manifest's JSON) on the same dataset caches
-    (the manifest's fingerprints); never when forced.  Raises when the
-    config cannot be built or the manifest cannot be read."""
+    """Whether the cell's stored manifest equals (as JSON) the one this
+    request would write; never when forced.  Raises when the config
+    cannot be built or the manifest cannot be read."""
     manifest_path = Path(spec.run_dir) / "manifest.json"
     if spec.force or not manifest_path.exists():
         return False
-    config = _build_train_config(spec)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    return (manifest.get("status") == "complete"
-            and manifest.get("config") == _as_json(config.to_dict())
-            and manifest.get("train_fingerprint") == spec.train_sha256
-            and manifest.get("test_fingerprint") == spec.test_sha256)
+    expected = _as_json(_manifest(spec, _build_train_config(spec)))
+    return json.loads(manifest_path.read_text(encoding="utf-8")) == expected
 
 
 def run_cell(spec: CellSpec) -> dict:
-    """Execute one cell unless :func:`_is_complete`.  Returns a status
-    dict."""
+    """Execute one cell unless :func:`_is_complete`: train, save the run
+    record, then write the manifest that marks the cell complete.
+    Returns a status dict."""
     try:
         if _is_complete(spec):
             return {"cell": spec.id, "ok": True, "skipped": True}
@@ -313,6 +331,7 @@ def run_cell(spec: CellSpec) -> dict:
         test = load_dataset(spec.test_path)
         record = run_training(config, train, test)
         save_run_record(record, spec.run_dir)
+        _write_json(Path(spec.run_dir) / "manifest.json", _manifest(spec, config))
         return {"cell": spec.id, "ok": True, "skipped": False}
     except TrainingDiverged as exc:
         return {"cell": spec.id, "ok": False, "error": str(exc)}
@@ -401,11 +420,6 @@ def cmd_sweep(cfg: dict, args) -> int:
     return 3 if failures else 0
 
 
-def _final_row(run_dir: str):
-    _, metrics = load_run_metrics(run_dir)
-    return metrics[-1]
-
-
 def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> None:
     """Aggregate final-epoch accuracies across seeds for each grid cell."""
     ok = {r["cell"] for r in results if r["ok"]}
@@ -414,7 +428,7 @@ def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> Non
         if spec.id not in ok:
             continue
         key = (spec.noise, spec.imbalance, spec.mode)
-        by_group.setdefault(key, []).append(_final_row(spec.run_dir))
+        by_group.setdefault(key, []).append(load_run_metrics(spec.run_dir)[-1])
 
     rows = {}  # (noise, imbalance, mode) -> summary row, in sorted key order
     for (noise, imbalance, mode), finals in sorted(by_group.items()):
@@ -457,10 +471,10 @@ def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> Non
         lines.append(",".join(line))
     atomic_write_text(out / "summary.csv", "\n".join(lines) + "\n")
     incomplete = [r["cell"] for r in results if not r["ok"]]
-    atomic_write_text(out / "summary.json", json.dumps({
+    _write_json(out / "summary.json", {
         "cells": cells, "pairwise_deltas": deltas,
         "incomplete": incomplete, "version": __version__,
-    }, indent=2, sort_keys=True) + "\n")
+    })
     _print_pivot(rows)
     print(f"[sweep] summary -> {out / 'summary.csv'}"
           + (f" ({len(incomplete)} incomplete)" if incomplete else ""))
@@ -504,9 +518,8 @@ def cmd_plotdata(cfg: dict, args) -> int:
     quart = ["run,epoch,class,q1,median,q3"]
     loss = ["run,epoch,lr,loss_ce,loss_naw_ce,loss_reg,loss_total,test_overall,test_mean"]
     for run_dir in run_dirs:
-        _, metrics = load_run_metrics(run_dir)
         name = run_dir.name
-        for m in metrics:
+        for m in load_run_metrics(run_dir):
             for k, a in enumerate(m.per_class_acc):
                 acc.append(f"{name},{m.epoch},{k},{a!r}")
             for k in range(m.weight_quartiles.shape[0]):

@@ -416,11 +416,19 @@ def load_dataset(path) -> Dataset:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}", offset=0)
+    offset = 4 + _HEADER.size
+    if len(blob) < offset:
+        raise FormatError(f"{path}: truncated header", offset=len(blob))
     version, split_code, flags, n, d, k, seed, noise_rate, imbalance, img_h, img_w = \
         _HEADER.unpack_from(blob, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported cache version {version}", offset=4)
-    offset = 4 + _HEADER.size
+    # The declared sizes are checked before any array is read, so a header
+    # that lies about n or d is reported, not passed on to numpy.
+    size = 8 * n * (1 + (flags & 1) + d)
+    if len(blob) - offset != size:
+        raise FormatError(f"{path}: header declares {size} data bytes, found "
+                          f"{len(blob) - offset}", offset=offset)
     labels = np.frombuffer(blob, dtype="<i8", count=n, offset=offset).astype(np.int64)
     offset += n * 8
     clean = None
@@ -428,9 +436,6 @@ def load_dataset(path) -> Dataset:
         clean = np.frombuffer(blob, dtype="<i8", count=n, offset=offset).astype(np.int64)
         offset += n * 8
     inputs = np.frombuffer(blob, dtype="<f8", count=n * d, offset=offset)
-    offset += n * d * 8
-    if offset != len(blob):
-        raise FormatError(f"{path}: trailing bytes", offset=offset)
     meta = {"seed": seed, "noise_rate": noise_rate, "imbalance": imbalance}
     if img_h and img_w:
         meta["image_shape"] = (img_h, img_w)

@@ -284,6 +284,8 @@ def load_checkpoint(path) -> ModelParams:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"not a model checkpoint: bad magic {blob[:4]!r}")
+    if len(blob) < 4 + _HEADER.size:
+        raise ValueError("checkpoint header is truncated")
     version, d, h, k, seed = _HEADER.unpack_from(blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")

@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "softmax",
-    "log_softmax",
-    "logsumexp",
     "mat2_det",
     "mat2_inverse",
     "Rng",
@@ -66,16 +64,6 @@ def _softmax_lse(z: np.ndarray):
     return e / s, m[..., 0] + np.log(s[..., 0])
 
 
-def logsumexp(logits) -> float | np.ndarray:
-    """log(sum(exp(logits))) over the last axis, via max subtraction.
-
-    Safe for entries with magnitude up to ~700 where a naive exp would
-    overflow.
-    """
-    out = _softmax_lse(_as_finite_array(logits, "logits"))[1]
-    return float(out) if out.ndim == 0 else out
-
-
 def softmax(logits) -> np.ndarray:
     """Exp-normalized probabilities over the last axis.
 
@@ -86,19 +74,6 @@ def softmax(logits) -> np.ndarray:
     if z.shape[-1] < 2:
         raise ValueError("softmax needs at least 2 categories")
     return _softmax_lse(z)[0]
-
-
-def log_softmax(logits) -> np.ndarray:
-    """Log-probabilities computed directly from logits.
-
-    Uses z - logsumexp(z) rather than log(softmax(z)) so that entries far
-    below the maximum stay finite instead of collapsing through a zero
-    probability.
-    """
-    z = _as_finite_array(logits, "logits")
-    if z.shape[-1] < 2:
-        raise ValueError("log_softmax needs at least 2 categories")
-    return z - _softmax_lse(z)[1][..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .data import Dataset, ViewTransform, default_view, fingerprint
+from .data import Dataset, ViewTransform, default_view
 from .losses import MODES, BatchLoss, batch_total
 from .model import (Arch, ModelParams, backward, forward, init_params,
-                    load_checkpoint, save_checkpoint)
+                    save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
 from .numkit import Rng, atomic_write_bytes, softmax
 
@@ -41,7 +39,6 @@ __all__ = [
     "run_training",
     "evaluate",
     "collect_weight_stats",
-    "select_epoch",
     "metrics_csv_text",
     "save_run_record",
     "load_run_metrics",
@@ -142,8 +139,6 @@ class RunRecord:
     config: TrainConfig
     metrics: list[EpochMetrics]
     params: ModelParams
-    train_fingerprint: str
-    test_fingerprint: str
 
 
 @dataclass
@@ -320,22 +315,11 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
             loss_reg=float(sums[2] / n), loss_total=float(sums[3] / n),
             test_overall=ev.overall, test_mean=ev.mean,
             per_class_acc=ev.per_class, weight_quartiles=quartiles))
-    return RunRecord(config=config, metrics=metrics, params=params,
-                     train_fingerprint=fingerprint(train),
-                     test_fingerprint=fingerprint(test))
-
-
-def select_epoch(record: RunRecord, by: str = "final") -> EpochMetrics:
-    """Reporting epoch: the last one, or the best by test mean accuracy."""
-    if by == "final":
-        return record.metrics[-1]
-    if by == "best_mean":
-        return max(record.metrics, key=lambda m: m.test_mean)
-    raise ValueError("by must be 'final' or 'best_mean'")
+    return RunRecord(config=config, metrics=metrics, params=params)
 
 
 # ---------------------------------------------------------------------------
-# Persistence: manifest JSON + metrics CSV + checkpoint
+# Persistence: metrics CSV + checkpoint
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -375,28 +359,16 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def save_run_record(record: RunRecord, out_dir) -> None:
-    """Persist manifest.json, metrics.csv, and checkpoint.bin."""
+    """Persist checkpoint.bin and metrics.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(record.params, out_dir / "checkpoint.bin")
     atomic_write_text(out_dir / "metrics.csv", metrics_csv_text(record))
-    manifest = {
-        "config": record.config.to_dict(),
-        "train_fingerprint": record.train_fingerprint,
-        "test_fingerprint": record.test_fingerprint,
-        "epochs_completed": len(record.metrics),
-        "version": __version__,
-        "status": "complete",
-    }
-    atomic_write_text(out_dir / "manifest.json",
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def load_run_metrics(run_dir) -> tuple[dict, list[EpochMetrics]]:
-    """Read back a persisted run: (manifest, epoch metrics)."""
-    run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    lines = (run_dir / "metrics.csv").read_text(encoding="utf-8").strip().split("\n")
+def load_run_metrics(run_dir) -> list[EpochMetrics]:
+    """Read back the epoch metrics of a persisted run."""
+    lines = (Path(run_dir) / "metrics.csv").read_text(encoding="utf-8").strip().split("\n")
     header = lines[0].split(",")
     k = sum(1 for name in header if name.startswith("acc_c"))
     metrics = []
@@ -413,8 +385,4 @@ def load_run_metrics(run_dir) -> tuple[dict, list[EpochMetrics]]:
             test_overall=float(row["test_overall"]),
             test_mean=float(row["test_mean"]),
             per_class_acc=per_class, weight_quartiles=quart))
-    return manifest, metrics
-
-
-def load_run_params(run_dir) -> ModelParams:
-    return load_checkpoint(Path(run_dir) / "checkpoint.bin")
+    return metrics

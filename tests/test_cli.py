@@ -51,6 +51,15 @@ class TestConfig:
         path.write_text('{"rocket": 1}', encoding="utf-8")
         assert main(["generate", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("text", [
+        '[1, 2]', '{"dataset": 3}', '{"train": [1]}',
+        '{"noise": 0.2}', '{"imbalance": 5}', '{"modes": "nla"}', '{"seeds": 1}',
+        '{"modes": ["banana"]}'])
+    def test_malformed_config_is_usage_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["generate", "--config", str(path)]) == 1
+
     def test_cell_and_dataset_ids(self):
         assert cell_id(0.3, 100.0, "nla", 4) == "n0.3_f100_nla_s4"
         assert dataset_id(0.0, 1.0, 2) == "n0_f1_s2"
@@ -189,6 +198,30 @@ class TestTrain:
         assert main(args + ["--force"]) == 0
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
+    def test_manifest_is_pinned_and_names_the_caches(self, tmp_path):
+        path, cfg = write_config(tmp_path, noise=[0.1], seeds=[1], modes=["nla"])
+        assert main(["train", "--config", str(path), "--mode", "nla", "--seed", "1"]) == 0
+        out = tmp_path / "out"
+        blob = (out / "runs" / "n0.1_f1_nla_s1" / "manifest.json").read_bytes()
+        # Changed manifest bytes would make every existing run directory rerun.
+        assert hashlib.sha256(blob).hexdigest() == (
+            "0b6bd0b894c89f2b7906541ef555ba2d6d63fcca330d5d2f1459ea1d43e04201")
+        manifest = json.loads(blob)
+        assert manifest["status"] == "complete"
+        assert manifest["config"]["mode"] == "nla"
+        for key, cache in (("train_fingerprint", "n0.1_f1_s1_train.json"),
+                           ("test_fingerprint", "test.json")):
+            info = json.loads((out / "data" / cache).read_text())
+            assert manifest[key] == info["sha256"]
+
+    def test_training_serializes_no_dataset(self, tmp_path, monkeypatch):
+        # The manifest takes its digests from the cache sidecars.
+        path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"])
+        assert main(["generate", "--config", str(path)]) == 0
+        monkeypatch.setattr(nla.data, "dataset_bytes", forbidden)
+        assert main(["train", "--config", str(path), "--mode", "ce", "--seed", "1"]) == 0
+        assert (tmp_path / "out" / "runs" / "n0_f1_ce_s1" / "manifest.json").exists()
+
     def test_needs_single_cell(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["train", "--config", str(path), "--mode", "ce,nla",
@@ -198,7 +231,8 @@ class TestTrain:
 
 def deterministic_files(out):
     """Bytes of every file a sweep writes deterministically, by path."""
-    names = {"metrics.csv", "checkpoint.bin", "summary.csv", "summary.json"}
+    names = {"manifest.json", "metrics.csv", "checkpoint.bin", "summary.csv",
+             "summary.json"}
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.name in names or p.suffix == ".ds"}
 
@@ -276,7 +310,7 @@ class TestSweep:
         assert main(["sweep", "--config", str(path_a)]) == 0
         assert main(["sweep", "--config", str(path_b), "--workers", "2"]) == 0
         files_a = deterministic_files(tmp_path / "a" / "out")
-        assert len(files_a) == 4 * 2 + 2 + 3  # cells x 2, summaries, caches
+        assert len(files_a) == 4 * 3 + 2 + 3  # cells x 3, summaries, caches
         assert deterministic_files(tmp_path / "b" / "out") == files_a
 
     def test_changed_dataset_reruns_every_cell(self, tmp_path):

@@ -303,6 +303,27 @@ class TestCache:
         with pytest.raises(FormatError):
             load_dataset(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "train.ds"
+        save_dataset(small_train(n_per_class=2), path)
+        blob = path.read_bytes()
+        header_end = 4 + struct.calcsize("<HBBQIIQddII")  # see "Cache format"
+        for cut in range(header_end + 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError) as err:
+                load_dataset(path)
+            assert err.value.offset == (0 if cut < 4 else cut)
+
+    @pytest.mark.parametrize("n", [9, 2**32, 2**64 - 1])
+    def test_header_claiming_more_rows_rejected(self, tmp_path, n):
+        path = tmp_path / "train.ds"
+        save_dataset(small_train(k=2, n_per_class=4), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<Q", blob, 8, n)  # u64 n after magic, version, split, flags
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="header declares"):
+            load_dataset(path)
+
 
 class TestStandardInstance:
     def test_shapes_and_balance(self):

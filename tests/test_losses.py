@@ -67,6 +67,16 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy([0.0, 0.0], 2)
 
+    @pytest.mark.parametrize("logits, label, expected", [
+        ([700.0, 0.0, -700.0], 2, 1400.0),
+        ([-700.0] * 4, 0, np.log(4.0)),
+    ])
+    def test_log_sum_exp_at_large_magnitudes(self, logits, label, expected):
+        # ce = logsumexp(z) - z[label]; a naive exp overflows or underflows.
+        loss, grad = cross_entropy(logits, label)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert loss == pytest.approx(expected, rel=1e-12)
+
 
 class TestNawCeLoss:
     def test_reduces_to_ce_in_zero_weight_limit(self):

@@ -250,3 +250,12 @@ class TestCheckpoint:
         path.write_bytes(blob[:-8])
         with pytest.raises(Exception):
             load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_params(LINEAR, Rng(31)), path)
+        blob = path.read_bytes()
+        for cut in range(4 + 4 * 4 + 8 + 1):  # magic, u32 x 4, u64 seed
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                load_checkpoint(path)

@@ -13,8 +13,8 @@ import pytest
 from nla import numkit
 from nla.data import make_synthetic, save_dataset
 from nla.model import Arch, init_params, save_checkpoint
-from nla.numkit import (Rng, SingularMatrixError, derive_seed, log_softmax,
-                        logsumexp, mat2_det, mat2_inverse, softmax)
+from nla.numkit import (Rng, SingularMatrixError, derive_seed, mat2_det,
+                        mat2_inverse, softmax)
 from nla.trainer import atomic_write_text
 
 
@@ -57,23 +57,6 @@ class TestSoftmax:
     def test_rejects_single_category(self):
         with pytest.raises(ValueError):
             softmax([1.0])
-
-
-class TestLogSoftmax:
-    def test_matches_logits_minus_logsumexp(self):
-        rng = Rng(5)
-        for _ in range(200):
-            z = rng.normals(7, scale=200.0)
-            np.testing.assert_allclose(log_softmax(z), z - logsumexp(z), atol=1e-9)
-
-    def test_large_magnitudes_stay_finite(self):
-        z = np.array([700.0, 0.0, -700.0])
-        out = log_softmax(z)
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, z - logsumexp(z), atol=1e-9)
-
-    def test_logsumexp_of_equal_entries(self):
-        np.testing.assert_allclose(logsumexp([-700.0] * 4), -700.0 + np.log(4.0))
 
 
 class TestMat2:

@@ -9,13 +9,13 @@ import nla.naw
 import nla.trainer
 from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
                       make_synthetic, standard_instance)
-from nla.model import Arch, init_params
+from nla.model import Arch, init_params, load_checkpoint
 from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
                          adam_step, collect_weight_stats, evaluate,
-                         load_run_metrics, load_run_params, metrics_csv_text,
-                         run_training, save_run_record, select_epoch)
+                         load_run_metrics, metrics_csv_text, run_training,
+                         save_run_record)
 
 
 def tiny_data(seed=1, k=3, d=4, n_train=40, n_test=30, spread=0.7):
@@ -329,13 +329,6 @@ class TestRunTraining:
         record = run_training(tiny_config(), noisy, test)
         assert len(record.metrics) == 3
 
-    def test_select_epoch(self):
-        train, test = tiny_data()
-        record = run_training(tiny_config(epochs=5), train, test)
-        assert select_epoch(record, "final") is record.metrics[-1]
-        best = select_epoch(record, "best_mean")
-        assert best.test_mean == max(m.test_mean for m in record.metrics)
-
 
 class TestRunValidation:
     """Unusable splits are rejected before the first training step."""
@@ -408,10 +401,7 @@ class TestPersistence:
         train, test = tiny_data()
         record = run_training(tiny_config(), train, test)
         save_run_record(record, tmp_path / "run")
-        manifest, metrics = load_run_metrics(tmp_path / "run")
-        assert manifest["status"] == "complete"
-        assert manifest["config"]["mode"] == "nla"
-        assert manifest["train_fingerprint"] == record.train_fingerprint
+        metrics = load_run_metrics(tmp_path / "run")
         assert len(metrics) == len(record.metrics)
         for loaded, orig in zip(metrics, record.metrics):
             assert loaded.lr == orig.lr
@@ -419,7 +409,7 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.per_class_acc, orig.per_class_acc)
             np.testing.assert_array_equal(loaded.weight_quartiles,
                                           orig.weight_quartiles)
-        params = load_run_params(tmp_path / "run")
+        params = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         for a, b in zip(params.weights, record.params.weights):
             np.testing.assert_array_equal(a, b)
 
