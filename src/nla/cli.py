@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -135,6 +136,18 @@ def _apply_overrides(cfg: dict, args) -> dict:
     for m in cfg["modes"]:
         if m not in MODES:
             raise UsageError(f"unknown mode {m!r}")
+    # Types only: the generators check the ranges.
+    number = (int, float)
+    fields = [("noise", cfg["noise"], number), ("imbalance", cfg["imbalance"], number),
+              ("seeds", cfg["seeds"], int)]
+    ds_cfg = cfg["dataset"]
+    if ds_cfg.get("kind", "synthetic") == "synthetic":
+        fields += [(f"dataset.{key}", [ds_cfg[key]], number if key == "spread" else int)
+                   for key in ("k", "d", "n_per_class", "test_per_class", "spread")]
+    for name, values, kind in fields:
+        if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
+            raise UsageError(f"config key {name!r} must hold "
+                             + ("integers" if kind is int else "numbers"))
     return cfg
 
 
@@ -182,33 +195,33 @@ def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dic
     data_dir.mkdir(parents=True, exist_ok=True)
     base_splits = functools.cache(lambda: _base_splits(cfg))
 
+    def reuse_or_write(path: Path, build) -> tuple[str, Dataset | None]:
+        """The cache's sha256, and the dataset when it was (re)written."""
+        sha = None if force else _cached_sha256(path, cfg)
+        if sha is not None:
+            return sha, None
+        ds = build()
+        sha = save_dataset(ds, path)
+        _write_dataset_fingerprint(ds, path, cfg, sha)
+        return sha, ds
+
     path = data_dir / "test.ds"
-    sha = None if force else _cached_sha256(path, cfg)
-    if sha is None:
-        test = base_splits()[1]
-        sha = save_dataset(test, path)
-        _write_dataset_fingerprint(test, path, cfg, sha)
-    caches = {"test": (path, sha)}
+    caches = {"test": (path, reuse_or_write(path, lambda: base_splits()[1])[0])}
     for noise in cfg["noise"]:
         for imbalance in cfg["imbalance"]:
             for seed in cfg["seeds"]:
                 did = dataset_id(noise, imbalance, seed)
                 path = data_dir / f"{did}_train.ds"
-                sha = None if force else _cached_sha256(path, cfg)
-                if sha is not None:
-                    caches[did] = (path, sha)
-                    continue
-                ds = _cell_dataset(base_splits()[0], cfg, noise, imbalance, seed)
-                sha = save_dataset(ds, path)
-                _write_dataset_fingerprint(ds, path, cfg, sha)
+                sha, ds = reuse_or_write(path, lambda: _cell_dataset(
+                    base_splits()[0], cfg, noise, imbalance, seed))
                 caches[did] = (path, sha)
-                if not quiet:
+                if ds is not None and not quiet:
                     flipped = 0 if ds.clean_labels is None else int(
                         (ds.labels != ds.clean_labels).sum())
                     counts = ds.class_counts
                     ratio = float(counts.max() / counts.min())
                     print(f"[generate] {did}: n={ds.n} flipped={flipped} "
-                          f"max/min={ratio:.2f} sha={caches[did][1][:12]}")
+                          f"max/min={ratio:.2f} sha={sha[:12]}")
     return caches
 
 
@@ -267,13 +280,12 @@ class CellSpec:
     imbalance: float
     mode: str
     seed: int
+    config: TrainConfig
     train_path: str
     test_path: str
     train_sha256: str
     test_sha256: str
     run_dir: str
-    train_overrides: dict
-    master_seed: int
     force: bool = False
 
     @property
@@ -287,22 +299,15 @@ def run_seed(master_seed: int, noise: float, imbalance: float, seed: int) -> int
     return derive_seed(master_seed, f"run|{dataset_id(noise, imbalance, seed)}")
 
 
-def _build_train_config(spec: CellSpec) -> TrainConfig:
-    fields = dict(spec.train_overrides)
-    fields["mode"] = spec.mode
-    fields["seed"] = run_seed(spec.master_seed, spec.noise, spec.imbalance, spec.seed)
-    return TrainConfig.from_dict(fields)
-
-
-def _manifest(spec: CellSpec, config: TrainConfig) -> dict:
+def _manifest(spec: CellSpec) -> dict:
     """The cell's ``manifest.json``, written once its run is saved: the
     config, the sha256 of the dataset caches it was trained on, and the
     package version."""
     return {
-        "config": config.to_dict(),
+        "config": spec.config.to_dict(),
         "train_fingerprint": spec.train_sha256,
         "test_fingerprint": spec.test_sha256,
-        "epochs_completed": config.epochs,
+        "epochs_completed": spec.config.epochs,
         "version": __version__,
         "status": "complete",
     }
@@ -310,28 +315,30 @@ def _manifest(spec: CellSpec, config: TrainConfig) -> dict:
 
 def _is_complete(spec: CellSpec) -> bool:
     """Whether the cell's stored manifest equals (as JSON) the one this
-    request would write; never when forced.  Raises when the config
-    cannot be built or the manifest cannot be read."""
-    manifest_path = Path(spec.run_dir) / "manifest.json"
-    if spec.force or not manifest_path.exists():
+    request would write; never when forced.  A missing, unreadable or
+    malformed manifest is not complete, so its cell is rerun."""
+    if spec.force:
         return False
-    expected = _as_json(_manifest(spec, _build_train_config(spec)))
-    return json.loads(manifest_path.read_text(encoding="utf-8")) == expected
+    try:
+        stored = json.loads((Path(spec.run_dir) / "manifest.json")
+                            .read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    return stored == _as_json(_manifest(spec))
 
 
 def run_cell(spec: CellSpec) -> dict:
     """Execute one cell unless :func:`_is_complete`: train, save the run
     record, then write the manifest that marks the cell complete.
     Returns a status dict."""
+    if _is_complete(spec):
+        return {"cell": spec.id, "ok": True, "skipped": True}
     try:
-        if _is_complete(spec):
-            return {"cell": spec.id, "ok": True, "skipped": True}
-        config = _build_train_config(spec)
         train = load_dataset(spec.train_path)
         test = load_dataset(spec.test_path)
-        record = run_training(config, train, test)
+        record = run_training(spec.config, train, test)
         save_run_record(record, spec.run_dir)
-        _write_json(Path(spec.run_dir) / "manifest.json", _manifest(spec, config))
+        _write_json(Path(spec.run_dir) / "manifest.json", _manifest(spec))
         return {"cell": spec.id, "ok": True, "skipped": False}
     except TrainingDiverged as exc:
         return {"cell": spec.id, "ok": False, "error": str(exc)}
@@ -339,34 +346,30 @@ def run_cell(spec: CellSpec) -> dict:
         return {"cell": spec.id, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _is_pending(spec: CellSpec) -> bool:
-    """Whether a sweep must hand the cell to :func:`run_cell`: it is not
-    complete, or its completeness cannot be decided (run_cell then
-    reports why)."""
+def _cells(cfg: dict, force: bool) -> list[CellSpec]:
+    """Every cell of the grid, in sweep order, with its training config
+    built once.  A ``train`` section that :class:`TrainConfig` rejects is
+    a usage error, raised before any dataset cache or run is written."""
+    grid = list(itertools.product(cfg["noise"], cfg["imbalance"], cfg["modes"],
+                                  cfg["seeds"]))
     try:
-        return not _is_complete(spec)
-    except Exception:  # noqa: BLE001 - reported by run_cell
-        return True
-
-
-def _cells(cfg: dict, caches: dict, force: bool) -> list[CellSpec]:
-    out = Path(cfg["out"])
+        configs = [TrainConfig.from_dict({
+            **cfg["train"], "mode": mode,
+            "seed": run_seed(cfg["seed"], noise, imbalance, seed)})
+            for noise, imbalance, mode, seed in grid]
+    except (AttributeError, TypeError, ValueError) as exc:  # e.g. "policy": [1]
+        raise UsageError(f"bad train section: {exc}") from exc
+    caches = _ensure_datasets(cfg, quiet=True)
+    test_path, test_sha = caches["test"]
+    runs = Path(cfg["out"]) / "runs"
     specs = []
-    for noise in cfg["noise"]:
-        for imbalance in cfg["imbalance"]:
-            for mode in cfg["modes"]:
-                for seed in cfg["seeds"]:
-                    did = dataset_id(noise, imbalance, seed)
-                    cid = cell_id(noise, imbalance, mode, seed)
-                    (train_path, train_sha), (test_path, test_sha) = (
-                        caches[did], caches["test"])
-                    specs.append(CellSpec(
-                        noise=noise, imbalance=imbalance, mode=mode, seed=seed,
-                        train_path=str(train_path), test_path=str(test_path),
-                        train_sha256=train_sha, test_sha256=test_sha,
-                        run_dir=str(out / "runs" / cid),
-                        train_overrides=dict(cfg["train"]),
-                        master_seed=cfg["seed"], force=force))
+    for (noise, imbalance, mode, seed), config in zip(grid, configs):
+        train_path, train_sha = caches[dataset_id(noise, imbalance, seed)]
+        specs.append(CellSpec(
+            noise=noise, imbalance=imbalance, mode=mode, seed=seed, config=config,
+            train_path=str(train_path), test_path=str(test_path),
+            train_sha256=train_sha, test_sha256=test_sha,
+            run_dir=str(runs / cell_id(noise, imbalance, mode, seed)), force=force))
     return specs
 
 
@@ -387,8 +390,7 @@ def cmd_train(cfg: dict, args) -> int:
         raise UsageError("train needs exactly one --mode value")
     if len(cfg["seeds"]) != 1:
         raise UsageError("train needs exactly one --seed value")
-    caches = _ensure_datasets(cfg, quiet=True)
-    spec = _cells(cfg, caches, args.force)[0]
+    spec = _cells(cfg, args.force)[0]
     result = run_cell(spec)
     if not result["ok"]:
         print(f"[train] {result['cell']} FAILED: {result['error']}", file=sys.stderr)
@@ -399,12 +401,12 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    specs = _cells(cfg, _ensure_datasets(cfg, quiet=True), args.force)
+    specs = _cells(cfg, args.force)
     # With more than one pending cell and worker, the pending cells go to
     # a pool of min(workers, pending) processes, one cell per task.
     # run_cell runs every other cell in this process, where a complete
     # one is skipped.  Results keep spec order.
-    pending = [s for s in specs if _is_pending(s)] if args.workers > 1 else []
+    pending = [s for s in specs if not _is_complete(s)] if args.workers > 1 else []
     pooled = {}
     if len(pending) > 1:
         with multiprocessing.get_context("spawn").Pool(

@@ -218,15 +218,14 @@ class GradCheckResult:
 
 def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
                    h: float = 1e-5, max_coords: int | None = None,
-                   rng: Rng | None = None,
-                   denom_floor: float = 1e-2) -> GradCheckResult:
+                   rng: Rng | None = None) -> GradCheckResult:
     """Compare analytic parameter gradients against central differences.
 
     ``loss_fn(params)`` must deterministically return ``(loss, grad)``,
     ``grad`` a vector in the layout of ``params.flat``.
     Every coordinate is perturbed by +/- h unless ``max_coords`` (at least
     200 when sampling) limits the check to a random subset.  The reported
-    error is ``|fd - analytic| / max(|fd|, |analytic|, denom_floor)``: a
+    error is ``|fd - analytic| / max(|fd|, |analytic|, 1e-2)``: a
     relative error with an absolute floor on the denominator, since
     central differences cannot resolve near-zero gradients below roundoff.
     """
@@ -254,7 +253,7 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
         down = loss_fn(params)[0]
         flat[i] = old
         fd = (up - down) / (2.0 * h)
-        err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), denom_floor)
+        err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-2)
         if err > worst:
             worst, worst_at = err, i
     kind, layer, at = next(blk for blk in blocks if blk[2][0] <= worst_at <= blk[2][-1])

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import mat2_det, mat2_inverse
-
 __all__ = [
     "ALONG_Y_EQ_X",
     "ALONG_Y_EQ_NEG_X",
@@ -71,27 +69,30 @@ class KernelParams:
 
 
 def kernel_params(mu, sigma) -> KernelParams:
-    """Validate a mean / covariance pair and precompute its constants."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
+    """Validate a mean / covariance pair and precompute its constants.
+
+    The covariance must be finite, symmetric and positive definite with
+    a determinant above 1e-12; it is inverted by the adjugate formula.
+    """
+    mu = np.array(mu, dtype=np.float64)
+    sigma = np.array(sigma, dtype=np.float64)
     if mu.shape != (2,):
         raise ValueError(f"mean must have shape (2,), got {mu.shape}")
     if sigma.shape != (2, 2):
         raise ValueError(f"covariance must have shape (2, 2), got {sigma.shape}")
-    if sigma[0, 1] != sigma[1, 0]:
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("covariance must contain only finite values")
+    (a, b), (c, d) = sigma
+    if b != c:
         raise ValueError("covariance must be symmetric")
-    det = mat2_det(sigma)
-    if sigma[0, 0] <= 0.0 or det <= 0.0:
-        raise ValueError("covariance must be positive definite")
-    mu = mu.copy()
-    sigma = sigma.copy()
-    mu.flags.writeable = False
-    sigma.flags.writeable = False
-    inv = mat2_inverse(sigma)
-    inv.flags.writeable = False
+    det = a * d - b * c
+    if a <= 0.0 or det <= 1e-12:
+        raise ValueError("covariance must be positive definite (det > 1e-12)")
+    inv = np.array([[d, -b], [-c, a]]) / det
     norm_const = 1.0 / (_TWO_PI * math.sqrt(det))
     constants = np.array([mu[0], mu[1], inv[0, 0], inv[0, 1], inv[1, 1], norm_const])
-    constants.flags.writeable = False
+    for arr in (mu, sigma, inv, constants):
+        arr.flags.writeable = False
     return KernelParams(mu=mu, sigma=sigma, sigma_inv=inv, norm_const=norm_const,
                         constants=constants)
 

@@ -1,13 +1,13 @@
 """Deterministic numeric foundation.
 
-Stable softmax / log-sum-exp from one core that the loss shares, tiny
-2x2 linear algebra for covariance matrices, and a seedable pseudo-random
-source whose stream is identical on every platform.  The generator steps
-in Python integers one draw at a time, or draws whole blocks of the same
-stream with numpy uint64 arrays (shuffles, sampling without replacement,
-arrays of uniforms).  Everything here is 64-bit float or 64-bit integer
-arithmetic; nothing depends on process state or hashing.  Also the one
-atomic file write that every cache, checkpoint and record goes through.
+Stable softmax / log-sum-exp from one core that the loss shares, and a
+seedable pseudo-random source whose stream is identical on every
+platform.  The generator steps in Python integers one draw at a time, or
+draws whole blocks of the same stream with numpy uint64 arrays (shuffles,
+sampling without replacement, arrays of uniforms).  Everything here is
+64-bit float or 64-bit integer arithmetic; nothing depends on process
+state or hashing.  Also the one atomic file write that every cache,
+checkpoint and record goes through.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ import os
 import numpy as np
 
 __all__ = [
-    "SingularMatrixError",
     "softmax",
-    "mat2_det",
-    "mat2_inverse",
     "Rng",
     "derive_seed",
     "atomic_write_bytes",
@@ -36,10 +33,6 @@ _INV_2_53 = 2.0 ** -53
 # (0.5 MiB), and a power of two keeps the jump tables that a shorter last
 # block needs to log2(_BLOCK).
 _BLOCK = 256
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a 2x2 matrix is too close to singular to invert."""
 
 
 def _as_finite_array(values, name: str) -> np.ndarray:
@@ -74,38 +67,6 @@ def softmax(logits) -> np.ndarray:
     if z.shape[-1] < 2:
         raise ValueError("softmax needs at least 2 categories")
     return _softmax_lse(z)[0]
-
-
-# ---------------------------------------------------------------------------
-# 2x2 linear algebra
-# ---------------------------------------------------------------------------
-
-def _as_mat2(m, name: str = "matrix") -> np.ndarray:
-    arr = _as_finite_array(m, name)
-    if arr.shape != (2, 2):
-        raise ValueError(f"{name} must have shape (2, 2), got {arr.shape}")
-    return arr
-
-
-def mat2_det(m) -> float:
-    """Determinant of a 2x2 matrix."""
-    a = _as_mat2(m)
-    return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-
-def mat2_inverse(m) -> np.ndarray:
-    """Inverse of a 2x2 matrix via the adjugate formula.
-
-    Raises:
-        SingularMatrixError: if ``|det| <= 1e-12``.
-    """
-    a = _as_mat2(m)
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det) <= 1e-12:
-        raise SingularMatrixError(f"matrix is singular within tolerance (det={det!r})")
-    return np.array(
-        [[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=np.float64
-    ) / det
 
 
 # ---------------------------------------------------------------------------

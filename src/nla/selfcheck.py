@@ -40,6 +40,8 @@ __all__ = [
 POLICY60 = WeightPolicy(total_epochs=60)
 _BOUND_CHUNK = 1000  # rows per batch_total call in the consistency bound check
 _ORACLE_CHUNK = 1000  # kernel cases per block of uniforms in the oracle check
+_FD_BATCH = 32  # rows per gradient-fidelity batch
+_FD_STEP = 1e-5  # finite-difference step, which the kink margin also clears
 
 
 def brute_force_gaussian(p, mu, sigma) -> float:
@@ -123,10 +125,10 @@ def check_covariance_shapes(tol: float = 1e-9):
     return bool(ok), "; ".join(details)
 
 
-def draw_kink_safe_batch(params, rng: Rng, n: int = 32, h: float = 1e-5,
-                         attempts: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Random batch and its mirrored view (the synthetic data's sign flip
-    of coordinate 0), both with ReLU pre-activations clear of the kink by > h.
+def draw_kink_safe_batch(params, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Random batch of ``_FD_BATCH`` rows and its mirrored view (the
+    synthetic data's sign flip of coordinate 0), both with ReLU
+    pre-activations clear of the kink by more than h = ``_FD_STEP``.
 
     A +/-h perturbation of one first-layer parameter shifts a hidden
     pre-activation by at most h * max(|x|, 1); any pre-activation closer
@@ -134,14 +136,14 @@ def draw_kink_safe_batch(params, rng: Rng, n: int = 32, h: float = 1e-5,
     evaluations, making the central difference measure a mix of the two
     one-sided slopes instead of the derivative.  Batches are redrawn (for
     both views) until every pre-activation clears the kink with a 4x
-    margin.
+    margin, for up to 100 draws.
     """
     d = params.arch.input_dim
     view = ViewTransform(kind="sign_flip", dim=d)
-    for _ in range(attempts):
-        x = rng.normals(n * d).reshape(n, d)
+    for _ in range(100):
+        x = rng.normals(_FD_BATCH * d).reshape(_FD_BATCH, d)
         xf = view.apply(x)
-        margin = 4.0 * h * max(float(np.abs(x).max()), 1.0)
+        margin = 4.0 * _FD_STEP * max(float(np.abs(x).max()), 1.0)
         safe = True
         for batch in (x, xf):
             pre = forward(params, batch).pre_hidden
@@ -177,8 +179,8 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
     """Criterion 4: analytic gradients of the blended loss match central
     differences to ``tol``.
 
-    Each trial draws an 8-64-7 MLP, a kink-safe batch of 32 with its
-    mirrored view, labels and an epoch, freezes the adaptive weights, and
+    Each trial draws an 8-64-7 MLP, a kink-safe batch with its mirrored
+    view, labels and an epoch, freezes the adaptive weights, and
     checks 200 sampled coordinates of the training step's gradient.
     """
     rng = Rng(seed)
@@ -188,10 +190,10 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
         params = init_params(arch, rng.split(trial))
         draw = rng.split(10_000 + trial)
         x, xf = draw_kink_safe_batch(params, draw)
-        labels = np.array([draw.below(7) for _ in range(32)])
+        labels = np.array([draw.below(7) for _ in range(_FD_BATCH)])
         epoch = draw.below(61)
         fn = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
-        result = gradient_check(params, fn, tolerance=tol, h=1e-5,
+        result = gradient_check(params, fn, tolerance=tol, h=_FD_STEP,
                                 max_coords=200, rng=draw)
         worst = max(worst, result.max_rel_error)
     return bool(worst <= tol), f"max rel err={worst:.3e} over {trials} trials"

@@ -18,6 +18,7 @@ from nla import __version__
 from nla.cli import (DEFAULT_CONFIG, _base_splits, cell_id, dataset_id,
                      load_config, main)
 from nla.data import fingerprint, load_dataset, standard_instance
+from nla.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +60,17 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
         assert main(["generate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"dataset": {"k": "7"}}', '{"dataset": {"n_per_class": 40.0}}',
+        '{"dataset": {"spread": "0.5"}}', '{"seeds": ["x"]}', '{"seeds": [true]}',
+        '{"noise": ["a"]}', '{"imbalance": [null]}'])
+    def test_mistyped_config_element_is_usage_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_cell_and_dataset_ids(self):
         assert cell_id(0.3, 100.0, "nla", 4) == "n0.3_f100_nla_s4"
@@ -222,6 +234,16 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--mode", "ce", "--seed", "1"]) == 0
         assert (tmp_path / "out" / "runs" / "n0_f1_ce_s1" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("train", [{"lam": 2}, {"foo": 1}, {"policy": [1]}],
+                             ids=["lam", "foo", "policy"])
+    def test_rejected_train_section_is_usage_error(self, tmp_path, capsys,
+                                                    command, train):
+        path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"], train=train)
+        assert main([command, "--config", str(path)]) == 1
+        assert "bad train section" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # no cache, no run directory
+
     def test_needs_single_cell(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["train", "--config", str(path), "--mode", "ce,nla",
@@ -347,21 +369,35 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path)]) == 0
         # Three of six cells pending: one never run, one cut short before
-        # its manifest, one with an unreadable manifest.
+        # its manifest, one with a manifest that is not JSON.
         shutil.rmtree(out / "runs" / "n0_f1_ce_s2")
         (out / "runs" / "n0_f1_nla_s1" / "manifest.json").unlink()
-        (out / "runs" / "n0_f1_nla_s3" / "manifest.json").write_text("{")
+        broken = out / "runs" / "n0_f1_nla_s3" / "manifest.json"
+        fresh = broken.read_bytes()
+        broken.write_text("{")
         untouched = ["n0_f1_ce_s1", "n0_f1_ce_s3", "n0_f1_nla_s2"]
         before = {c: file_states(out / "runs" / c) for c in untouched}
         pools = []
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method: InProcessContext(method, pools))
-        assert main(["sweep", "--config", str(path), "--workers", "8"]) == 3
+        assert main(["sweep", "--config", str(path), "--workers", "8"]) == 0
         assert pools == [("spawn", 3, ["n0_f1_ce_s2", "n0_f1_nla_s1", "n0_f1_nla_s3"], 1)]
         for c in untouched:
             assert file_states(out / "runs" / c) == before[c]
+        assert broken.read_bytes() == fresh
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["incomplete"] == ["n0_f1_nla_s3"]
+        assert summary["incomplete"] == []
+
+    def test_resume_builds_each_config_once(self, tmp_path, monkeypatch):
+        path, _ = write_config(tmp_path)
+        assert main(["sweep", "--config", str(path)]) == 0
+        built = []
+        from_dict = TrainConfig.from_dict
+        monkeypatch.setattr(TrainConfig, "from_dict",
+                            staticmethod(lambda d: built.append(d) or from_dict(d)))
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 0
+        assert len(built) == 4  # mode x seed cells
 
     def test_pairwise_deltas_present(self, tmp_path):
         path, cfg = write_config(tmp_path)

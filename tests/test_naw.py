@@ -215,10 +215,14 @@ class TestGaussianWeight:
         assert np.all(w <= k.norm_const + 1e-15)
 
     def test_rejects_non_spd_covariance(self):
-        with pytest.raises(ValueError):
-            kernel_params([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError):
-            kernel_params([0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]])
+        for sigma in ([[1.0, 2.0], [2.0, 1.0]],    # indefinite
+                      [[1.0, 0.5], [0.4, 1.0]],    # not symmetric
+                      [[1.0, 1.0], [1.0, 1.0]],    # singular
+                      [[1e-6, 0.0], [0.0, 2e-7]],  # det ~2e-13: singular within 1e-12
+                      [[np.inf, 0.0], [0.0, 1.0]],
+                      [[1.0, np.nan], [np.nan, 1.0]]):
+            with pytest.raises(ValueError):
+                kernel_params([0.0, 0.0], sigma)
 
 
 class TestNawWeight:

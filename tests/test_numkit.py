@@ -1,5 +1,5 @@
-"""Numeric foundation: softmax stability, 2x2 algebra, random source,
-atomic file writes."""
+"""Numeric foundation: softmax stability, random source, atomic file
+writes."""
 
 import builtins
 import os
@@ -13,8 +13,7 @@ import pytest
 from nla import numkit
 from nla.data import make_synthetic, save_dataset
 from nla.model import Arch, init_params, save_checkpoint
-from nla.numkit import (Rng, SingularMatrixError, derive_seed, mat2_det,
-                        mat2_inverse, softmax)
+from nla.numkit import Rng, derive_seed, softmax
 from nla.trainer import atomic_write_text
 
 
@@ -57,53 +56,6 @@ class TestSoftmax:
     def test_rejects_single_category(self):
         with pytest.raises(ValueError):
             softmax([1.0])
-
-
-class TestMat2:
-    def test_det_identity(self):
-        assert mat2_det(np.eye(2)) == 1.0
-
-    def test_det_diagonal(self):
-        assert mat2_det(np.diag([0.8, 0.8])) == pytest.approx(0.64, rel=1e-15)
-
-    def test_det_true_branch_covariance(self):
-        m = [[0.8, -0.48], [-0.48, 0.8]]
-        assert mat2_det(m) == pytest.approx(0.4096, rel=1e-15)
-
-    def test_inverse_identity(self):
-        np.testing.assert_allclose(mat2_inverse(np.eye(2)), np.eye(2), atol=0)
-
-    def test_inverse_diagonal(self):
-        np.testing.assert_allclose(mat2_inverse(np.diag([0.8, 0.8])),
-                                   np.diag([1.25, 1.25]), rtol=1e-15)
-
-    def test_inverse_matches_brute_force_solve(self):
-        m = np.array([[0.8, -0.48], [-0.48, 0.8]])
-        np.testing.assert_allclose(mat2_inverse(m), np.linalg.solve(m, np.eye(2)),
-                                   atol=1e-12)
-
-    def test_product_with_inverse_is_identity(self):
-        rng = Rng(6)
-        for _ in range(500):
-            m = rng.normals(4, scale=2.0).reshape(2, 2)
-            if abs(mat2_det(m)) <= 1e-6:
-                continue
-            np.testing.assert_allclose(m @ mat2_inverse(m), np.eye(2), atol=1e-9)
-
-    def test_near_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            mat2_inverse([[1.0, 1.0], [1.0, 1.0]])
-
-    def test_spd_quadratic_form_nonnegative(self):
-        rng = Rng(7)
-        for _ in range(300):
-            a = 0.2 + rng.random()
-            b = 0.2 + rng.random()
-            rho = -0.9 + 1.8 * rng.random()
-            m = np.array([[a, rho * np.sqrt(a * b)], [rho * np.sqrt(a * b), b]])
-            inv = mat2_inverse(m)
-            v = rng.normals(2, scale=3.0)
-            assert v @ inv @ v >= 0.0
 
 
 B = numkit._BLOCK
