@@ -59,6 +59,15 @@ DEFAULT_CONFIG = {
 }
 
 
+# The path fields each dataset kind reads; ``_apply_overrides`` checks
+# that they are present before anything is written.
+_DATASET_PATHS = {
+    "synthetic": (),
+    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
+    "csv": ("train", "test"),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -82,7 +91,10 @@ def load_config(path: str | None) -> dict:
     """Config file merged over the defaults (shallow per section)."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
-        user = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise UsageError("a config file must hold a JSON object")
         for key, value in user.items():
@@ -141,9 +153,16 @@ def _apply_overrides(cfg: dict, args) -> dict:
     fields = [("noise", cfg["noise"], number), ("imbalance", cfg["imbalance"], number),
               ("seeds", cfg["seeds"], int)]
     ds_cfg = cfg["dataset"]
-    if ds_cfg.get("kind", "synthetic") == "synthetic":
+    ds_kind = ds_cfg.get("kind", "synthetic")
+    if ds_kind not in _DATASET_PATHS:
+        raise UsageError(f"unknown dataset kind {ds_kind!r}")
+    if ds_kind == "synthetic":
         fields += [(f"dataset.{key}", [ds_cfg[key]], number if key == "spread" else int)
                    for key in ("k", "d", "n_per_class", "test_per_class", "spread")]
+    for key in _DATASET_PATHS[ds_kind]:
+        if not isinstance(ds_cfg.get(key), str):
+            raise UsageError(f"dataset kind {ds_kind!r} needs a path string "
+                             f"in 'dataset.{key}'")
     for name, values, kind in fields:
         if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
             raise UsageError(f"config key {name!r} must hold "

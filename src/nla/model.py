@@ -12,6 +12,12 @@ plain vector in the same layout: :func:`backward` returns one, so
 accumulating views and taking an optimizer step are single operations on
 vectors.  This is also the checkpoint's byte order, so a checkpoint is a
 header plus the vector.
+
+A ``ModelParams`` may also hold an (R, P) stack of R such vectors, one
+per row.  :func:`forward` then runs the same dense pass on every run at
+once with 3-D ``np.matmul`` and returns (R, n, K) logits, each run's
+bit-identical to a solo forward; the finite-difference gradient check
+evaluates its perturbed parameter vectors this way.
 """
 
 from __future__ import annotations
@@ -44,6 +50,12 @@ _HEADER = struct.Struct("<IIIIQ")  # after the magic; see "Checkpoint format"
 # split (8-64-7 MLP) 512-row chunks took about a quarter of one unchunked
 # pass; 1024-row chunks were slower.
 _CHUNK_ROWS = 512
+# Perturbed parameter vectors per loss evaluation of gradient_check.  On
+# the 8-64-7 MLP with 32-row batches, stacks of 25-50 were fastest and
+# stacks of 100 or more were slower.  At 32 each stacked activation array
+# is 0.5 MiB, and nla check's peak memory stays where its other checks
+# put it; at 50 it rose by 0.6 MiB.
+_GRAD_STACK = 32
 
 
 @dataclass(frozen=True)
@@ -74,12 +86,22 @@ class Arch:
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list, list]:
-    """Weight and bias views of a vector ordered W0, b0, W1, b1, ..."""
+    """Weight and bias views of a vector ordered W0, b0, W1, b1, ...
+
+    Of an (R, P) stack of such vectors, the views have the run axis first:
+    (R, fan_in, fan_out) weights and (R, 1, fan_out) biases, which
+    broadcast over (R, n, fan_out) activations.
+    """
+    stacked = flat.ndim == 2
     weights, biases, offset = [], [], 0
     for fan_in, fan_out in shapes:
         end = offset + fan_in * fan_out
-        weights.append(flat[offset:end].reshape(fan_in, fan_out))
-        biases.append(flat[end:end + fan_out])
+        if stacked:
+            weights.append(flat[:, offset:end].reshape(len(flat), fan_in, fan_out))
+            biases.append(flat[:, None, end:end + fan_out])
+        else:
+            weights.append(flat[offset:end].reshape(fan_in, fan_out))
+            biases.append(flat[end:end + fan_out])
         offset = end + fan_out
     return weights, biases
 
@@ -88,14 +110,15 @@ class ModelParams:
     """Dense weights and biases, ordered input side first, in one vector.
 
     Owns ``flat`` (not copied), which must hold ``arch.param_count``
-    float64 values in the layout of :attr:`Arch.layer_shapes`.
+    float64 values in the layout of :attr:`Arch.layer_shapes`, or an
+    (R, param_count) stack of R such vectors (see :func:`_layer_views`).
     """
 
     def __init__(self, arch: Arch, flat: np.ndarray, seed: int = 0) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (arch.param_count,):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != arch.param_count:
             raise ValueError(f"{arch} needs a vector of {arch.param_count} "
-                             f"parameters, got shape {flat.shape}")
+                             f"parameters or a stack of them, got shape {flat.shape}")
         self.arch = arch
         self.flat = flat
         self.seed = seed
@@ -130,7 +153,8 @@ def init_params(arch: Arch, rng: Rng) -> ModelParams:
 
 def _dense_pass(params: ModelParams, x: np.ndarray):
     """(logits, pre_hidden, hidden) of the rows of ``x``; the last two are
-    None for a linear model."""
+    None for a linear model.  With stacked parameters each has a leading
+    run axis."""
     if params.arch.is_linear:
         return x @ params.weights[0] + params.biases[0], None, None
     pre = x @ params.weights[0] + params.biases[0]
@@ -153,6 +177,9 @@ def forward(params: ModelParams, inputs: np.ndarray,
             logits_only: bool = False) -> ForwardTrace:
     """Batch forward pass; rows of ``inputs`` are samples.
 
+    With stacked parameters (``params.flat`` of shape (R, P)) every array
+    of the trace has a leading run axis: the logits are (R, n, K).
+
     With ``logits_only`` (for passes over a whole split) the rows go
     through in chunks of ``_CHUNK_ROWS`` and the trace keeps only the
     logits, so it cannot be passed to :func:`backward`; each row's logits
@@ -164,7 +191,8 @@ def forward(params: ModelParams, inputs: np.ndarray,
             f"inputs must be (n, {params.arch.input_dim}), got {x.shape}")
     if logits_only:
         return ForwardTrace(inputs=x, logits=np.concatenate(
-            [_dense_pass(params, x[rows])[0] for rows in _row_chunks(len(x))]))
+            [_dense_pass(params, x[rows])[0] for rows in _row_chunks(len(x))],
+            axis=-2))
     logits, pre, hid = _dense_pass(params, x)
     return ForwardTrace(inputs=x, logits=logits, pre_hidden=pre, hidden=hid)
 
@@ -176,8 +204,11 @@ def backward(params: ModelParams, trace: ForwardTrace,
     ``grad_logits`` must be dL/d(logits) of the scalar loss being
     differentiated (any batch-mean factor included by the caller).
     Returns a new float64 vector in the layout of ``params.flat``; the
-    per-layer products are written straight into it.
+    per-layer products are written straight into it.  Takes one parameter
+    vector, not a stack.
     """
+    if params.flat.ndim != 1:
+        raise ValueError("backward takes one parameter vector, not a stack")
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
@@ -221,13 +252,22 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
                    rng: Rng | None = None) -> GradCheckResult:
     """Compare analytic parameter gradients against central differences.
 
-    ``loss_fn(params)`` must deterministically return ``(loss, grad)``,
-    ``grad`` a vector in the layout of ``params.flat``.
-    Every coordinate is perturbed by +/- h unless ``max_coords`` (at least
-    200 when sampling) limits the check to a random subset.  The reported
-    error is ``|fd - analytic| / max(|fd|, |analytic|, 1e-2)``: a
-    relative error with an absolute floor on the denominator, since
-    central differences cannot resolve near-zero gradients below roundoff.
+    ``loss_fn(params)`` must deterministically return ``(loss, grad)``.
+    It is called once on ``params``, where ``grad`` is the analytic
+    gradient, a vector in the layout of ``params.flat``.  It is then
+    called on stacks of perturbed copies, ``ModelParams`` whose ``flat``
+    is an (R, P) array (see :func:`forward`); there ``loss`` must hold the
+    R losses and ``grad`` is not read.  Each copy moves one coordinate by
+    +h or -h, and a stack holds at most ``_GRAD_STACK`` copies; ``params``
+    itself is never modified.
+
+    Every coordinate is checked unless ``max_coords`` (at least 200 when
+    sampling) limits the check to a random subset.  The reported error is
+    ``|fd - analytic| / max(|fd|, |analytic|, 1e-2)``: a relative error
+    with an absolute floor on the denominator, since central differences
+    cannot resolve near-zero gradients below roundoff.  The worst
+    coordinate is the first one with a NaN error, else the first with the
+    largest error; a NaN error fails the check.
     """
     _, analytic = loss_fn(params)
     # Each layer's contiguous run of positions in the flat vector, in
@@ -243,23 +283,32 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
             raise ValueError("rng required when sampling coordinates")
         index = index[rng.choice(index.size, max_coords)]
 
-    flat, grad = params.flat, analytic
-    worst, worst_at = 0.0, 0
-    for i in index:
-        old = flat[i]
-        flat[i] = old + h
-        up = loss_fn(params)[0]
-        flat[i] = old - h
-        down = loss_fn(params)[0]
-        flat[i] = old
-        fd = (up - down) / (2.0 * h)
-        err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-2)
-        if err > worst:
-            worst, worst_at = err, i
+    # Perturbed copy j moves coordinate index[j] to old + h and copy
+    # m + j moves it to old - h, for the m checked coordinates.
+    flat, m = params.flat, index.size
+    coords = np.concatenate((index, index))
+    values = np.concatenate((flat[index] + h, flat[index] - h))
+    losses = np.empty(2 * m)
+    for lo in range(0, 2 * m, _GRAD_STACK):
+        at = coords[lo:lo + _GRAD_STACK]
+        stack = np.tile(flat, (at.size, 1))
+        stack[np.arange(at.size), at] = values[lo:lo + at.size]
+        loss = loss_fn(ModelParams(params.arch, stack, params.seed))[0]
+        if np.shape(loss) != (at.size,):
+            raise ValueError("loss_fn must return one loss per stacked vector")
+        losses[lo:lo + at.size] = loss
+    fd = (losses[:m] - losses[m:]) / (2.0 * h)
+    grad = analytic[index]
+    err = np.abs(fd - grad) / np.maximum(np.maximum(np.abs(fd), np.abs(grad)), 1e-2)
+    # argmax returns the first NaN if there is one, else the first
+    # maximum; when every error is 0 the report names flat position 0.
+    k = int(np.argmax(err))
+    worst = float(err[k])
+    worst_at = index[k] if worst != 0.0 else 0
     kind, layer, at = next(blk for blk in blocks if blk[2][0] <= worst_at <= blk[2][-1])
     worst_coord = (kind, layer, int(worst_at - at[0]))
     return GradCheckResult(max_rel_error=worst, worst_coordinate=worst_coord,
-                           n_checked=int(index.size), tolerance=tolerance)
+                           n_checked=int(m), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -80,17 +80,20 @@ def kernel_params(mu, sigma) -> KernelParams:
         raise ValueError(f"mean must have shape (2,), got {mu.shape}")
     if sigma.shape != (2, 2):
         raise ValueError(f"covariance must have shape (2, 2), got {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
+    # Python floats from here on: the same IEEE double operations as
+    # numpy's, without its per-scalar overhead.
+    (a, b), (c, d) = sigma.tolist()
+    if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError("covariance must contain only finite values")
-    (a, b), (c, d) = sigma
     if b != c:
         raise ValueError("covariance must be symmetric")
     det = a * d - b * c
     if a <= 0.0 or det <= 1e-12:
         raise ValueError("covariance must be positive definite (det > 1e-12)")
-    inv = np.array([[d, -b], [-c, a]]) / det
+    inv_xx, inv_xy, inv_yx, inv_yy = d / det, -b / det, -c / det, a / det
+    inv = np.array([[inv_xx, inv_xy], [inv_yx, inv_yy]])
     norm_const = 1.0 / (_TWO_PI * math.sqrt(det))
-    constants = np.array([mu[0], mu[1], inv[0, 0], inv[0, 1], inv[1, 1], norm_const])
+    constants = np.array(mu.tolist() + [inv_xx, inv_xy, inv_yy, norm_const])
     for arr in (mu, sigma, inv, constants):
         arr.flags.writeable = False
     return KernelParams(mu=mu, sigma=sigma, sigma_inv=inv, norm_const=norm_const,

@@ -24,7 +24,7 @@ from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                   covariance_schedule, epoch_kernels, gaussian_weight,
                   kernel_params, sigma_from_axis_ratio)
 from .numkit import Rng
-from .trainer import train_step
+from .trainer import step_loss, train_step
 
 __all__ = [
     "brute_force_gaussian",
@@ -44,32 +44,35 @@ _FD_BATCH = 32  # rows per gradient-fidelity batch
 _FD_STEP = 1e-5  # finite-difference step, which the kink margin also clears
 
 
-def brute_force_gaussian(p, mu, sigma) -> float:
-    """Density oracle on the general linear-algebra path.
+def brute_force_gaussian(p, mu, sigma) -> np.ndarray:
+    """Density oracle on the general linear-algebra path, for N cases.
 
-    Uses numpy's generic inverse and determinant rather than the 2x2
-    closed forms, so it shares no code with the production evaluation.
+    ``p`` and ``mu`` are (N, 2), ``sigma`` is (N, 2, 2).  Uses numpy's
+    generic stacked inverse and determinant rather than the 2x2 closed
+    forms, so it shares no code with the production evaluation.  The
+    exponential is taken per case with ``math.exp``, whose result can
+    differ from numpy's vector ``exp`` in the last bit.
     """
     p = np.asarray(p, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     d = p - mu
-    quad = float(d @ np.linalg.inv(sigma) @ d)
-    const = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(sigma)))
-    return const * math.exp(-0.5 * quad)
+    # d @ inv(sigma) @ d for every case.
+    quad = np.vecdot(np.vecdot(d[:, :, None], np.linalg.inv(sigma), axis=1), d)
+    const = 1.0 / (2.0 * math.pi * np.sqrt(np.linalg.det(sigma)))
+    return const * np.array([math.exp(v) for v in (-0.5 * quad).tolist()])
 
 
-def random_kernel_case(draws):
-    """One random (point, mean, SPD covariance) triple from 7 uniforms in [0, 1)."""
-    px, py, mx, my, ua, ub, urho = draws
-    p = np.array([px, py])
-    mu = np.array([mx, my])
+def random_kernel_cases(draws: np.ndarray):
+    """Random (points, means, SPD covariances), one triple per row of 7
+    uniforms in [0, 1): arrays of shape (N, 2), (N, 2) and (N, 2, 2)."""
+    px, py, mx, my, ua, ub, urho = draws.T
     a = 0.1 + 1.9 * ua
     b = 0.1 + 1.9 * ub
     rho = -0.95 + 1.9 * urho
-    off = rho * math.sqrt(a * b)
-    sigma = np.array([[a, off], [off, b]])
-    return p, mu, sigma
+    off = rho * np.sqrt(a * b)
+    sigma = np.stack([a, off, off, b], axis=1).reshape(-1, 2, 2)
+    return np.stack([px, py], axis=1), np.stack([mx, my], axis=1), sigma
 
 
 def check_kernel_oracle(seed: int, n: int, tol: float = 1e-10):
@@ -77,18 +80,18 @@ def check_kernel_oracle(seed: int, n: int, tol: float = 1e-10):
 
     Draws ``n`` random (point, mean, covariance) triples and compares
     :func:`nla.naw.gaussian_weight`, the training density on one point,
-    with :func:`brute_force_gaussian`.
+    with :func:`brute_force_gaussian`, ``_ORACLE_CHUNK`` cases at a time.
     """
     rng = Rng(seed)
-    worst = 0.0
+    errors = []
     for lo in range(0, n, _ORACLE_CHUNK):
-        cases = rng.uniforms(7 * min(_ORACLE_CHUNK, n - lo)).reshape(-1, 7)
-        for draws in cases.tolist():
-            p, mu, sigma = random_kernel_case(draws)
-            ours = gaussian_weight(p, kernel_params(mu, sigma))
-            ref = brute_force_gaussian(p, mu, sigma)
-            worst = max(worst, abs(ours - ref) / ref)
-    return worst <= tol, f"max rel err={worst:.3e} over {n} triples"
+        draws = rng.uniforms(7 * min(_ORACLE_CHUNK, n - lo)).reshape(-1, 7)
+        points, means, sigmas = random_kernel_cases(draws)
+        refs = brute_force_gaussian(points, means, sigmas)
+        errors += [abs(gaussian_weight(p, kernel_params(mu, sigma)) - ref) / ref
+                   for p, mu, sigma, ref in zip(points, means, sigmas, refs.tolist())]
+    worst = float(np.max(errors, initial=0.0))  # NaN if any error is NaN
+    return bool(worst <= tol), f"max rel err={worst:.3e} over {n} triples"
 
 
 def check_scheduler(horizons=(1, 10, 60, 1000), tol: float = 1e-12):
@@ -158,19 +161,27 @@ def draw_kink_safe_batch(params, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
 def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     """The training step as a loss function, with the sample weights pinned.
 
-    Returns a callable for :func:`nla.model.gradient_check` that maps
+    Returns a callable for :func:`nla.model.gradient_check`.  It maps
     params to (batch-mean loss, flat gradient) through
-    :func:`nla.trainer.train_step` in mode ``nla``.  The adaptive weights
-    stay at the values one unfrozen step takes at ``params``, exactly as
-    the analytic gradients assume.
+    :func:`nla.trainer.train_step` in mode ``nla``, and a stack of R
+    parameter vectors to their R batch-mean losses (and no gradient)
+    through that step's loss half, :func:`nla.trainer.step_loss`, in one
+    call over the stacked batch.  The adaptive weights stay at the values
+    the unfrozen loss takes at ``params``, exactly as the analytic
+    gradients assume.
     """
     kernels = epoch_kernels(policy, epoch)
-    weights = train_step(params, inputs, flipped, labels, kernels, lam, "nla")[0].weight
+    weights = step_loss(params, inputs, flipped, labels, kernels, lam, "nla")[0].weight
 
     def fn(p):
-        loss, grad = train_step(p, inputs, flipped, labels, kernels, lam, "nla",
-                                frozen_weights=weights)
-        return float(loss.total.mean()), grad
+        if p.flat.ndim == 1:
+            loss, grad = train_step(p, inputs, flipped, labels, kernels, lam, "nla",
+                                    frozen_weights=weights)
+            return float(loss.total.mean()), grad
+        runs = len(p.flat)
+        loss = step_loss(p, inputs, flipped, np.tile(labels, runs), kernels, lam,
+                         "nla", frozen_weights=np.tile(weights, runs))[0]
+        return loss.total.reshape(runs, -1).mean(axis=1), None
 
     return fn
 
@@ -185,7 +196,7 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
     """
     rng = Rng(seed)
     arch = Arch(input_dim=8, hidden_dim=64, n_classes=7)
-    worst = 0.0
+    errors = []
     for trial in range(trials):
         params = init_params(arch, rng.split(trial))
         draw = rng.split(10_000 + trial)
@@ -195,7 +206,8 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
         fn = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
         result = gradient_check(params, fn, tolerance=tol, h=_FD_STEP,
                                 max_coords=200, rng=draw)
-        worst = max(worst, result.max_rel_error)
+        errors.append(result.max_rel_error)
+    worst = float(np.max(errors, initial=0.0))  # NaN if any trial's is NaN
     return bool(worst <= tol), f"max rel err={worst:.3e} over {trials} trials"
 
 

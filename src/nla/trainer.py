@@ -35,6 +35,7 @@ __all__ = [
     "TrainingDiverged",
     "AdamState",
     "adam_step",
+    "step_loss",
     "train_step",
     "run_training",
     "evaluate",
@@ -225,6 +226,39 @@ def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     return out
 
 
+def step_loss(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
+              labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
+              lam: float, mode: str, frozen_weights: np.ndarray | None = None):
+    """The loss half of :func:`train_step`: ``(loss, trace, trace_f)``.
+
+    Runs the forward pass of both views (``flipped`` only in mode
+    ``nla``; otherwise ``trace_f`` is ``trace``), checks their logits and
+    evaluates :func:`nla.losses.batch_total`.  Raises FloatingPointError
+    when either view's logits or the loss are not finite.
+
+    With stacked parameters (``params.flat`` of shape (R, P)) the loss is
+    one ``batch_total`` over the R * n rows of the stacked logits, run by
+    run, so ``labels`` (and ``frozen_weights``, if given) must hold R * n
+    entries; row i of run r's batch is row r * n + i of the loss.  The
+    traces of a stack keep only the logits.
+    """
+    use_flip = mode == "nla"
+    stacked = params.flat.ndim == 2  # never differentiated: logits suffice
+    trace = forward(params, inputs, logits_only=stacked)
+    trace_f = forward(params, flipped, logits_only=stacked) if use_flip else trace
+    if not np.isfinite(trace.logits).all() or (
+            use_flip and not np.isfinite(trace_f.logits).all()):
+        raise FloatingPointError("non-finite logits")
+    z, zf = trace.logits, trace_f.logits
+    if stacked:
+        z, zf = z.reshape(-1, z.shape[-1]), zf.reshape(-1, zf.shape[-1])
+    loss = batch_total(z, zf, labels, kernels, lam, mode=mode,
+                       frozen_weights=frozen_weights)
+    if not np.isfinite(loss.total).all():
+        raise FloatingPointError("non-finite loss")
+    return loss, trace, trace_f
+
+
 def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
                labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
                lam: float, mode: str,
@@ -232,22 +266,14 @@ def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | No
     """Loss of one mini-batch and the flat gradient of its mean at ``params``.
 
     ``flipped``, the mirrored view of ``inputs``, is read only in mode
-    ``nla``, where the gradient is view 0's plus view 1's.  Raises
-    FloatingPointError when either view's logits (checked before the loss
-    is evaluated) or the loss are not finite.
+    ``nla``, where the gradient is view 0's plus view 1's.  The loss comes
+    from :func:`step_loss`, whose FloatingPointError on non-finite logits
+    (checked before the loss is evaluated) or loss passes through.
     """
-    use_flip = mode == "nla"
-    trace = forward(params, inputs)
-    trace_f = forward(params, flipped) if use_flip else trace
-    if not np.isfinite(trace.logits).all() or (
-            use_flip and not np.isfinite(trace_f.logits).all()):
-        raise FloatingPointError("non-finite logits")
-    loss = batch_total(trace.logits, trace_f.logits, labels, kernels, lam,
-                       mode=mode, frozen_weights=frozen_weights)
-    if not np.isfinite(loss.total).all():
-        raise FloatingPointError("non-finite loss")
+    loss, trace, trace_f = step_loss(params, inputs, flipped, labels, kernels,
+                                     lam, mode, frozen_weights)
     grad = backward(params, trace, loss.grad_z)
-    if use_flip:
+    if mode == "nla":
         grad += backward(params, trace_f, loss.grad_zf)
     return loss, grad
 

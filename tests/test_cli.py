@@ -55,7 +55,7 @@ class TestConfig:
     @pytest.mark.parametrize("text", [
         '[1, 2]', '{"dataset": 3}', '{"train": [1]}',
         '{"noise": 0.2}', '{"imbalance": 5}', '{"modes": "nla"}', '{"seeds": 1}',
-        '{"modes": ["banana"]}'])
+        '{"modes": ["banana"]}', '{'])
     def test_malformed_config_is_usage_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
@@ -68,6 +68,18 @@ class TestConfig:
     def test_mistyped_config_element_is_usage_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "csv"}, {"kind": "csv", "train": "a.csv"},
+        {"kind": "csv", "train": "a.csv", "test": 3},
+        {"kind": "idx", "train_images": "x", "train_labels": "y", "test_images": "z"},
+        {"kind": "parquet"}])
+    def test_dataset_without_its_paths_is_usage_error(self, tmp_path, dataset):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dataset": dataset}), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()

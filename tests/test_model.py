@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+import nla.model
 import nla.trainer
 from nla.losses import batch_total
-from nla.model import (Arch, _layer_views, backward, forward, gradient_check,
-                       init_params, load_checkpoint, save_checkpoint)
+from nla.model import (Arch, ModelParams, _layer_views, backward, forward,
+                       gradient_check, init_params, load_checkpoint,
+                       save_checkpoint)
 from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
-from nla.selfcheck import (check_gradient_fidelity, draw_kink_safe_batch,
-                           frozen_loss_fn)
+from nla.selfcheck import (POLICY60, check_gradient_fidelity,
+                           draw_kink_safe_batch, frozen_loss_fn)
+from nla.trainer import train_step
 
 MLP = Arch(input_dim=8, hidden_dim=16, n_classes=7)
 LINEAR = Arch(input_dim=8, hidden_dim=0, n_classes=7)
@@ -89,6 +92,27 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("arch", [MLP, LINEAR])
+    @pytest.mark.parametrize("runs", [1, 7, 50])
+    def test_stacked_forward_equals_solo(self, arch, runs):
+        # A stack of R parameter vectors gives (R, n, K) logits whose run r
+        # is the solo forward of vector r, bit for bit.
+        solo = [init_params(arch, Rng(100 + r)) for r in range(runs)]
+        stack = ModelParams(arch, np.stack([p.flat for p in solo]))
+        for n in (1, 32):
+            x = Rng(17 + n).normals(n * 8).reshape(n, 8)
+            for logits_only in (False, True):
+                logits = forward(stack, x, logits_only).logits
+                assert logits.shape == (runs, n, 7)
+                for r, params in enumerate(solo):
+                    np.testing.assert_array_equal(logits[r], forward(params, x).logits)
+
+    def test_stack_is_not_differentiated(self):
+        stack = ModelParams(MLP, np.zeros((2, MLP.param_count)))
+        trace = forward(stack, np.ones((3, 8)))
+        with pytest.raises(ValueError, match="not a stack"):
+            backward(stack, trace, np.ones((2, 3, 7)))
+
 
 class TestBackward:
     def test_zero_logit_gradients_give_zero_parameter_gradients(self):
@@ -129,8 +153,8 @@ class TestGradientCheck:
         params = init_params(Arch(4, 0, 3), Rng(22))
 
         def quadratic(p):
-            loss = 0.5 * sum(float((a * a).sum()) for a in p.weights + p.biases)
-            return loss, p.flat.copy()
+            # One loss per vector of a stack (see gradient_check).
+            return 0.5 * (p.flat * p.flat).sum(axis=-1), p.flat.copy()
 
         result = gradient_check(params, quadratic, tolerance=1e-8)
         assert result.max_rel_error < 1e-8
@@ -150,7 +174,7 @@ class TestGradientCheck:
         params = init_params(Arch(3, 0, 2), Rng(25))
 
         def broken(p):
-            loss = 0.5 * sum(float((a * a).sum()) for a in p.weights + p.biases)
+            loss = 0.5 * (p.flat * p.flat).sum(axis=-1)
             grad = p.flat.copy()
             (w,), _ = _layer_views(grad, p.arch.layer_shapes)
             w *= 2.0
@@ -195,8 +219,103 @@ class TestGradientCheck:
     def test_sampled_subset_requires_at_least_200(self):
         params = init_params(MLP, Rng(26))
         with pytest.raises(ValueError):
-            gradient_check(params, lambda p: (0.0, np.zeros_like(p.flat)),
+            gradient_check(params, lambda p: (np.zeros(p.flat.shape[:-1]),
+                                              np.zeros_like(p.flat)),
                            max_coords=50, rng=Rng(0))
+
+    @staticmethod
+    def _quadratic_with(params, nan_loss_at=None, grad=None):
+        """0.5 |p|^2 with gradient ``grad`` (default p); with
+        ``nan_loss_at``, NaN losses for the copies that perturb that
+        flat position."""
+        def fn(p):
+            loss = 0.5 * (p.flat * p.flat).sum(axis=-1)
+            if nan_loss_at is not None and p.flat.ndim == 2:
+                moved = p.flat[:, nan_loss_at] != params.flat[nan_loss_at]
+                loss[moved] = np.nan
+            return loss, p.flat.copy() if grad is None else grad
+        return fn
+
+    def test_nan_finite_difference_fails_at_its_coordinate(self):
+        params = init_params(MLP, Rng(32))
+        b0 = MLP.layer_shapes[0][0] * MLP.layer_shapes[0][1]  # flat position of b0[0]
+        result = gradient_check(params, self._quadratic_with(params, nan_loss_at=b0 + 3))
+        assert np.isnan(result.max_rel_error)
+        assert not result.passed
+        assert result.worst_coordinate == ("b", 0, 3)
+
+    def test_nan_analytic_entry_fails_at_its_coordinate(self):
+        params = init_params(MLP, Rng(33))
+        grad = params.flat.copy()
+        grad[[200, 210]] = np.nan  # W1[56] and W1[66], after W0 and b0 (144)
+        result = gradient_check(params, self._quadratic_with(params, grad=grad))
+        assert np.isnan(result.max_rel_error)
+        assert not result.passed
+        assert result.worst_coordinate == ("W", 1, 56)
+
+    def test_ties_go_to_the_first_checked_coordinate(self):
+        # Every finite difference is 0, so the error is 1 wherever the
+        # claimed gradient is 1.  Checking order is all W, then all b, so
+        # W1's entry wins over b0's although b0 comes first in the vector.
+        params = init_params(MLP, Rng(34))
+        grad = np.zeros_like(params.flat)
+        grad[[130, 150]] = 1.0  # b0[2] and W1[6]
+        result = gradient_check(params, lambda p: (np.zeros(p.flat.shape[:-1]), grad))
+        assert result.max_rel_error == 1.0
+        assert result.worst_coordinate == ("W", 1, 6)
+
+    def test_zero_errors_report_flat_position_0(self):
+        params = init_params(MLP, Rng(35))
+        zero = np.zeros_like(params.flat)
+        result = gradient_check(params, lambda p: (np.zeros(p.flat.shape[:-1]), zero),
+                                max_coords=200, rng=Rng(2))
+        assert result.max_rel_error == 0.0 and result.passed
+        assert result.worst_coordinate == ("W", 0, 0)
+
+    def test_stacked_losses_equal_solo_training_steps(self):
+        # Trial 0 of check_gradient_fidelity(77, ...): every perturbed loss
+        # that gradient_check evaluates in stacks equals the batch mean of
+        # a solo train_step at that vector, bit for bit.
+        rng = Rng(77)
+        params = init_params(Arch(8, 64, 7), rng.split(0))
+        draw = rng.split(10_000)
+        x, xf = draw_kink_safe_batch(params, draw)
+        labels = np.array([draw.below(7) for _ in range(32)])
+        epoch = draw.below(61)
+        fn = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
+        stacks = []
+
+        def recording(p):
+            loss, grad = fn(p)
+            if p.flat.ndim == 2:
+                stacks.append((p.flat.copy(), loss))
+            return loss, grad
+
+        gradient_check(params, recording, max_coords=200, rng=draw)
+        kernels = epoch_kernels(POLICY60, epoch)
+        weights = train_step(params, x, xf, labels, kernels, 0.5, "nla")[0].weight
+        rows = 0
+        for flats, losses in stacks:
+            for flat, loss in zip(flats, losses):
+                solo = train_step(ModelParams(params.arch, flat), x, xf, labels,
+                                  kernels, 0.5, "nla", frozen_weights=weights)[0]
+                assert loss == solo.total.mean()
+                rows += 1
+        assert rows == 400
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_stack_size_does_not_change_the_result(self, monkeypatch, linear):
+        rng = Rng(23)
+        params = init_params(LINEAR if linear else MLP, Rng(24))
+        x, xf = draw_kink_safe_batch(params, rng)
+        labels = np.array([rng.below(7) for _ in range(32)])
+        fn = frozen_loss_fn(params, x, xf, labels, 20, POLICY60, 0.5)
+        results = []
+        for size in (1, 7, 50):
+            monkeypatch.setattr(nla.model, "_GRAD_STACK", size)
+            results.append(gradient_check(params, fn, max_coords=None if linear else 200,
+                                          rng=Rng(30)))
+        assert results[0] == results[1] == results[2]
 
 
 class TestOptimizerContinuity:

@@ -11,7 +11,8 @@ from nla.naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                      covariance_schedule, epoch_kernels, gaussian_weight,
                      kernel_params, naw_weights, sigma_from_axis_ratio)
 from nla.numkit import Rng, softmax
-from nla.selfcheck import check_kernel_oracle
+from nla.selfcheck import (brute_force_gaussian, check_kernel_oracle,
+                           random_kernel_cases)
 
 POLICY = WeightPolicy(total_epochs=60)
 
@@ -189,6 +190,24 @@ class TestGaussianWeight:
         ok, detail = check_kernel_oracle(seed=21, n=2000)
         assert ok, detail
 
+    def test_batched_oracle_equals_per_case_linear_algebra(self):
+        # The stacked oracle reproduces, bit for bit, the per-case triple
+        # and density: numpy's inverse and determinant of one 2x2 matrix,
+        # d @ inv @ d, and math.exp.
+        draws = Rng(2024).uniforms(7 * 1000).reshape(-1, 7)
+        points, means, sigmas = random_kernel_cases(draws)
+        refs = brute_force_gaussian(points, means, sigmas)
+        for row, p, mu, sigma, ref in zip(draws.tolist(), points, means, sigmas, refs):
+            px, py, mx, my, ua, ub, urho = row
+            a, b = 0.1 + 1.9 * ua, 0.1 + 1.9 * ub
+            off = (-0.95 + 1.9 * urho) * math.sqrt(a * b)
+            assert p.tolist() == [px, py] and mu.tolist() == [mx, my]
+            assert sigma.tolist() == [[a, off], [off, b]]
+            d = p - mu
+            quad = float(d @ np.linalg.inv(sigma) @ d)
+            const = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(sigma)))
+            assert ref == const * math.exp(-0.5 * quad)
+
     def test_oracle_check_sees_the_training_density(self, monkeypatch):
         # The oracle reaches the density naw_weights uses, so an error of
         # 1e-9 in it fails the 1e-10 check.
@@ -197,6 +216,11 @@ class TestGaussianWeight:
                             lambda x, y, k: density(x, y, k) * (1.0 + 1e-9))
         ok, _ = check_kernel_oracle(seed=21, n=100)
         assert not ok
+
+    def test_oracle_check_fails_on_a_nan_density(self, monkeypatch):
+        monkeypatch.setattr(naw, "_density", lambda x, y, k: np.float64(np.nan))
+        ok, detail = check_kernel_oracle(seed=21, n=100)
+        assert not ok and detail == "max rel err=nan over 100 triples"
 
     def test_many_matches_scalar(self):
         rng = Rng(22)
