@@ -51,11 +51,12 @@ _HEADER = struct.Struct("<IIIIQ")  # after the magic; see "Checkpoint format"
 # pass; 1024-row chunks were slower.
 _CHUNK_ROWS = 512
 # Perturbed parameter vectors per loss evaluation of gradient_check.  On
-# the 8-64-7 MLP with 32-row batches, stacks of 25-50 were fastest and
-# stacks of 100 or more were slower.  At 32 each stacked activation array
-# is 0.5 MiB, and nla check's peak memory stays where its other checks
-# put it; at 50 it rose by 0.6 MiB.
-_GRAD_STACK = 32
+# the 8-64-7 MLP with 32-row batches, stacks of 16-50 took within 10% of
+# the fastest (about 40) and stacks of 100 or more were slower.  Over
+# repeated nla check runs in one process the peak RSS stayed at the
+# level of the per-coordinate loop with stacks of 24 (each stacked
+# activation array 384 KiB), and rose by 0.4 MiB with stacks of 32.
+_GRAD_STACK = 24
 
 
 @dataclass(frozen=True)
