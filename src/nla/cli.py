@@ -367,10 +367,19 @@ def run_cell(spec: CellSpec) -> dict:
 
 def _cells(cfg: dict, force: bool) -> list[CellSpec]:
     """Every cell of the grid, in sweep order, with its training config
-    built once.  A ``train`` section that :class:`TrainConfig` rejects is
-    a usage error, raised before any dataset cache or run is written."""
+    built once.  An empty grid, two cells with one id (a repeated value,
+    or values that format alike) and a ``train`` section that
+    :class:`TrainConfig` rejects are usage errors, raised before any
+    dataset cache or run is written."""
     grid = list(itertools.product(cfg["noise"], cfg["imbalance"], cfg["modes"],
                                   cfg["seeds"]))
+    if not grid:
+        raise UsageError("the grid is empty: noise, imbalance, modes and seeds "
+                         "each need at least one value")
+    ids = [cell_id(*cell) for cell in grid]
+    if len(set(ids)) < len(ids):
+        repeated = next(i for i in ids if ids.count(i) > 1)
+        raise UsageError(f"cell {repeated} appears more than once in the grid")
     try:
         configs = [TrainConfig.from_dict({
             **cfg["train"], "mode": mode,
@@ -382,13 +391,13 @@ def _cells(cfg: dict, force: bool) -> list[CellSpec]:
     test_path, test_sha = caches["test"]
     runs = Path(cfg["out"]) / "runs"
     specs = []
-    for (noise, imbalance, mode, seed), config in zip(grid, configs):
+    for (noise, imbalance, mode, seed), config, cid in zip(grid, configs, ids):
         train_path, train_sha = caches[dataset_id(noise, imbalance, seed)]
         specs.append(CellSpec(
             noise=noise, imbalance=imbalance, mode=mode, seed=seed, config=config,
             train_path=str(train_path), test_path=str(test_path),
             train_sha256=train_sha, test_sha256=test_sha,
-            run_dir=str(runs / cell_id(noise, imbalance, mode, seed)), force=force))
+            run_dir=str(runs / cid), force=force))
     return specs
 
 

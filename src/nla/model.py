@@ -14,10 +14,11 @@ vectors.  This is also the checkpoint's byte order, so a checkpoint is a
 header plus the vector.
 
 A ``ModelParams`` may also hold an (R, P) stack of R such vectors, one
-per row.  :func:`forward` then runs the same dense pass on every run at
-once with 3-D ``np.matmul`` and returns (R, n, K) logits, each run's
-bit-identical to a solo forward; the finite-difference gradient check
-evaluates its perturbed parameter vectors this way.
+per row.  The same lines then carry a leading run axis: :func:`forward`
+returns (R, n, K) logits through 3-D ``np.matmul`` and :func:`backward`
+an (R, P) stack of gradients, each run's bit-identical to a solo call;
+the finite-difference gradient check evaluates its perturbed parameter
+vectors this way.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ _HEADER = struct.Struct("<IIIIQ")  # after the magic; see "Checkpoint format"
 _CHUNK_ROWS = 512
 # Perturbed parameter vectors per loss evaluation of gradient_check.  On
 # the 8-64-7 MLP with 32-row batches, stacks of 16-50 took within 10% of
-# the fastest (about 40) and stacks of 100 or more were slower.  Over
-# repeated nla check runs in one process the peak RSS stayed at the
-# level of the per-coordinate loop with stacks of 24 (each stacked
-# activation array 384 KiB), and rose by 0.4 MiB with stacks of 32.
+# the fastest (about 40) and stacks of 100 or more were slower.  A stacked
+# loss holds both views' traces (four 384 KiB activation arrays at 24)
+# through batch_total: 0.7 MiB more peak RSS in the verify benchmark than
+# logits-only stacks; stacks of 32 add 0.4 MiB more.
 _GRAD_STACK = 24
 
 
@@ -89,20 +90,14 @@ class Arch:
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list, list]:
     """Weight and bias views of a vector ordered W0, b0, W1, b1, ...
 
-    Of an (R, P) stack of such vectors, the views have the run axis first:
-    (R, fan_in, fan_out) weights and (R, 1, fan_out) biases, which
-    broadcast over (R, n, fan_out) activations.
+    Any leading axes of ``flat`` lead every view too: of an (R, P) stack
+    the weights are (R, fan_in, fan_out) and the biases (R, fan_out).
     """
-    stacked = flat.ndim == 2
-    weights, biases, offset = [], [], 0
+    lead, weights, biases, offset = flat.shape[:-1], [], [], 0
     for fan_in, fan_out in shapes:
         end = offset + fan_in * fan_out
-        if stacked:
-            weights.append(flat[:, offset:end].reshape(len(flat), fan_in, fan_out))
-            biases.append(flat[:, None, end:end + fan_out])
-        else:
-            weights.append(flat[offset:end].reshape(fan_in, fan_out))
-            biases.append(flat[end:end + fan_out])
+        weights.append(flat[..., offset:end].reshape(*lead, fan_in, fan_out))
+        biases.append(flat[..., end:end + fan_out])
         offset = end + fan_out
     return weights, biases
 
@@ -124,9 +119,6 @@ class ModelParams:
         self.flat = flat
         self.seed = seed
         self.weights, self.biases = _layer_views(flat, arch.layer_shapes)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.flat.copy(), self.seed)
 
 
 @dataclass
@@ -155,12 +147,17 @@ def init_params(arch: Arch, rng: Rng) -> ModelParams:
 def _dense_pass(params: ModelParams, x: np.ndarray):
     """(logits, pre_hidden, hidden) of the rows of ``x``; the last two are
     None for a linear model.  With stacked parameters each has a leading
-    run axis."""
+    run axis, over which the (R, 1, fan_out) biases broadcast.  The biases
+    are added in place (one array fewer per layer, the same bits)."""
+    w, b = params.weights, params.biases
+    pre = x @ w[0]
+    pre += b[0][..., None, :]
     if params.arch.is_linear:
-        return x @ params.weights[0] + params.biases[0], None, None
-    pre = x @ params.weights[0] + params.biases[0]
+        return pre, None, None
     hid = np.maximum(pre, 0.0)
-    return hid @ params.weights[1] + params.biases[1], pre, hid
+    logits = hid @ w[1]
+    logits += b[1][..., None, :]
+    return logits, pre, hid
 
 
 def _row_chunks(n: int) -> list[slice]:
@@ -203,34 +200,27 @@ def backward(params: ModelParams, trace: ForwardTrace,
     """Exact reverse-mode gradient for the supplied logit gradients.
 
     ``grad_logits`` must be dL/d(logits) of the scalar loss being
-    differentiated (any batch-mean factor included by the caller).
-    Returns a new float64 vector in the layout of ``params.flat``; the
-    per-layer products are written straight into it.  Takes one parameter
-    vector, not a stack.
+    differentiated (any batch-mean factor included by the caller), shaped
+    like ``trace.logits``.  Returns a new float64 array in the layout of
+    ``params.flat``; the per-layer products are written straight into it.
+    With stacked parameters every run gets its own gradient row, each
+    bit-identical to a solo backward.
     """
-    if params.flat.ndim != 1:
-        raise ValueError("backward takes one parameter vector, not a stack")
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
-    if trace.inputs.shape[1] != params.arch.input_dim:
+    # A linear model's trace, like a logits-only one, has no hidden layer.
+    if (trace.inputs.shape[1] != params.arch.input_dim
+            or (trace.pre_hidden is None) != params.arch.is_linear):
         raise ValueError("trace does not match the model architecture")
     grad = np.empty_like(params.flat)
     d_w, d_b = _layer_views(grad, params.arch.layer_shapes)
-    if params.arch.is_linear:
-        if trace.pre_hidden is not None:
-            raise ValueError("trace does not match the model architecture")
-        np.matmul(trace.inputs.T, g, out=d_w[0])
-        np.add.reduce(g, axis=0, out=d_b[0])
-        return grad
-    if trace.pre_hidden is None or trace.hidden is None:
-        raise ValueError("trace does not match the model architecture")
-    np.matmul(trace.hidden.T, g, out=d_w[1])
-    np.add.reduce(g, axis=0, out=d_b[1])
-    d_hid = g @ params.weights[1].T
-    d_pre = d_hid * (trace.pre_hidden > 0.0)
-    np.matmul(trace.inputs.T, d_pre, out=d_w[0])
-    np.add.reduce(d_pre, axis=0, out=d_b[0])
+    if not params.arch.is_linear:
+        np.matmul(trace.hidden.mT, g, out=d_w[1])
+        np.add.reduce(g, axis=-2, out=d_b[1])
+        g = (g @ params.weights[1].mT) * (trace.pre_hidden > 0.0)  # d pre_hidden
+    np.matmul(trace.inputs.mT, g, out=d_w[0])
+    np.add.reduce(g, axis=-2, out=d_b[0])
     return grad
 
 
@@ -248,19 +238,18 @@ class GradCheckResult:
         return self.max_rel_error <= self.tolerance
 
 
-def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
-                   h: float = 1e-5, max_coords: int | None = None,
+def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
+                   tolerance: float = 1e-6, h: float = 1e-5,
+                   max_coords: int | None = None,
                    rng: Rng | None = None) -> GradCheckResult:
-    """Compare analytic parameter gradients against central differences.
+    """Compare the analytic gradient ``grad`` at ``params`` (a vector in
+    the layout of ``params.flat``) against central differences.
 
-    ``loss_fn(params)`` must deterministically return ``(loss, grad)``.
-    It is called once on ``params``, where ``grad`` is the analytic
-    gradient, a vector in the layout of ``params.flat``.  It is then
-    called on stacks of perturbed copies, ``ModelParams`` whose ``flat``
-    is an (R, P) array (see :func:`forward`); there ``loss`` must hold the
-    R losses and ``grad`` is not read.  Each copy moves one coordinate by
-    +h or -h, and a stack holds at most ``_GRAD_STACK`` copies; ``params``
-    itself is never modified.
+    ``loss_fn(stack)`` must deterministically return the R losses of a
+    ``ModelParams`` whose ``flat`` is an (R, P) stack of perturbed copies
+    of ``params.flat`` (see :func:`forward`).  Each copy moves one
+    coordinate by +h or -h, and a stack holds at most ``_GRAD_STACK``
+    copies; ``params`` itself is never modified.
 
     Every coordinate is checked unless ``max_coords`` (at least 200 when
     sampling) limits the check to a random subset.  The reported error is
@@ -270,7 +259,6 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
     coordinate is the first one with a NaN error, else the first with the
     largest error; a NaN error fails the check.
     """
-    _, analytic = loss_fn(params)
     # Each layer's contiguous run of positions in the flat vector, in
     # reporting order: all W, then all b.
     w_at, b_at = _layer_views(np.arange(params.flat.size), params.arch.layer_shapes)
@@ -294,13 +282,13 @@ def gradient_check(params: ModelParams, loss_fn, tolerance: float = 1e-6,
         at = coords[lo:lo + _GRAD_STACK]
         stack = np.tile(flat, (at.size, 1))
         stack[np.arange(at.size), at] = values[lo:lo + at.size]
-        loss = loss_fn(ModelParams(params.arch, stack, params.seed))[0]
+        loss = loss_fn(ModelParams(params.arch, stack, params.seed))
         if np.shape(loss) != (at.size,):
             raise ValueError("loss_fn must return one loss per stacked vector")
         losses[lo:lo + at.size] = loss
     fd = (losses[:m] - losses[m:]) / (2.0 * h)
-    grad = analytic[index]
-    err = np.abs(fd - grad) / np.maximum(np.maximum(np.abs(fd), np.abs(grad)), 1e-2)
+    analytic = grad[index]
+    err = np.abs(fd - analytic) / np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-2)
     # argmax returns the first NaN if there is one, else the first
     # maximum; when every error is 0 the report names flat position 0.
     k = int(np.argmax(err))

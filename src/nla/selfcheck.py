@@ -159,31 +159,29 @@ def draw_kink_safe_batch(params, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
-    """The training step as a loss function, with the sample weights pinned.
+    """The training step at ``params`` with the sample weights pinned:
+    ``(grad, losses)`` for :func:`nla.model.gradient_check`.
 
-    Returns a callable for :func:`nla.model.gradient_check`.  It maps
-    params to (batch-mean loss, flat gradient) through
-    :func:`nla.trainer.train_step` in mode ``nla``, and a stack of R
-    parameter vectors to their R batch-mean losses (and no gradient)
-    through that step's loss half, :func:`nla.trainer.step_loss`, in one
-    call over the stacked batch.  The adaptive weights stay at the values
-    the unfrozen loss takes at ``params``, exactly as the analytic
-    gradients assume.
+    ``grad`` is the flat gradient of the batch-mean loss from
+    :func:`nla.trainer.train_step` in mode ``nla``.  ``losses`` maps a
+    stack of R parameter vectors to their R batch-mean losses through
+    that step's loss half, :func:`nla.trainer.step_loss`, in one call over
+    the stacked batch.  The adaptive weights stay at the values the
+    unfrozen loss takes at ``params``, exactly as the analytic gradients
+    assume.
     """
     kernels = epoch_kernels(policy, epoch)
     weights = step_loss(params, inputs, flipped, labels, kernels, lam, "nla")[0].weight
+    grad = train_step(params, inputs, flipped, labels, kernels, lam, "nla",
+                      frozen_weights=weights)[1]
 
-    def fn(p):
-        if p.flat.ndim == 1:
-            loss, grad = train_step(p, inputs, flipped, labels, kernels, lam, "nla",
-                                    frozen_weights=weights)
-            return float(loss.total.mean()), grad
-        runs = len(p.flat)
-        loss = step_loss(p, inputs, flipped, np.tile(labels, runs), kernels, lam,
+    def losses(stack):
+        runs = len(stack.flat)
+        loss = step_loss(stack, inputs, flipped, np.tile(labels, runs), kernels, lam,
                          "nla", frozen_weights=np.tile(weights, runs))[0]
-        return loss.total.reshape(runs, -1).mean(axis=1), None
+        return loss.total.reshape(runs, -1).mean(axis=1)
 
-    return fn
+    return grad, losses
 
 
 def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
@@ -203,8 +201,8 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
         x, xf = draw_kink_safe_batch(params, draw)
         labels = np.array([draw.below(7) for _ in range(_FD_BATCH)])
         epoch = draw.below(61)
-        fn = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
-        result = gradient_check(params, fn, tolerance=tol, h=_FD_STEP,
+        grad, losses = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
+        result = gradient_check(params, grad, losses, tolerance=tol, h=_FD_STEP,
                                 max_coords=200, rng=draw)
         errors.append(result.max_rel_error)
     worst = float(np.max(errors, initial=0.0))  # NaN if any trial's is NaN

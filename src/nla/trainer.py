@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +79,10 @@ class TrainConfig:
     policy: WeightPolicy | None = None
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "epochs", "seed", "hidden_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 <= self.lam <= 1.0:
@@ -233,27 +238,24 @@ def step_loss(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | Non
 
     Runs the forward pass of both views (``flipped`` only in mode
     ``nla``; otherwise ``trace_f`` is ``trace``), checks their logits and
-    evaluates :func:`nla.losses.batch_total`.  Raises FloatingPointError
-    when either view's logits or the loss are not finite.
+    evaluates :func:`nla.losses.batch_total` on them as rows.  Raises
+    FloatingPointError when either view's logits or the loss are not
+    finite.
 
     With stacked parameters (``params.flat`` of shape (R, P)) the loss is
     one ``batch_total`` over the R * n rows of the stacked logits, run by
     run, so ``labels`` (and ``frozen_weights``, if given) must hold R * n
-    entries; row i of run r's batch is row r * n + i of the loss.  The
-    traces of a stack keep only the logits.
+    entries; row i of run r's batch is row r * n + i of the loss.
     """
     use_flip = mode == "nla"
-    stacked = params.flat.ndim == 2  # never differentiated: logits suffice
-    trace = forward(params, inputs, logits_only=stacked)
-    trace_f = forward(params, flipped, logits_only=stacked) if use_flip else trace
+    trace = forward(params, inputs)
+    trace_f = forward(params, flipped) if use_flip else trace
     if not np.isfinite(trace.logits).all() or (
             use_flip and not np.isfinite(trace_f.logits).all()):
         raise FloatingPointError("non-finite logits")
-    z, zf = trace.logits, trace_f.logits
-    if stacked:
-        z, zf = z.reshape(-1, z.shape[-1]), zf.reshape(-1, zf.shape[-1])
-    loss = batch_total(z, zf, labels, kernels, lam, mode=mode,
-                       frozen_weights=frozen_weights)
+    k = params.arch.n_classes
+    loss = batch_total(trace.logits.reshape(-1, k), trace_f.logits.reshape(-1, k),
+                       labels, kernels, lam, mode=mode, frozen_weights=frozen_weights)
     if not np.isfinite(loss.total).all():
         raise FloatingPointError("non-finite loss")
     return loss, trace, trace_f

@@ -247,8 +247,11 @@ class TestTrain:
         assert (tmp_path / "out" / "runs" / "n0_f1_ce_s1" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
-    @pytest.mark.parametrize("train", [{"lam": 2}, {"foo": 1}, {"policy": [1]}],
-                             ids=["lam", "foo", "policy"])
+    @pytest.mark.parametrize("train", [{"lam": 2}, {"foo": 1}, {"policy": [1]},
+                                       {"epochs": 2.5}, {"batch_size": 32.0},
+                                       {"hidden_dim": 8.5}],
+                             ids=["lam", "foo", "policy", "epochs", "batch_size",
+                                  "hidden_dim"])
     def test_rejected_train_section_is_usage_error(self, tmp_path, capsys,
                                                     command, train):
         path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"], train=train)
@@ -410,6 +413,23 @@ class TestSweep:
         monkeypatch.setattr(multiprocessing, "get_context", forbidden)
         assert main(["sweep", "--config", str(path), "--workers", "2"]) == 0
         assert len(built) == 4  # mode x seed cells
+
+    @pytest.mark.parametrize("flags, repeated", [
+        (["--seeds", "2,2"], "n0.1_f1_ce_s2"),
+        (["--seeds", "2", "--noise", "0.1,0.1000001"], "n0.1_f1_ce_s2"),
+        (["--seeds", "2", "--mode", "ce,ce"], "n0.1_f1_ce_s2"),
+    ], ids=["seed", "noise", "mode"])
+    def test_repeated_cell_is_usage_error(self, tmp_path, capsys, flags, repeated):
+        path, cfg = write_config(tmp_path, noise=[0.1], modes=["ce"])
+        assert main(["sweep", "--config", str(path), "--workers", "2", *flags]) == 1
+        assert f"cell {repeated} appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path, modes=["ce"])
+        assert main(["sweep", "--config", str(path), "--seeds", "5..1"]) == 1
+        assert "the grid is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_pairwise_deltas_present(self, tmp_path):
         path, cfg = write_config(tmp_path)

@@ -107,12 +107,6 @@ class TestForward:
                 for r, params in enumerate(solo):
                     np.testing.assert_array_equal(logits[r], forward(params, x).logits)
 
-    def test_stack_is_not_differentiated(self):
-        stack = ModelParams(MLP, np.zeros((2, MLP.param_count)))
-        trace = forward(stack, np.ones((3, 8)))
-        with pytest.raises(ValueError, match="not a stack"):
-            backward(stack, trace, np.ones((2, 3, 7)))
-
 
 class TestBackward:
     def test_zero_logit_gradients_give_zero_parameter_gradients(self):
@@ -137,6 +131,22 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(mlp_params, trace, np.zeros((2, 7)))
 
+    @pytest.mark.parametrize("arch", [MLP, LINEAR])
+    @pytest.mark.parametrize("runs", [1, 7, 50])
+    def test_stacked_backward_equals_solo(self, arch, runs):
+        # A stack of R parameter vectors gives an (R, P) gradient whose
+        # row r is the solo backward of vector r, bit for bit.
+        solo = [init_params(arch, Rng(200 + r)) for r in range(runs)]
+        stack = ModelParams(arch, np.stack([p.flat for p in solo]))
+        for n in (1, 12, 32):
+            x = Rng(40 + n).normals(n * 8).reshape(n, 8)
+            g = Rng(60 + n).normals(runs * n * 7).reshape(runs, n, 7)
+            grad = backward(stack, forward(stack, x), g)
+            assert grad.shape == (runs, arch.param_count)
+            for r, params in enumerate(solo):
+                np.testing.assert_array_equal(
+                    grad[r], backward(params, forward(params, x), g[r]))
+
     def test_gradients_accumulate(self):
         params = init_params(MLP, Rng(20))
         x = Rng(21).normals(4 * 8).reshape(4, 8)
@@ -152,11 +162,8 @@ class TestGradientCheck:
     def test_quadratic_loss(self):
         params = init_params(Arch(4, 0, 3), Rng(22))
 
-        def quadratic(p):
-            # One loss per vector of a stack (see gradient_check).
-            return 0.5 * (p.flat * p.flat).sum(axis=-1), p.flat.copy()
-
-        result = gradient_check(params, quadratic, tolerance=1e-8)
+        result = gradient_check(params, params.flat.copy(), self._quadratic(params),
+                                tolerance=1e-8)
         assert result.max_rel_error < 1e-8
         assert result.passed
 
@@ -166,21 +173,16 @@ class TestGradientCheck:
         x, xf = draw_kink_safe_batch(params, rng)
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
-        fn = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
-        result = gradient_check(params, fn, tolerance=1e-6)
+        grad, losses = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
+        result = gradient_check(params, grad, losses, tolerance=1e-6)
         assert result.passed, result
 
     def test_failure_reports_offending_coordinate(self):
         params = init_params(Arch(3, 0, 2), Rng(25))
-
-        def broken(p):
-            loss = 0.5 * (p.flat * p.flat).sum(axis=-1)
-            grad = p.flat.copy()
-            (w,), _ = _layer_views(grad, p.arch.layer_shapes)
-            w *= 2.0
-            return loss, grad
-
-        result = gradient_check(params, broken, tolerance=1e-6)
+        grad = params.flat.copy()
+        (w,), _ = _layer_views(grad, params.arch.layer_shapes)
+        w *= 2.0
+        result = gradient_check(params, grad, self._quadratic(params), tolerance=1e-6)
         assert not result.passed
         kind, layer, flat = result.worst_coordinate
         assert kind == "W" and layer == 0
@@ -195,8 +197,8 @@ class TestGradientCheck:
         x, xf = draw_kink_safe_batch(params, rng)
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
-        fn = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
-        result = gradient_check(params, fn, tolerance=1e-6, max_coords=200,
+        grad, losses = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
+        result = gradient_check(params, grad, losses, tolerance=1e-6, max_coords=200,
                                 rng=Rng(30))
         assert result.max_rel_error == 1.5538475429742536e-09
         assert result.worst_coordinate == ("W", 1, 59)
@@ -219,27 +221,30 @@ class TestGradientCheck:
     def test_sampled_subset_requires_at_least_200(self):
         params = init_params(MLP, Rng(26))
         with pytest.raises(ValueError):
-            gradient_check(params, lambda p: (np.zeros(p.flat.shape[:-1]),
-                                              np.zeros_like(p.flat)),
+            gradient_check(params, np.zeros_like(params.flat), self._zeros,
                            max_coords=50, rng=Rng(0))
 
     @staticmethod
-    def _quadratic_with(params, nan_loss_at=None, grad=None):
-        """0.5 |p|^2 with gradient ``grad`` (default p); with
+    def _quadratic(params, nan_loss_at=None):
+        """Losses 0.5 |p|^2 of a stack, whose gradient is p; with
         ``nan_loss_at``, NaN losses for the copies that perturb that
-        flat position."""
-        def fn(p):
-            loss = 0.5 * (p.flat * p.flat).sum(axis=-1)
-            if nan_loss_at is not None and p.flat.ndim == 2:
-                moved = p.flat[:, nan_loss_at] != params.flat[nan_loss_at]
-                loss[moved] = np.nan
-            return loss, p.flat.copy() if grad is None else grad
-        return fn
+        flat position of ``params``."""
+        def losses(stack):
+            loss = 0.5 * (stack.flat * stack.flat).sum(axis=-1)
+            if nan_loss_at is not None:
+                loss[stack.flat[:, nan_loss_at] != params.flat[nan_loss_at]] = np.nan
+            return loss
+        return losses
+
+    @staticmethod
+    def _zeros(stack):
+        return np.zeros(len(stack.flat))
 
     def test_nan_finite_difference_fails_at_its_coordinate(self):
         params = init_params(MLP, Rng(32))
         b0 = MLP.layer_shapes[0][0] * MLP.layer_shapes[0][1]  # flat position of b0[0]
-        result = gradient_check(params, self._quadratic_with(params, nan_loss_at=b0 + 3))
+        result = gradient_check(params, params.flat.copy(),
+                                self._quadratic(params, nan_loss_at=b0 + 3))
         assert np.isnan(result.max_rel_error)
         assert not result.passed
         assert result.worst_coordinate == ("b", 0, 3)
@@ -248,7 +253,7 @@ class TestGradientCheck:
         params = init_params(MLP, Rng(33))
         grad = params.flat.copy()
         grad[[200, 210]] = np.nan  # W1[56] and W1[66], after W0 and b0 (144)
-        result = gradient_check(params, self._quadratic_with(params, grad=grad))
+        result = gradient_check(params, grad, self._quadratic(params))
         assert np.isnan(result.max_rel_error)
         assert not result.passed
         assert result.worst_coordinate == ("W", 1, 56)
@@ -260,38 +265,38 @@ class TestGradientCheck:
         params = init_params(MLP, Rng(34))
         grad = np.zeros_like(params.flat)
         grad[[130, 150]] = 1.0  # b0[2] and W1[6]
-        result = gradient_check(params, lambda p: (np.zeros(p.flat.shape[:-1]), grad))
+        result = gradient_check(params, grad, self._zeros)
         assert result.max_rel_error == 1.0
         assert result.worst_coordinate == ("W", 1, 6)
 
     def test_zero_errors_report_flat_position_0(self):
         params = init_params(MLP, Rng(35))
         zero = np.zeros_like(params.flat)
-        result = gradient_check(params, lambda p: (np.zeros(p.flat.shape[:-1]), zero),
-                                max_coords=200, rng=Rng(2))
+        result = gradient_check(params, zero, self._zeros, max_coords=200, rng=Rng(2))
         assert result.max_rel_error == 0.0 and result.passed
         assert result.worst_coordinate == ("W", 0, 0)
 
     def test_stacked_losses_equal_solo_training_steps(self):
         # Trial 0 of check_gradient_fidelity(77, ...): every perturbed loss
         # that gradient_check evaluates in stacks equals the batch mean of
-        # a solo train_step at that vector, bit for bit.
+        # a solo train_step at that vector, bit for bit; loss_fn only ever
+        # sees stacks.
         rng = Rng(77)
         params = init_params(Arch(8, 64, 7), rng.split(0))
         draw = rng.split(10_000)
         x, xf = draw_kink_safe_batch(params, draw)
         labels = np.array([draw.below(7) for _ in range(32)])
         epoch = draw.below(61)
-        fn = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
+        grad, losses = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
         stacks = []
 
-        def recording(p):
-            loss, grad = fn(p)
-            if p.flat.ndim == 2:
-                stacks.append((p.flat.copy(), loss))
-            return loss, grad
+        def recording(stack):
+            assert stack.flat.ndim == 2
+            loss = losses(stack)
+            stacks.append((stack.flat.copy(), loss))
+            return loss
 
-        gradient_check(params, recording, max_coords=200, rng=draw)
+        gradient_check(params, grad, recording, max_coords=200, rng=draw)
         kernels = epoch_kernels(POLICY60, epoch)
         weights = train_step(params, x, xf, labels, kernels, 0.5, "nla")[0].weight
         rows = 0
@@ -309,12 +314,12 @@ class TestGradientCheck:
         params = init_params(LINEAR if linear else MLP, Rng(24))
         x, xf = draw_kink_safe_batch(params, rng)
         labels = np.array([rng.below(7) for _ in range(32)])
-        fn = frozen_loss_fn(params, x, xf, labels, 20, POLICY60, 0.5)
+        grad, losses = frozen_loss_fn(params, x, xf, labels, 20, POLICY60, 0.5)
         results = []
         for size in (1, 7, 50):
             monkeypatch.setattr(nla.model, "_GRAD_STACK", size)
-            results.append(gradient_check(params, fn, max_coords=None if linear else 200,
-                                          rng=Rng(30)))
+            results.append(gradient_check(params, grad, losses,
+                                          max_coords=None if linear else 200, rng=Rng(30)))
         assert results[0] == results[1] == results[2]
 
 

@@ -9,7 +9,7 @@ import nla.naw
 import nla.trainer
 from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
                       make_synthetic, standard_instance)
-from nla.model import Arch, init_params, load_checkpoint
+from nla.model import Arch, ModelParams, init_params, load_checkpoint
 from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
@@ -54,12 +54,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0, seed=0)
 
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "seed", "hidden_dim"])
+    @pytest.mark.parametrize("value", [2.5, 32.0, True, "8"])
+    def test_non_integral_integer_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{"seed": 0, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(16), epochs=np.int32(3), seed=np.uint64(7),
+                          hidden_dim=np.int64(8))
+        assert cfg.policy.total_epochs == 3
+
 
 class TestAdam:
     def test_zero_gradients_only_shrink_by_weight_decay(self):
         cfg = TrainConfig(epochs=5, seed=0, weight_decay=1e-4)
         params = init_params(Arch(4, 6, 3), Rng(2))
-        reference = params.copy()
+        reference = ModelParams(params.arch, params.flat.copy(), params.seed)
         state = AdamState.zeros_like(params)
         adam_step(params, np.zeros_like(params.flat), state, lr=1e-2, cfg=cfg)
         for p, r in zip(params.weights, reference.weights):
@@ -69,7 +80,7 @@ class TestAdam:
         # with a constant gradient g, the first step is lr * g / (|g| + eps)
         cfg = TrainConfig(epochs=5, seed=0, weight_decay=0.0)
         params = init_params(Arch(2, 0, 2), Rng(3))
-        reference = params.copy()
+        reference = ModelParams(params.arch, params.flat.copy(), params.seed)
         state = AdamState.zeros_like(params)
         grad = np.concatenate([np.full(params.weights[0].size, 0.5),
                                np.zeros_like(params.biases[0])])
