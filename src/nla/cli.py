@@ -38,7 +38,7 @@ from .numkit import Rng, derive_seed
 from .trainer import (TrainConfig, TrainingDiverged, atomic_write_text,
                       load_run_metrics, run_training, save_run_record)
 
-__all__ = ["main", "load_config", "cell_id", "dataset_id", "run_seed", "DEFAULT_CONFIG"]
+__all__ = ["main", "load_config", "cell_id", "dataset_id", "DEFAULT_CONFIG"]
 
 DEFAULT_CONFIG = {
     "seed": 7,
@@ -204,11 +204,11 @@ def _cell_dataset(base_train: Dataset, cfg: dict, noise: float,
     return ds
 
 
-def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dict:
-    """Write every dataset cache that is forced, missing or stale (see
-    :func:`_cached_sha256`); return ``{"test" or dataset id: (path,
-    sha256)}`` for all cells.  The base splits are built only when some
-    cache is written."""
+def _ensure_datasets(cfg: dict, grid: list[tuple], force: bool = False,
+                     quiet: bool = False) -> dict:
+    """Write each dataset cache of ``grid``'s cells that is forced, missing
+    or stale (see :func:`_cached_sha256`); return ``{"test" or dataset id:
+    (path, sha256)}``.  The base splits are built only if a cache is written."""
     out = Path(cfg["out"])
     data_dir = out / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -226,21 +226,19 @@ def _ensure_datasets(cfg: dict, force: bool = False, quiet: bool = False) -> dic
 
     path = data_dir / "test.ds"
     caches = {"test": (path, reuse_or_write(path, lambda: base_splits()[1])[0])}
-    for noise in cfg["noise"]:
-        for imbalance in cfg["imbalance"]:
-            for seed in cfg["seeds"]:
-                did = dataset_id(noise, imbalance, seed)
-                path = data_dir / f"{did}_train.ds"
-                sha, ds = reuse_or_write(path, lambda: _cell_dataset(
-                    base_splits()[0], cfg, noise, imbalance, seed))
-                caches[did] = (path, sha)
-                if ds is not None and not quiet:
-                    flipped = 0 if ds.clean_labels is None else int(
-                        (ds.labels != ds.clean_labels).sum())
-                    counts = ds.class_counts
-                    ratio = float(counts.max() / counts.min())
-                    print(f"[generate] {did}: n={ds.n} flipped={flipped} "
-                          f"max/min={ratio:.2f} sha={sha[:12]}")
+    for noise, imbalance, seed in dict.fromkeys((n, f, s) for n, f, _, s in grid):
+        did = dataset_id(noise, imbalance, seed)
+        path = data_dir / f"{did}_train.ds"
+        sha, ds = reuse_or_write(path, lambda: _cell_dataset(
+            base_splits()[0], cfg, noise, imbalance, seed))
+        caches[did] = (path, sha)
+        if ds is not None and not quiet:
+            flipped = 0 if ds.clean_labels is None else int(
+                (ds.labels != ds.clean_labels).sum())
+            counts = ds.class_counts
+            ratio = float(counts.max() / counts.min())
+            print(f"[generate] {did}: n={ds.n} flipped={flipped} "
+                  f"max/min={ratio:.2f} sha={sha[:12]}")
     return caches
 
 
@@ -312,12 +310,6 @@ class CellSpec:
         return cell_id(self.noise, self.imbalance, self.mode, self.seed)
 
 
-def run_seed(master_seed: int, noise: float, imbalance: float, seed: int) -> int:
-    """Training seed of a cell; mode-independent, so modes are paired per
-    (data, seed) cell."""
-    return derive_seed(master_seed, f"run|{dataset_id(noise, imbalance, seed)}")
-
-
 def _manifest(spec: CellSpec) -> dict:
     """The cell's ``manifest.json``, written once its run is saved: the
     config, the sha256 of the dataset caches it was trained on, and the
@@ -365,12 +357,10 @@ def run_cell(spec: CellSpec) -> dict:
         return {"cell": spec.id, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _cells(cfg: dict, force: bool) -> list[CellSpec]:
-    """Every cell of the grid, in sweep order, with its training config
-    built once.  An empty grid, two cells with one id (a repeated value,
-    or values that format alike) and a ``train`` section that
-    :class:`TrainConfig` rejects are usage errors, raised before any
-    dataset cache or run is written."""
+def _grid(cfg: dict) -> list[tuple]:
+    """Every (noise, imbalance, mode, seed) cell, in sweep order.  An empty
+    grid and two cells with one id (a repeated value, or values that
+    format alike) are usage errors, raised before anything is written."""
     grid = list(itertools.product(cfg["noise"], cfg["imbalance"], cfg["modes"],
                                   cfg["seeds"]))
     if not grid:
@@ -380,24 +370,32 @@ def _cells(cfg: dict, force: bool) -> list[CellSpec]:
     if len(set(ids)) < len(ids):
         repeated = next(i for i in ids if ids.count(i) > 1)
         raise UsageError(f"cell {repeated} appears more than once in the grid")
+    return grid
+
+
+def _cells(cfg: dict, grid: list[tuple], force: bool) -> list[CellSpec]:
+    """The cells of ``grid`` with their training configs built once; a
+    ``train`` section that :class:`TrainConfig` rejects is a usage error,
+    raised before anything is written.  A cell's training seed does not
+    depend on its mode, so modes are paired per (data, seed) cell."""
     try:
         configs = [TrainConfig.from_dict({
             **cfg["train"], "mode": mode,
-            "seed": run_seed(cfg["seed"], noise, imbalance, seed)})
+            "seed": derive_seed(cfg["seed"], f"run|{dataset_id(noise, imbalance, seed)}")})
             for noise, imbalance, mode, seed in grid]
     except (AttributeError, TypeError, ValueError) as exc:  # e.g. "policy": [1]
         raise UsageError(f"bad train section: {exc}") from exc
-    caches = _ensure_datasets(cfg, quiet=True)
+    caches = _ensure_datasets(cfg, grid, quiet=True)
     test_path, test_sha = caches["test"]
     runs = Path(cfg["out"]) / "runs"
     specs = []
-    for (noise, imbalance, mode, seed), config, cid in zip(grid, configs, ids):
+    for (noise, imbalance, mode, seed), config in zip(grid, configs):
         train_path, train_sha = caches[dataset_id(noise, imbalance, seed)]
         specs.append(CellSpec(
             noise=noise, imbalance=imbalance, mode=mode, seed=seed, config=config,
             train_path=str(train_path), test_path=str(test_path),
             train_sha256=train_sha, test_sha256=test_sha,
-            run_dir=str(runs / cid), force=force))
+            run_dir=str(runs / cell_id(noise, imbalance, mode, seed)), force=force))
     return specs
 
 
@@ -406,19 +404,15 @@ def _cells(cfg: dict, force: bool) -> list[CellSpec]:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: dict, args) -> int:
-    _ensure_datasets(cfg, force=args.force)
+    _ensure_datasets(cfg, _grid(cfg), force=args.force)
     return 0
 
 
 def cmd_train(cfg: dict, args) -> int:
-    for key, flag in (("noise", "--noise"), ("imbalance", "--imbalance")):
-        if len(cfg[key]) != 1:
-            raise UsageError(f"train needs exactly one {flag} value")
-    if len(cfg["modes"]) != 1:
-        raise UsageError("train needs exactly one --mode value")
-    if len(cfg["seeds"]) != 1:
-        raise UsageError("train needs exactly one --seed value")
-    spec = _cells(cfg, args.force)[0]
+    grid = _grid(cfg)
+    if len(grid) != 1:
+        raise UsageError("train runs exactly one cell: one noise, imbalance, mode and seed")
+    spec = _cells(cfg, grid, args.force)[0]
     result = run_cell(spec)
     if not result["ok"]:
         print(f"[train] {result['cell']} FAILED: {result['error']}", file=sys.stderr)
@@ -429,7 +423,7 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    specs = _cells(cfg, args.force)
+    specs = _cells(cfg, _grid(cfg), args.force)
     # With more than one pending cell and worker, the pending cells go to
     # a pool of min(workers, pending) processes, one cell per task.
     # run_cell runs every other cell in this process, where a complete

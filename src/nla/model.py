@@ -58,6 +58,7 @@ _CHUNK_ROWS = 512
 # through batch_total: 0.7 MiB more peak RSS in the verify benchmark than
 # logits-only stacks; stacks of 32 add 0.4 MiB more.
 _GRAD_STACK = 24
+_FD_STEP = 1e-5  # central-difference step of gradient_check
 
 
 @dataclass(frozen=True)
@@ -239,8 +240,7 @@ class GradCheckResult:
 
 
 def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
-                   tolerance: float = 1e-6, h: float = 1e-5,
-                   max_coords: int | None = None,
+                   tolerance: float = 1e-6, max_coords: int | None = None,
                    rng: Rng | None = None) -> GradCheckResult:
     """Compare the analytic gradient ``grad`` at ``params`` (a vector in
     the layout of ``params.flat``) against central differences.
@@ -248,8 +248,8 @@ def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
     ``loss_fn(stack)`` must deterministically return the R losses of a
     ``ModelParams`` whose ``flat`` is an (R, P) stack of perturbed copies
     of ``params.flat`` (see :func:`forward`).  Each copy moves one
-    coordinate by +h or -h, and a stack holds at most ``_GRAD_STACK``
-    copies; ``params`` itself is never modified.
+    coordinate by +h or -h (h = ``_FD_STEP``), and a stack holds at most
+    ``_GRAD_STACK`` copies; ``params`` itself is never modified.
 
     Every coordinate is checked unless ``max_coords`` (at least 200 when
     sampling) limits the check to a random subset.  The reported error is
@@ -276,7 +276,7 @@ def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
     # m + j moves it to old - h, for the m checked coordinates.
     flat, m = params.flat, index.size
     coords = np.concatenate((index, index))
-    values = np.concatenate((flat[index] + h, flat[index] - h))
+    values = np.concatenate((flat[index] + _FD_STEP, flat[index] - _FD_STEP))
     losses = np.empty(2 * m)
     for lo in range(0, 2 * m, _GRAD_STACK):
         at = coords[lo:lo + _GRAD_STACK]
@@ -286,7 +286,7 @@ def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
         if np.shape(loss) != (at.size,):
             raise ValueError("loss_fn must return one loss per stacked vector")
         losses[lo:lo + at.size] = loss
-    fd = (losses[:m] - losses[m:]) / (2.0 * h)
+    fd = (losses[:m] - losses[m:]) / (2.0 * _FD_STEP)
     analytic = grad[index]
     err = np.abs(fd - analytic) / np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-2)
     # argmax returns the first NaN if there is one, else the first

@@ -58,12 +58,11 @@ class KernelParams:
     ``norm_const`` is 1 / (2 pi sqrt(det(sigma))), the kernel's value at
     its mean and the upper bound of every weight it produces.
     ``constants`` is what the density reads: (mu_x, mu_y, inv_xx, inv_xy,
-    inv_yy, norm_const), with inv = sigma_inv.
+    inv_yy, norm_const), with inv the inverse of sigma.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    sigma_inv: np.ndarray
     norm_const: float
     constants: np.ndarray
 
@@ -90,14 +89,11 @@ def kernel_params(mu, sigma) -> KernelParams:
     det = a * d - b * c
     if a <= 0.0 or det <= 1e-12:
         raise ValueError("covariance must be positive definite (det > 1e-12)")
-    inv_xx, inv_xy, inv_yx, inv_yy = d / det, -b / det, -c / det, a / det
-    inv = np.array([[inv_xx, inv_xy], [inv_yx, inv_yy]])
     norm_const = 1.0 / (_TWO_PI * math.sqrt(det))
-    constants = np.array(mu.tolist() + [inv_xx, inv_xy, inv_yy, norm_const])
-    for arr in (mu, sigma, inv, constants):
+    constants = np.array(mu.tolist() + [d / det, -b / det, a / det, norm_const])
+    for arr in (mu, sigma, constants):
         arr.flags.writeable = False
-    return KernelParams(mu=mu, sigma=sigma, sigma_inv=inv, norm_const=norm_const,
-                        constants=constants)
+    return KernelParams(mu=mu, sigma=sigma, norm_const=norm_const, constants=constants)
 
 
 @dataclass(frozen=True)

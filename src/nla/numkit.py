@@ -175,22 +175,22 @@ class Rng:
             raise ValueError("bound must be positive")
         return (self.next_u64() * bound) >> 64
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        """One standard-normal draw (optionally shifted and scaled)."""
+    def normal(self, scale: float = 1.0) -> float:
+        """One standard-normal draw (optionally scaled)."""
         if self._gauss is not None:
             g = self._gauss
             self._gauss = None
-            return loc + scale * g
+            return scale * g
         u1 = ((self.next_u64() >> 11) + 0.5) * _INV_2_53
         u2 = ((self.next_u64() >> 11) + 0.5) * _INV_2_53
         r = math.sqrt(-2.0 * math.log(u1))
         a = 2.0 * math.pi * u2
         self._gauss = r * math.sin(a)
-        return loc + scale * r * math.cos(a)
+        return scale * r * math.cos(a)
 
-    def normals(self, n: int, loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    def normals(self, n: int, scale: float = 1.0) -> np.ndarray:
         """Array of ``n`` normal draws."""
-        return np.array([self.normal(loc, scale) for _ in range(n)], dtype=np.float64)
+        return np.array([self.normal(scale) for _ in range(n)], dtype=np.float64)
 
     def _blocks(self, n: int):
         """Yield ``(lo, u)`` until the next ``n`` outputs are drawn.

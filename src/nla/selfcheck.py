@@ -4,11 +4,11 @@ The exact-math criteria are implemented here once: kernel values against a
 brute-force density oracle on a separate linear-algebra path, scheduler
 endpoints and monotonicity, covariance eigenstructure, end-to-end gradient
 fidelity, and the loss identities.  Each ``check_*`` function takes its
-seed and sizes (and its tolerance, defaulting to the criterion's) and
-returns ``(ok, detail)``.  Gradient fidelity is checked on the step that
-training runs, :func:`nla.trainer.train_step`.  The acceptance suite calls
-them at the sizes the criteria state; :func:`run_selfcheck`, behind
-``nla check``, calls them at reduced size with its own seeds.
+seed and sizes (if any), checks its criterion's tolerance and returns
+``(ok, detail)``.  Gradient fidelity is checked on the step that training
+runs, :func:`nla.trainer.train_step`.  The acceptance suite calls them at
+the sizes the criteria state; :func:`run_selfcheck`, behind ``nla check``,
+calls them at reduced size with its own seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import ViewTransform
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
-from .model import Arch, forward, gradient_check, init_params
+from .model import _FD_STEP, Arch, forward, gradient_check, init_params
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                   covariance_schedule, epoch_kernels, gaussian_weight,
                   kernel_params, sigma_from_axis_ratio)
@@ -41,7 +41,6 @@ POLICY60 = WeightPolicy(total_epochs=60)
 _BOUND_CHUNK = 1000  # rows per batch_total call in the consistency bound check
 _ORACLE_CHUNK = 1000  # kernel cases per block of uniforms in the oracle check
 _FD_BATCH = 32  # rows per gradient-fidelity batch
-_FD_STEP = 1e-5  # finite-difference step, which the kink margin also clears
 
 
 def brute_force_gaussian(p, mu, sigma) -> np.ndarray:
@@ -75,8 +74,8 @@ def random_kernel_cases(draws: np.ndarray):
     return np.stack([px, py], axis=1), np.stack([mx, my], axis=1), sigma
 
 
-def check_kernel_oracle(seed: int, n: int, tol: float = 1e-10):
-    """Criterion 1: kernel values match the density oracle to ``tol``.
+def check_kernel_oracle(seed: int, n: int):
+    """Criterion 1: kernel values match the density oracle to 1e-10.
 
     Draws ``n`` random (point, mean, covariance) triples and compares
     :func:`nla.naw.gaussian_weight`, the training density on one point,
@@ -91,28 +90,28 @@ def check_kernel_oracle(seed: int, n: int, tol: float = 1e-10):
         errors = [abs(gaussian_weight(p, kernel_params(mu, sigma)) - ref) / ref
                   for p, mu, sigma, ref in zip(points, means, sigmas, refs.tolist())]
         worst = float(np.maximum(worst, np.max(errors)))  # NaN propagates
-    return bool(worst <= tol), f"max rel err={worst:.3e} over {n} triples"
+    return bool(worst <= 1e-10), f"max rel err={worst:.3e} over {n} triples"
 
 
-def check_scheduler(horizons=(1, 10, 60, 1000), tol: float = 1e-12):
+def check_scheduler():
     """Criterion 2: CS(0, E) = 0 exactly, CS(E, E) = 1 - e^-10 within
-    ``tol``, strictly increasing in the epoch, for each horizon E."""
+    1e-12, strictly increasing in the epoch, for E in 1, 10, 60 and 1000."""
     target = -math.expm1(-10.0)
     ok = True
     details = []
-    for total in horizons:
+    for total in (1, 10, 60, 1000):
         start = covariance_schedule(0, total)
         end = covariance_schedule(total, total)
         values = [covariance_schedule(e, total) for e in range(total + 1)]
         mono = all(b > a for a, b in zip(values, values[1:]))
-        ok &= start == 0.0 and abs(end - target) <= tol and mono
+        ok &= start == 0.0 and abs(end - target) <= 1e-12 and mono
         details.append(f"E={total}: start={start}, |end-target|={abs(end - target):.1e}, "
                        f"monotone={mono}")
     return ok, "; ".join(details)
 
 
-def check_covariance_shapes(tol: float = 1e-9):
-    """Criterion 3: eigenvalue ratios 4 and 36 within ``tol``, major axes
+def check_covariance_shapes():
+    """Criterion 3: eigenvalue ratios 4 and 36 within 1e-9, major axes
     along y = -x (true branch) and y = x (false branch)."""
     ok = True
     details = []
@@ -123,7 +122,7 @@ def check_covariance_shapes(tol: float = 1e-9):
         got = eigvals[1] / eigvals[0]
         unit = np.array(direction) / math.sqrt(2.0)
         aligned = abs(abs(eigvecs[:, 1] @ unit) - 1.0) <= 1e-12
-        ok &= abs(got - ratio ** 2) <= tol and aligned
+        ok &= abs(got - ratio ** 2) <= 1e-9 and aligned
         details.append(f"{orient}: ratio={got:.12f}, aligned={aligned}")
     return bool(ok), "; ".join(details)
 
@@ -131,7 +130,7 @@ def check_covariance_shapes(tol: float = 1e-9):
 def draw_kink_safe_batch(params, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Random batch of ``_FD_BATCH`` rows and its mirrored view (the
     synthetic data's sign flip of coordinate 0), both with ReLU
-    pre-activations clear of the kink by more than h = ``_FD_STEP``.
+    pre-activations clear of the kink by more than the step h = ``_FD_STEP``.
 
     A +/-h perturbation of one first-layer parameter shifts a hidden
     pre-activation by at most h * max(|x|, 1); any pre-activation closer
@@ -163,30 +162,27 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     ``(grad, losses)`` for :func:`nla.model.gradient_check`.
 
     ``grad`` is the flat gradient of the batch-mean loss from
-    :func:`nla.trainer.train_step` in mode ``nla``.  ``losses`` maps a
-    stack of R parameter vectors to their R batch-mean losses through
-    that step's loss half, :func:`nla.trainer.step_loss`, in one call over
-    the stacked batch.  The adaptive weights stay at the values the
-    unfrozen loss takes at ``params``, exactly as the analytic gradients
-    assume.
+    :func:`nla.trainer.train_step` in mode ``nla``, which treats the
+    adaptive weights as constants.  ``losses`` maps a stack of R parameter
+    vectors to their R batch-mean losses through that step's loss half,
+    :func:`nla.trainer.step_loss`, in one call over the stacked batch, with
+    the weights frozen at that step's values.
     """
     kernels = epoch_kernels(policy, epoch)
-    weights = step_loss(params, inputs, flipped, labels, kernels, lam, "nla")[0].weight
-    grad = train_step(params, inputs, flipped, labels, kernels, lam, "nla",
-                      frozen_weights=weights)[1]
+    step, grad = train_step(params, inputs, flipped, labels, kernels, lam, "nla")
 
     def losses(stack):
         runs = len(stack.flat)
         loss = step_loss(stack, inputs, flipped, np.tile(labels, runs), kernels, lam,
-                         "nla", frozen_weights=np.tile(weights, runs))[0]
+                         "nla", frozen_weights=np.tile(step.weight, runs))[0]
         return loss.total.reshape(runs, -1).mean(axis=1)
 
     return grad, losses
 
 
-def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
+def check_gradient_fidelity(seed: int, trials: int):
     """Criterion 4: analytic gradients of the blended loss match central
-    differences to ``tol``.
+    differences to 1e-6.
 
     Each trial draws an 8-64-7 MLP, a kink-safe batch with its mirrored
     view, labels and an epoch, freezes the adaptive weights, and
@@ -202,11 +198,10 @@ def check_gradient_fidelity(seed: int, trials: int, tol: float = 1e-6):
         labels = np.array([draw.below(7) for _ in range(_FD_BATCH)])
         epoch = draw.below(61)
         grad, losses = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
-        result = gradient_check(params, grad, losses, tolerance=tol, h=_FD_STEP,
-                                max_coords=200, rng=draw)
+        result = gradient_check(params, grad, losses, max_coords=200, rng=draw)
         errors.append(result.max_rel_error)
     worst = float(np.max(errors, initial=0.0))  # NaN if any trial's is NaN
-    return bool(worst <= tol), f"max rel err={worst:.3e} over {trials} trials"
+    return bool(worst <= 1e-6), f"max rel err={worst:.3e} over {trials} trials"
 
 
 def check_loss_identities(seed: int, n_equal: int, n_pairs: int, n_dominance: int):

@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, ViewTransform, default_view
+from .data import Dataset, default_view
 from .losses import MODES, BatchLoss, batch_total
 from .model import (Arch, ModelParams, backward, forward, init_params,
                     save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
-from .numkit import Rng, atomic_write_bytes, softmax
+from .numkit import Rng, _softmax_lse, atomic_write_bytes
 
 __all__ = [
     "TrainConfig",
@@ -51,10 +51,11 @@ _QUARTILES = np.array([0.25, 0.5, 0.75])  # np.percentile's q / 100
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss encountered; carries the epoch and batch index."""
+    """Non-finite logits or loss; carries the epoch and batch index of the
+    step whose loss, or whose update, was the first not finite."""
 
     def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+        super().__init__(f"training diverged at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -198,10 +199,13 @@ def collect_weight_stats(params: ModelParams, train: Dataset,
 
     Weights are computed for every training sample under the given
     (true, false) kernel pair of one epoch (see :func:`nla.naw.epoch_kernels`).
-    Classes absent from the split get NaN rows.
+    Classes absent from the split get NaN rows.  Raises FloatingPointError
+    when the logits are not finite.
     """
-    probs = softmax(forward(params, train.inputs, logits_only=True).logits)
-    weights = naw_weights(probs, train.labels, kernels)
+    logits = forward(params, train.inputs, logits_only=True).logits
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    weights = naw_weights(_softmax_lse(logits)[0], train.labels, kernels)
     return _class_quartiles(weights, train.labels, train.n_classes)
 
 
@@ -263,8 +267,7 @@ def step_loss(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | Non
 
 def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
                labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
-               lam: float, mode: str,
-               frozen_weights: np.ndarray | None = None) -> tuple[BatchLoss, np.ndarray]:
+               lam: float, mode: str) -> tuple[BatchLoss, np.ndarray]:
     """Loss of one mini-batch and the flat gradient of its mean at ``params``.
 
     ``flipped``, the mirrored view of ``inputs``, is read only in mode
@@ -272,8 +275,7 @@ def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | No
     from :func:`step_loss`, whose FloatingPointError on non-finite logits
     (checked before the loss is evaluated) or loss passes through.
     """
-    loss, trace, trace_f = step_loss(params, inputs, flipped, labels, kernels,
-                                     lam, mode, frozen_weights)
+    loss, trace, trace_f = step_loss(params, inputs, flipped, labels, kernels, lam, mode)
     grad = backward(params, trace, loss.grad_z)
     if mode == "nla":
         grad += backward(params, trace_f, loss.grad_zf)
@@ -292,8 +294,7 @@ def _check_splits(train: Dataset, test: Dataset) -> None:
             raise ValueError(f"{ds.split} labels must lie in [0, {ds.n_classes})")
 
 
-def run_training(config: TrainConfig, train: Dataset, test: Dataset,
-                 view: ViewTransform | None = None) -> RunRecord:
+def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecord:
     """Full training run; returns all epoch metrics plus the final model.
 
     Sub-streams of the run seed: split 0 initializes parameters, split 1
@@ -301,11 +302,10 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
     mode ``nla``; the other modes never look at it.  Raises ValueError
     before the first step when the splits disagree on dim or class count
     or hold a label outside [0, n_classes), and TrainingDiverged when
-    either view's logits or the loss stop being finite.
+    either view's logits or the loss stop being finite (also after an
+    epoch's last update, which only the weight statistics see).
     """
     _check_splits(train, test)
-    if view is None:
-        view = default_view(train)
     rng = Rng(config.seed)
     arch = Arch(input_dim=train.dim,
                 hidden_dim=config.hidden_dim if config.arch == "mlp" else 0,
@@ -313,7 +313,7 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
     params = init_params(arch, rng.split(0))
     shuffle_rng = rng.split(1)
     state = AdamState.zeros_like(params)
-    flipped = view.apply(train.inputs)
+    flipped = default_view(train).apply(train.inputs)
     n = train.n
 
     metrics: list[EpochMetrics] = []
@@ -336,7 +336,10 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset,
             sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(),
                      loss.total.sum()]
         ev = evaluate(params, test)
-        quartiles = collect_weight_stats(params, train, kernels)
+        try:
+            quartiles = collect_weight_stats(params, train, kernels)
+        except FloatingPointError:  # the epoch's last update diverged
+            raise TrainingDiverged(epoch, batch_index) from None
         metrics.append(EpochMetrics(
             epoch=epoch, lr=lr,
             loss_ce=float(sums[0] / n), loss_naw_ce=float(sums[1] / n),

@@ -2,10 +2,11 @@
 
 Exact-math criteria (1-5, 10) run at their stated tolerances; criteria 1-5
 call the checks in ``nla.selfcheck``, which ``nla check`` runs at reduced
-size.  The trend criteria (6-9) run the standard synthetic instance through
-the experiment runner's own stream wiring (``cli._cell_dataset`` and
-``cli.run_seed``, master seed 7), so every run here can be reproduced with
-the CLI.  Two training profiles are used:
+size.  The trend criteria (6-9) train the standard synthetic instance
+through the experiment runner: each battery is one ``nla sweep --workers 2``
+over its grid (master seed 7, seeds 1..5) read back from the run records,
+and criterion 10 runs ``nla train --force`` twice on one cell, so every
+run here is a runner cell.  Two training profiles are used:
 
 * paper-default profile: the TrainConfig defaults (lr0 1e-4); used for
   the noise-robustness trend, which is about resisting degradation while
@@ -22,24 +23,26 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the criterion
 lines.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import time
 
 import numpy as np
 import pytest
 
-from nla.cli import _cell_dataset, run_seed
+from nla.cli import cell_id, main
 from nla.data import STANDARD_SPREAD, standard_instance
 from nla.numkit import derive_seed
 from nla.selfcheck import (check_covariance_shapes, check_gradient_fidelity,
                            check_kernel_oracle, check_loss_identities,
                            check_scheduler)
-from nla.trainer import TrainConfig, metrics_csv_text, run_training
+from nla.trainer import TrainConfig, load_run_metrics, run_training
 
 MASTER_SEED = 7
 SEEDS = (1, 2, 3, 4, 5)
-DESK_CONVERGED_LR = 5e-3
-CELL_CONFIG = {"seed": MASTER_SEED}  # the only runner config field a cell's data reads
+DESK_CONVERGED = {"epochs": 60, "lr0": 5e-3}
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -47,60 +50,50 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
           f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
-@pytest.fixture(scope="module")
-def splits():
-    return standard_instance(MASTER_SEED)
+def nla_quietly(*argv) -> int:
+    """``nla`` with its stdout swallowed, so each criterion prints one line."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+def sweep(tmp_path_factory, noise: float, imbalance: float, modes, train: dict):
+    """One ``nla sweep --workers 2`` over the battery's grid: each run's
+    epoch metrics by (mode, seed), and the sweep's wall time."""
+    root = tmp_path_factory.mktemp("battery")
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "seed": MASTER_SEED, "noise": [noise], "imbalance": [imbalance],
+        "modes": list(modes), "seeds": list(SEEDS), "train": train,
+        "out": str(root / "out")}), encoding="utf-8")
+    t0 = time.perf_counter()
+    assert nla_quietly("sweep", "--config", config, "--workers", 2) == 0
+    elapsed = time.perf_counter() - t0
+    return {(mode, seed): load_run_metrics(
+                root / "out" / "runs" / cell_id(noise, imbalance, mode, seed))
+            for mode in modes for seed in SEEDS}, elapsed
 
 
 @pytest.fixture(scope="module")
-def noise_battery(splits):
+def noise_battery(tmp_path_factory):
     """CE and NLA runs at 30% noise, paper-default profile, five seeds."""
-    base_train, test = splits
-    t0 = time.perf_counter()
-    runs = {}
-    for seed in SEEDS:
-        train = _cell_dataset(base_train, CELL_CONFIG, 0.3, 1.0, seed)
-        rs = run_seed(MASTER_SEED, 0.3, 1.0, seed)
-        for mode in ("ce", "nla"):
-            cfg = TrainConfig(mode=mode, epochs=60, seed=rs)
-            runs[(mode, seed)] = run_training(cfg, train, test)
-    return runs, time.perf_counter() - t0
+    return sweep(tmp_path_factory, 0.3, 1.0, ("ce", "nla"), {"epochs": 60})
 
 
 @pytest.fixture(scope="module")
-def imbalance_battery(splits):
+def imbalance_battery(tmp_path_factory):
     """CE and NLA runs at imbalance 100, desk-converged profile."""
-    base_train, test = splits
-    t0 = time.perf_counter()
-    runs = {}
-    for seed in SEEDS:
-        train = _cell_dataset(base_train, CELL_CONFIG, 0.0, 100.0, seed)
-        rs = run_seed(MASTER_SEED, 0.0, 100.0, seed)
-        for mode in ("ce", "nla"):
-            cfg = TrainConfig(mode=mode, epochs=60, seed=rs,
-                              lr0=DESK_CONVERGED_LR)
-            runs[(mode, seed)] = run_training(cfg, train, test)
-    return runs, time.perf_counter() - t0
+    return sweep(tmp_path_factory, 0.0, 100.0, ("ce", "nla"), DESK_CONVERGED)
 
 
 @pytest.fixture(scope="module")
-def ablation_battery(splits):
+def ablation_battery(tmp_path_factory):
     """All three modes at 20% noise + imbalance 50, desk-converged profile."""
-    base_train, test = splits
-    runs = {}
-    for seed in SEEDS:
-        train = _cell_dataset(base_train, CELL_CONFIG, 0.2, 50.0, seed)
-        rs = run_seed(MASTER_SEED, 0.2, 50.0, seed)
-        for mode in ("ce", "naw", "nla"):
-            cfg = TrainConfig(mode=mode, epochs=60, seed=rs,
-                              lr0=DESK_CONVERGED_LR)
-            runs[(mode, seed)] = run_training(cfg, train, test)
-    return runs
+    return sweep(tmp_path_factory, 0.2, 50.0, ("ce", "naw", "nla"), DESK_CONVERGED)[0]
 
 
-def test_standard_instance_calibration_band(splits):
+def test_standard_instance_calibration_band():
     """Supporting check: the clean baseline sits in the 0.75..0.90 band."""
-    base_train, test = splits
+    base_train, test = standard_instance(MASTER_SEED)
     cfg = TrainConfig(mode="ce", epochs=60,
                       seed=derive_seed(MASTER_SEED, "run|clean"))
     record = run_training(cfg, base_train, test)
@@ -158,8 +151,8 @@ def test_criterion_06_noise_robustness_trend(noise_battery):
     runs, elapsed = noise_battery
     gaps = []
     for seed in SEEDS:
-        ce = runs[("ce", seed)].metrics[-1].test_overall
-        nla = runs[("nla", seed)].metrics[-1].test_overall
+        ce = runs[("ce", seed)][-1].test_overall
+        nla = runs[("nla", seed)][-1].test_overall
         gaps.append(100.0 * (nla - ce))
     wins = sum(g > 0 for g in gaps)
     mean_gap = float(np.mean(gaps))
@@ -185,8 +178,8 @@ def test_criterion_07_imbalance_trend(imbalance_battery):
     runs, elapsed = imbalance_battery
     gaps = []
     for seed in SEEDS:
-        ce = runs[("ce", seed)].metrics[-1].test_mean
-        nla = runs[("nla", seed)].metrics[-1].test_mean
+        ce = runs[("ce", seed)][-1].test_mean
+        nla = runs[("nla", seed)][-1].test_mean
         gaps.append(100.0 * (nla - ce))
     wins = sum(g > 0 for g in gaps)
     mean_gap = float(np.mean(gaps))
@@ -204,10 +197,10 @@ def test_criterion_08_weight_dynamics(imbalance_battery):
     details = []
     stable = True
     for seed in SEEDS:
-        record = runs[("nla", seed)]
-        stable &= all(np.isfinite(m.loss_total) for m in record.metrics)
-        first = record.metrics[0].weight_quartiles
-        last = record.metrics[-1].weight_quartiles
+        metrics = runs[("nla", seed)]
+        stable &= all(np.isfinite(m.loss_total) for m in metrics)
+        first = metrics[0].weight_quartiles
+        last = metrics[-1].weight_quartiles
         up = all(last[c, 1] > first[c, 1] for c in (5, 6))
         rising += up
         details.append(f"s{seed}:{'up' if up else 'down'}")
@@ -220,7 +213,7 @@ def test_criterion_08_weight_dynamics(imbalance_battery):
 def test_criterion_09_ablation_ordering(ablation_battery):
     """Seed-averaged mean accuracy: CE <= weighted CE <= full objective."""
     runs = ablation_battery
-    avg = {mode: float(np.mean([runs[(mode, s)].metrics[-1].test_mean
+    avg = {mode: float(np.mean([runs[(mode, s)][-1].test_mean
                                 for s in SEEDS]))
            for mode in ("ce", "naw", "nla")}
     ok = avg["ce"] <= avg["naw"] <= avg["nla"]
@@ -230,18 +223,20 @@ def test_criterion_09_ablation_ordering(ablation_battery):
     assert ok
 
 
-def test_criterion_10_determinism(splits):
+def test_criterion_10_determinism(tmp_path):
     """Identical config twice gives a bit-identical metrics CSV."""
-    base_train, test = splits
-    train = _cell_dataset(base_train, CELL_CONFIG, 0.1, 1.0, 1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": MASTER_SEED, "out": str(tmp_path / "out")}),
+                      encoding="utf-8")
+    csv = tmp_path / "out" / "runs" / "n0.1_f1_nla_s1" / "metrics.csv"
 
     def one_run():
-        cfg = TrainConfig(mode="nla", epochs=5,
-                          seed=run_seed(MASTER_SEED, 0.1, 1.0, 1))
-        return metrics_csv_text(run_training(cfg, train, test))
+        assert nla_quietly("train", "--config", config, "--noise", 0.1, "--mode", "nla",
+                           "--seed", 1, "--epochs", 5, "--force") == 0
+        return csv.read_bytes()
 
-    digest_a = hashlib.sha256(one_run().encode()).hexdigest()
-    digest_b = hashlib.sha256(one_run().encode()).hexdigest()
+    digest_a = hashlib.sha256(one_run()).hexdigest()
+    digest_b = hashlib.sha256(one_run()).hexdigest()
     ok = digest_a == digest_b
     report(10, "determinism", ok, f"sha256 {digest_a[:16]}... x2, equal={ok}")
     assert ok

@@ -264,6 +264,7 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--mode", "ce,nla",
                      "--seed", "1"]) == 1
         assert main(["train", "--config", str(path), "--mode", "ce"]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 def deterministic_files(out):
@@ -419,15 +420,19 @@ class TestSweep:
         (["--seeds", "2", "--noise", "0.1,0.1000001"], "n0.1_f1_ce_s2"),
         (["--seeds", "2", "--mode", "ce,ce"], "n0.1_f1_ce_s2"),
     ], ids=["seed", "noise", "mode"])
-    def test_repeated_cell_is_usage_error(self, tmp_path, capsys, flags, repeated):
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    def test_repeated_cell_is_usage_error(self, tmp_path, capsys, command, flags,
+                                          repeated):
         path, cfg = write_config(tmp_path, noise=[0.1], modes=["ce"])
-        assert main(["sweep", "--config", str(path), "--workers", "2", *flags]) == 1
+        workers = ["--workers", "2"] if command == "sweep" else []
+        assert main([command, "--config", str(path), *workers, *flags]) == 1
         assert f"cell {repeated} appears more than once" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_empty_grid_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys, command):
         path, cfg = write_config(tmp_path, modes=["ce"])
-        assert main(["sweep", "--config", str(path), "--seeds", "5..1"]) == 1
+        assert main([command, "--config", str(path), "--seeds", "5..1"]) == 1
         assert "the grid is empty" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

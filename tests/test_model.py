@@ -13,7 +13,7 @@ from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
 from nla.selfcheck import (POLICY60, check_gradient_fidelity,
                            draw_kink_safe_batch, frozen_loss_fn)
-from nla.trainer import train_step
+from nla.trainer import step_loss, train_step
 
 MLP = Arch(input_dim=8, hidden_dim=16, n_classes=7)
 LINEAR = Arch(input_dim=8, hidden_dim=0, n_classes=7)
@@ -279,8 +279,8 @@ class TestGradientCheck:
     def test_stacked_losses_equal_solo_training_steps(self):
         # Trial 0 of check_gradient_fidelity(77, ...): every perturbed loss
         # that gradient_check evaluates in stacks equals the batch mean of
-        # a solo train_step at that vector, bit for bit; loss_fn only ever
-        # sees stacks.
+        # a solo training-step loss (step_loss, train_step's loss half) at
+        # that vector, bit for bit; loss_fn only ever sees stacks.
         rng = Rng(77)
         params = init_params(Arch(8, 64, 7), rng.split(0))
         draw = rng.split(10_000)
@@ -302,8 +302,8 @@ class TestGradientCheck:
         rows = 0
         for flats, losses in stacks:
             for flat, loss in zip(flats, losses):
-                solo = train_step(ModelParams(params.arch, flat), x, xf, labels,
-                                  kernels, 0.5, "nla", frozen_weights=weights)[0]
+                solo = step_loss(ModelParams(params.arch, flat), x, xf, labels,
+                                 kernels, 0.5, "nla", frozen_weights=weights)[0]
                 assert loss == solo.total.mean()
                 rows += 1
         assert rows == 400

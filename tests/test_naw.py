@@ -344,8 +344,8 @@ class TestNawWeight:
         def density(x, y, k):
             dx = x - k.mu[0]
             dy = y - k.mu[1]
-            i = k.sigma_inv
-            q = i[0, 0] * dx ** 2 + 2.0 * i[0, 1] * dx * dy + i[1, 1] * dy ** 2
+            inv_xx, inv_xy, inv_yy = k.constants[2:5]
+            q = inv_xx * dx ** 2 + 2.0 * inv_xy * dx * dy + inv_yy * dy ** 2
             return k.norm_const * np.exp(-0.5 * q)
 
         rng = Rng(34 + epoch)

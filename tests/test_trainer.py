@@ -309,7 +309,17 @@ class TestRunTraining:
             run_training(cfg, train, test)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_guard_covers_the_flipped_view(self):
+    def test_divergence_at_an_epochs_last_step_names_that_step(self):
+        # One step per epoch; only the weight statistics see step (1, 0) overflow.
+        train = make_synthetic(3, 4, 10, 0.7, Rng(1))
+        test = make_synthetic(3, 4, 10, 0.7, Rng(2), split="test")
+        cfg = TrainConfig(mode="nla", epochs=2, lr0=1e150, batch_size=64, hidden_dim=8)
+        with pytest.raises(TrainingDiverged) as info:
+            run_training(cfg, train, test)
+        assert (info.value.epoch, info.value.batch) == (1, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_guard_covers_the_flipped_view(self, monkeypatch):
         class Overflowing(ViewTransform):
             def apply(self, inputs):
                 return np.asarray(inputs, dtype=np.float64) * 1e308
@@ -317,8 +327,9 @@ class TestRunTraining:
         train, test = tiny_data()
         view = Overflowing(kind="sign_flip", dim=train.dim)
         assert not np.all(np.isfinite(view.apply(train.inputs)))
+        monkeypatch.setattr(nla.trainer, "default_view", lambda ds: view)
         with pytest.raises(TrainingDiverged) as info:
-            run_training(tiny_config(mode="nla"), train, test, view=view)
+            run_training(tiny_config(mode="nla"), train, test)
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
     def test_kernels_built_at_most_twice_per_epoch(self, monkeypatch):
