@@ -52,7 +52,7 @@ print("\nGradient check (weights frozen, central differences, h = 1e-5):")
 check_x, check_xf = draw_kink_safe_batch(params, rng.split(1))
 check_labels = np.array([rng.below(train.n_classes) for _ in range(32)])
 grad, losses = frozen_loss_fn(params, check_x, check_xf, check_labels, 20, policy, 0.5)
-result = gradient_check(params, grad, losses, tolerance=1e-6)
+result = gradient_check(params, grad, losses)
 print(f"  checked {result.n_checked} coordinates, "
       f"max relative error {result.max_rel_error:.3e} "
       f"({'PASS' if result.passed else 'FAIL'} at 1e-6)")

@@ -31,8 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, apply_imbalance, ingest_csv, ingest_idx,
-                   inject_noise, load_dataset, save_dataset, synthetic_splits)
+from .data import (MIN_IMBALANCE, NOISE_RATES, Dataset, apply_imbalance,
+                   ingest_csv, ingest_idx, inject_noise, load_dataset,
+                   save_dataset, synthetic_splits)
 from .losses import MODES
 from .numkit import Rng, derive_seed
 from .trainer import (TrainConfig, TrainingDiverged, atomic_write_text,
@@ -148,7 +149,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
     for m in cfg["modes"]:
         if m not in MODES:
             raise UsageError(f"unknown mode {m!r}")
-    # Types only: the generators check the ranges.
+    # Types, then ranges; apply_imbalance checks the data-dependent per-class bound.
     number = (int, float)
     fields = [("noise", cfg["noise"], number), ("imbalance", cfg["imbalance"], number),
               ("seeds", cfg["seeds"], int)]
@@ -167,6 +168,11 @@ def _apply_overrides(cfg: dict, args) -> dict:
         if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
             raise UsageError(f"config key {name!r} must hold "
                              + ("integers" if kind is int else "numbers"))
+    lo, hi = NOISE_RATES
+    if not all(lo <= v <= hi for v in cfg["noise"]):
+        raise UsageError(f"noise rates must lie in [{lo:g}, {hi:g}]")
+    if not all(v >= MIN_IMBALANCE for v in cfg["imbalance"]):
+        raise UsageError(f"imbalance factors must be >= {MIN_IMBALANCE:g}")
     return cfg
 
 
@@ -214,9 +220,9 @@ def _ensure_datasets(cfg: dict, grid: list[tuple], force: bool = False,
     data_dir.mkdir(parents=True, exist_ok=True)
     base_splits = functools.cache(lambda: _base_splits(cfg))
 
-    def reuse_or_write(path: Path, build) -> tuple[str, Dataset | None]:
+    def reuse_or_write(path: Path, noise, imbalance, build) -> tuple[str, Dataset | None]:
         """The cache's sha256, and the dataset when it was (re)written."""
-        sha = None if force else _cached_sha256(path, cfg)
+        sha = None if force else _cached_sha256(path, cfg, noise, imbalance)
         if sha is not None:
             return sha, None
         ds = build()
@@ -225,11 +231,11 @@ def _ensure_datasets(cfg: dict, grid: list[tuple], force: bool = False,
         return sha, ds
 
     path = data_dir / "test.ds"
-    caches = {"test": (path, reuse_or_write(path, lambda: base_splits()[1])[0])}
+    caches = {"test": (path, reuse_or_write(path, 0.0, 1.0, lambda: base_splits()[1])[0])}
     for noise, imbalance, seed in dict.fromkeys((n, f, s) for n, f, _, s in grid):
         did = dataset_id(noise, imbalance, seed)
         path = data_dir / f"{did}_train.ds"
-        sha, ds = reuse_or_write(path, lambda: _cell_dataset(
+        sha, ds = reuse_or_write(path, noise, imbalance, lambda: _cell_dataset(
             base_splits()[0], cfg, noise, imbalance, seed))
         caches[did] = (path, sha)
         if ds is not None and not quiet:
@@ -247,11 +253,11 @@ def _as_json(value):
     return json.loads(json.dumps(value))
 
 
-def _cached_sha256(path: Path, cfg: dict) -> str | None:
+def _cached_sha256(path: Path, cfg: dict, noise: float, imbalance: float) -> str | None:
     """The sha256 of a dataset cache that may be reused for ``cfg``, else
     None.  Reusable means: its ``.json`` sidecar records the requested
-    generator and master seed, and the file's sha256 equals the
-    sidecar's."""
+    generator, master seed, noise rate and imbalance (0 and 1 for
+    ``test.ds``), and the file's sha256 equals the sidecar's."""
     try:
         info = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
         sha = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -260,6 +266,8 @@ def _cached_sha256(path: Path, cfg: dict) -> str | None:
     if (isinstance(info, dict)
             and info.get("generator") == _as_json(cfg["dataset"])
             and info.get("master_seed") == cfg["seed"]
+            and info.get("noise_rate") == noise
+            and info.get("imbalance") == imbalance
             and info.get("sha256") == sha):
         return sha
     return None

@@ -43,6 +43,8 @@ __all__ = [
     "STANDARD_TRAIN_PER_CLASS",
     "STANDARD_TEST_PER_CLASS",
     "STANDARD_SPREAD",
+    "NOISE_RATES",
+    "MIN_IMBALANCE",
     "standard_instance",
 ]
 
@@ -62,6 +64,10 @@ STANDARD_DIM = 8
 STANDARD_TRAIN_PER_CLASS = 500
 STANDARD_TEST_PER_CLASS = 200
 STANDARD_SPREAD = 0.5
+
+# Noise rates (a closed range) and least imbalance factor; the runner checks these too.
+NOISE_RATES = (0.0, 0.5)
+MIN_IMBALANCE = 1.0
 
 
 class FormatError(ValueError):
@@ -118,14 +124,14 @@ class Dataset:
 class ViewTransform:
     """Label-preserving involution on inputs producing the paired view.
 
-    ``sign_flip`` negates one coordinate (vector data); ``mirror_image``
-    reverses each pixel row of flattened (height x width) images.
-    Applying the transform twice returns the input exactly.
+    ``sign_flip`` negates coordinate 0 of vector data, the mirror axis of
+    :func:`class_centers`; ``mirror_image`` reverses each pixel row of
+    flattened (height x width) images.  Applying the transform twice
+    returns the input exactly.
     """
 
     kind: str
     dim: int
-    axis: int = 0
     height: int = 0
     width: int = 0
 
@@ -141,7 +147,7 @@ class ViewTransform:
             raise ValueError(f"inputs must be (n, {self.dim}), got {x.shape}")
         if self.kind == "sign_flip":
             out = x.copy()
-            out[:, self.axis] = -out[:, self.axis]
+            out[:, 0] = -out[:, 0]
             return out
         imgs = x.reshape(-1, self.height, self.width)
         return imgs[:, :, ::-1].reshape(x.shape[0], self.dim).copy()
@@ -153,7 +159,7 @@ def default_view(ds: Dataset) -> ViewTransform:
     if shape:
         h, w = shape
         return ViewTransform(kind="mirror_image", dim=ds.dim, height=h, width=w)
-    return ViewTransform(kind="sign_flip", dim=ds.dim, axis=0)
+    return ViewTransform(kind="sign_flip", dim=ds.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +213,7 @@ def make_synthetic(n_classes: int, dim: int, n_per_class: int, spread: float,
             inputs[row] = center + spread * rng.normals(dim)
             labels[row] = k
             row += 1
-    meta = {"seed": rng.seed, "spread": spread, "centers": centers,
-            "mirror_axis": 0}
+    meta = {"seed": rng.seed, "spread": spread, "centers": centers}
     return Dataset(inputs=inputs, labels=labels, n_classes=n_classes,
                    split=split, meta=meta)
 
@@ -249,8 +254,8 @@ def inject_noise(ds: Dataset, rate: float, rng: Rng) -> Dataset:
     """
     if ds.split != "train":
         raise ValueError("label noise is only injected into the train split")
-    if not 0.0 <= rate <= 0.5:
-        raise ValueError(f"noise rate must lie in [0, 0.5], got {rate}")
+    if not NOISE_RATES[0] <= rate <= NOISE_RATES[1]:
+        raise ValueError(f"noise rate must lie in {list(NOISE_RATES)}, got {rate}")
     n_flips = _round_half_up(rate * ds.n)
     labels = ds.labels.copy()
     clean = (ds.clean_labels if ds.clean_labels is not None else ds.labels).copy()
@@ -275,8 +280,8 @@ def apply_imbalance(ds: Dataset, factor: float, rng: Rng) -> Dataset:
     """
     if ds.split != "train":
         raise ValueError("imbalance is only applied to the train split")
-    if factor < 1.0:
-        raise ValueError("imbalance factor must be >= 1")
+    if not factor >= MIN_IMBALANCE:
+        raise ValueError(f"imbalance factor must be >= {MIN_IMBALANCE:g}, got {factor}")
     base = ds.clean_labels if ds.clean_labels is not None else ds.labels
     counts = np.bincount(base, minlength=ds.n_classes)
     if not np.all(counts == counts[0]):

@@ -52,13 +52,12 @@ _HEADER = struct.Struct("<IIIIQ")  # after the magic; see "Checkpoint format"
 # pass; 1024-row chunks were slower.
 _CHUNK_ROWS = 512
 # Perturbed parameter vectors per loss evaluation of gradient_check.  On
-# the 8-64-7 MLP with 32-row batches, stacks of 16-50 took within 10% of
-# the fastest (about 40) and stacks of 100 or more were slower.  A stacked
-# loss holds both views' traces (four 384 KiB activation arrays at 24)
-# through batch_total: 0.7 MiB more peak RSS in the verify benchmark than
-# logits-only stacks; stacks of 32 add 0.4 MiB more.
+# the 8-64-7 MLP with 32-row batches and losses from full-trace forwards,
+# stacks of 16-50 took within 10% of the fastest (about 40) and stacks of
+# 100 or more were slower.
 _GRAD_STACK = 24
 _FD_STEP = 1e-5  # central-difference step of gradient_check
+_GRAD_TOLERANCE = 1e-6  # largest error a passing gradient_check reports
 
 
 @dataclass(frozen=True)
@@ -232,15 +231,14 @@ class GradCheckResult:
     max_rel_error: float
     worst_coordinate: tuple[str, int, int]
     n_checked: int
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
+        return self.max_rel_error <= _GRAD_TOLERANCE
 
 
 def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
-                   tolerance: float = 1e-6, max_coords: int | None = None,
+                   max_coords: int | None = None,
                    rng: Rng | None = None) -> GradCheckResult:
     """Compare the analytic gradient ``grad`` at ``params`` (a vector in
     the layout of ``params.flat``) against central differences.
@@ -297,7 +295,7 @@ def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
     kind, layer, at = next(blk for blk in blocks if blk[2][0] <= worst_at <= blk[2][-1])
     worst_coord = (kind, layer, int(worst_at - at[0]))
     return GradCheckResult(max_rel_error=worst, worst_coordinate=worst_coord,
-                           n_checked=int(m), tolerance=tolerance)
+                           n_checked=int(m))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import contextlib
 import functools
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -331,8 +332,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
     Readers see the previous file or the complete new one, never a partial
     write.  If the write fails, the temp file is removed and ``path`` is
-    left as it was.
+    left as it was.  A file that already holds ``data`` is left untouched,
+    so a run that changes nothing (a resume) rewrites no file.
     """
+    if os.path.isfile(path) and Path(path).read_bytes() == data:
+        return
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:

@@ -5,10 +5,10 @@ brute-force density oracle on a separate linear-algebra path, scheduler
 endpoints and monotonicity, covariance eigenstructure, end-to-end gradient
 fidelity, and the loss identities.  Each ``check_*`` function takes its
 seed and sizes (if any), checks its criterion's tolerance and returns
-``(ok, detail)``.  Gradient fidelity is checked on the step that training
-runs, :func:`nla.trainer.train_step`.  The acceptance suite calls them at
-the sizes the criteria state; :func:`run_selfcheck`, behind ``nla check``,
-calls them at reduced size with its own seeds.
+``(ok, detail)``.  Gradient fidelity checks the step that training runs,
+:func:`nla.trainer.train_step`, against losses composed here.  The
+acceptance suite calls the checks at the sizes the criteria state;
+:func:`run_selfcheck`, behind ``nla check``, at reduced size with its own seeds.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import numpy as np
 
 from .data import ViewTransform
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
-from .model import _FD_STEP, Arch, forward, gradient_check, init_params
+from .model import _FD_STEP, _GRAD_TOLERANCE, Arch, forward, gradient_check, init_params
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                   covariance_schedule, epoch_kernels, gaussian_weight,
                   kernel_params, sigma_from_axis_ratio)
 from .numkit import Rng
-from .trainer import step_loss, train_step
+from .trainer import train_step
 
 __all__ = [
     "brute_force_gaussian",
@@ -164,17 +164,20 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     ``grad`` is the flat gradient of the batch-mean loss from
     :func:`nla.trainer.train_step` in mode ``nla``, which treats the
     adaptive weights as constants.  ``losses`` maps a stack of R parameter
-    vectors to their R batch-mean losses through that step's loss half,
-    :func:`nla.trainer.step_loss`, in one call over the stacked batch, with
-    the weights frozen at that step's values.
+    vectors to their R batch-mean losses, composed apart from that step:
+    logits-only forwards of both views, one :func:`nla.losses.batch_total`
+    over the stacked rows with the weights frozen at the step's values.
     """
     kernels = epoch_kernels(policy, epoch)
     step, grad = train_step(params, inputs, flipped, labels, kernels, lam, "nla")
+    k = params.arch.n_classes
 
     def losses(stack):
         runs = len(stack.flat)
-        loss = step_loss(stack, inputs, flipped, np.tile(labels, runs), kernels, lam,
-                         "nla", frozen_weights=np.tile(step.weight, runs))[0]
+        z, zf = (forward(stack, x, logits_only=True).logits.reshape(-1, k)
+                 for x in (inputs, flipped))
+        loss = batch_total(z, zf, np.tile(labels, runs), kernels, lam, mode="nla",
+                           frozen_weights=np.tile(step.weight, runs))
         return loss.total.reshape(runs, -1).mean(axis=1)
 
     return grad, losses
@@ -201,7 +204,7 @@ def check_gradient_fidelity(seed: int, trials: int):
         result = gradient_check(params, grad, losses, max_coords=200, rng=draw)
         errors.append(result.max_rel_error)
     worst = float(np.max(errors, initial=0.0))  # NaN if any trial's is NaN
-    return bool(worst <= 1e-6), f"max rel err={worst:.3e} over {trials} trials"
+    return bool(worst <= _GRAD_TOLERANCE), f"max rel err={worst:.3e} over {trials} trials"
 
 
 def check_loss_identities(seed: int, n_equal: int, n_pairs: int, n_dominance: int):

@@ -1,8 +1,9 @@
 """Mini-batch training loop with epoch-scheduled adaptive weighting.
 
 One shared parameter set sees both views of every batch.  Every optimizer
-step takes its loss and flat gradient from :func:`train_step`, the step
-that the gradient-fidelity check verifies.  The optimizer is Adam with
+step takes its loss and flat gradient from one :func:`train_step` (forward
+of both views, the loss, backward), the step whose gradient the
+gradient-fidelity check verifies.  The optimizer is Adam with
 decoupled weight decay and an exponentially decayed learning rate, applied
 to the flat parameter vector in one pass.  Both weighting kernels are
 built once per epoch and shared by every batch and by that epoch's weight
@@ -36,7 +37,6 @@ __all__ = [
     "TrainingDiverged",
     "AdamState",
     "adam_step",
-    "step_loss",
     "train_step",
     "run_training",
     "evaluate",
@@ -235,21 +235,17 @@ def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     return out
 
 
-def step_loss(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
-              labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
-              lam: float, mode: str, frozen_weights: np.ndarray | None = None):
-    """The loss half of :func:`train_step`: ``(loss, trace, trace_f)``.
+def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
+               labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
+               lam: float, mode: str) -> tuple[BatchLoss, np.ndarray]:
+    """Loss of one mini-batch and the flat gradient of its mean at ``params``.
 
-    Runs the forward pass of both views (``flipped`` only in mode
-    ``nla``; otherwise ``trace_f`` is ``trace``), checks their logits and
-    evaluates :func:`nla.losses.batch_total` on them as rows.  Raises
-    FloatingPointError when either view's logits or the loss are not
-    finite.
-
-    With stacked parameters (``params.flat`` of shape (R, P)) the loss is
-    one ``batch_total`` over the R * n rows of the stacked logits, run by
-    run, so ``labels`` (and ``frozen_weights``, if given) must hold R * n
-    entries; row i of run r's batch is row r * n + i of the loss.
+    Runs the forward pass of both views (``flipped``, the mirrored view
+    of ``inputs``, is read only in mode ``nla``, where the gradient is
+    view 0's plus view 1's), checks their logits, evaluates
+    :func:`nla.losses.batch_total` on them and backpropagates its logit
+    gradients.  Raises FloatingPointError when either view's logits
+    (checked before the loss is evaluated) or the loss are not finite.
     """
     use_flip = mode == "nla"
     trace = forward(params, inputs)
@@ -257,27 +253,11 @@ def step_loss(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | Non
     if not np.isfinite(trace.logits).all() or (
             use_flip and not np.isfinite(trace_f.logits).all()):
         raise FloatingPointError("non-finite logits")
-    k = params.arch.n_classes
-    loss = batch_total(trace.logits.reshape(-1, k), trace_f.logits.reshape(-1, k),
-                       labels, kernels, lam, mode=mode, frozen_weights=frozen_weights)
+    loss = batch_total(trace.logits, trace_f.logits, labels, kernels, lam, mode=mode)
     if not np.isfinite(loss.total).all():
         raise FloatingPointError("non-finite loss")
-    return loss, trace, trace_f
-
-
-def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
-               labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
-               lam: float, mode: str) -> tuple[BatchLoss, np.ndarray]:
-    """Loss of one mini-batch and the flat gradient of its mean at ``params``.
-
-    ``flipped``, the mirrored view of ``inputs``, is read only in mode
-    ``nla``, where the gradient is view 0's plus view 1's.  The loss comes
-    from :func:`step_loss`, whose FloatingPointError on non-finite logits
-    (checked before the loss is evaluated) or loss passes through.
-    """
-    loss, trace, trace_f = step_loss(params, inputs, flipped, labels, kernels, lam, mode)
     grad = backward(params, trace, loss.grad_z)
-    if mode == "nla":
+    if use_flip:
         grad += backward(params, trace_f, loss.grad_zf)
     return loss, grad
 

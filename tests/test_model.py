@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nla.cli
 import nla.model
 import nla.trainer
 from nla.losses import batch_total
@@ -13,7 +14,7 @@ from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
 from nla.selfcheck import (POLICY60, check_gradient_fidelity,
                            draw_kink_safe_batch, frozen_loss_fn)
-from nla.trainer import step_loss, train_step
+from nla.trainer import train_step
 
 MLP = Arch(input_dim=8, hidden_dim=16, n_classes=7)
 LINEAR = Arch(input_dim=8, hidden_dim=0, n_classes=7)
@@ -162,8 +163,7 @@ class TestGradientCheck:
     def test_quadratic_loss(self):
         params = init_params(Arch(4, 0, 3), Rng(22))
 
-        result = gradient_check(params, params.flat.copy(), self._quadratic(params),
-                                tolerance=1e-8)
+        result = gradient_check(params, params.flat.copy(), self._quadratic(params))
         assert result.max_rel_error < 1e-8
         assert result.passed
 
@@ -174,7 +174,7 @@ class TestGradientCheck:
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
         grad, losses = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
-        result = gradient_check(params, grad, losses, tolerance=1e-6)
+        result = gradient_check(params, grad, losses)
         assert result.passed, result
 
     def test_failure_reports_offending_coordinate(self):
@@ -182,7 +182,7 @@ class TestGradientCheck:
         grad = params.flat.copy()
         (w,), _ = _layer_views(grad, params.arch.layer_shapes)
         w *= 2.0
-        result = gradient_check(params, grad, self._quadratic(params), tolerance=1e-6)
+        result = gradient_check(params, grad, self._quadratic(params))
         assert not result.passed
         kind, layer, flat = result.worst_coordinate
         assert kind == "W" and layer == 0
@@ -198,8 +198,7 @@ class TestGradientCheck:
         labels = np.array([rng.below(7) for _ in range(32)])
         policy = WeightPolicy(total_epochs=60)
         grad, losses = frozen_loss_fn(params, x, xf, labels, 20, policy, 0.5)
-        result = gradient_check(params, grad, losses, tolerance=1e-6, max_coords=200,
-                                rng=Rng(30))
+        result = gradient_check(params, grad, losses, max_coords=200, rng=Rng(30))
         assert result.max_rel_error == 1.5538475429742536e-09
         assert result.worst_coordinate == ("W", 1, 59)
         assert result.n_checked == 200
@@ -217,6 +216,24 @@ class TestGradientCheck:
         assert check_gradient_fidelity(77, 5)[0]
         monkeypatch.setattr(nla.trainer, "batch_total", without_flipped_gradient)
         assert not check_gradient_fidelity(77, 5)[0]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_stacked_logits_fail_the_check(self, monkeypatch, capsys):
+        # A perturbed vector whose logits are not finite fails the check at
+        # its coordinate instead of raising out of nla check.
+        real = nla.model._dense_pass
+
+        def inf_in_stacks(params, x):
+            logits, pre, hid = real(params, x)
+            if logits.ndim == 3:
+                logits[0, 0, 0] = np.inf
+            return logits, pre, hid
+
+        monkeypatch.setattr(nla.model, "_dense_pass", inf_in_stacks)
+        ok, detail = check_gradient_fidelity(77, 5)
+        assert not ok and "nan" in detail
+        assert nla.cli.main(["check"]) == 2
+        assert "FAIL gradient-fidelity" in capsys.readouterr().out
 
     def test_sampled_subset_requires_at_least_200(self):
         params = init_params(MLP, Rng(26))
@@ -278,9 +295,10 @@ class TestGradientCheck:
 
     def test_stacked_losses_equal_solo_training_steps(self):
         # Trial 0 of check_gradient_fidelity(77, ...): every perturbed loss
-        # that gradient_check evaluates in stacks equals the batch mean of
-        # a solo training-step loss (step_loss, train_step's loss half) at
-        # that vector, bit for bit; loss_fn only ever sees stacks.
+        # that gradient_check evaluates in stacks equals, bit for bit, the
+        # batch mean of batch_total over a solo forward of both views at
+        # that vector, with the training step's weights frozen; loss_fn
+        # only ever sees stacks.
         rng = Rng(77)
         params = init_params(Arch(8, 64, 7), rng.split(0))
         draw = rng.split(10_000)
@@ -302,9 +320,11 @@ class TestGradientCheck:
         rows = 0
         for flats, losses in stacks:
             for flat, loss in zip(flats, losses):
-                solo = step_loss(ModelParams(params.arch, flat), x, xf, labels,
-                                 kernels, 0.5, "nla", frozen_weights=weights)[0]
-                assert loss == solo.total.mean()
+                solo = ModelParams(params.arch, flat)
+                total = batch_total(forward(solo, x).logits, forward(solo, xf).logits,
+                                    labels, kernels, 0.5, mode="nla",
+                                    frozen_weights=weights).total
+                assert loss == total.mean()
                 rows += 1
         assert rows == 400
 
