@@ -154,7 +154,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
     fields = [("noise", cfg["noise"], number), ("imbalance", cfg["imbalance"], number),
               ("seeds", cfg["seeds"], int)]
     ds_cfg = cfg["dataset"]
-    ds_kind = ds_cfg.get("kind", "synthetic")
+    ds_kind = ds_cfg["kind"]
     if ds_kind not in _DATASET_PATHS:
         raise UsageError(f"unknown dataset kind {ds_kind!r}")
     if ds_kind == "synthetic":
@@ -181,21 +181,17 @@ def _apply_overrides(cfg: dict, args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _base_splits(cfg: dict) -> tuple[Dataset, Dataset]:
+    """The clean train and test splits of the dataset kind that
+    :func:`_apply_overrides` accepted."""
     ds_cfg = cfg["dataset"]
-    kind = ds_cfg.get("kind", "synthetic")
-    if kind == "synthetic":
+    if ds_cfg["kind"] == "synthetic":
         return synthetic_splits(cfg["seed"], ds_cfg["k"], ds_cfg["d"],
                                 ds_cfg["n_per_class"], ds_cfg["test_per_class"],
                                 ds_cfg["spread"])
-    if kind == "idx":
-        train = ingest_idx(ds_cfg["train_images"], ds_cfg["train_labels"], "train")
-        test = ingest_idx(ds_cfg["test_images"], ds_cfg["test_labels"], "test")
-        return train, test
-    if kind == "csv":
-        train = ingest_csv(ds_cfg["train"], "train")
-        test = ingest_csv(ds_cfg["test"], "test")
-        return train, test
-    raise UsageError(f"unknown dataset kind {kind!r}")
+    if ds_cfg["kind"] == "idx":
+        return (ingest_idx(ds_cfg["train_images"], ds_cfg["train_labels"], "train"),
+                ingest_idx(ds_cfg["test_images"], ds_cfg["test_labels"], "test"))
+    return ingest_csv(ds_cfg["train"], "train"), ingest_csv(ds_cfg["test"], "test")
 
 
 def _cell_dataset(base_train: Dataset, cfg: dict, noise: float,

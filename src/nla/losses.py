@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .naw import KernelParams, WeightPolicy, epoch_kernels, score_weights
-from .numkit import _softmax_lse
+from .numkit import _as_finite_array, _check_labels, _softmax_lse
 
 __all__ = [
     "MODES",
@@ -55,24 +55,23 @@ class BatchLoss:
 
 
 def _as_logit_rows(logits, name: str) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
+    z = _as_finite_array(logits, name)
     if z.ndim == 1:
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"{name} must be a vector or matrix with K >= 2 columns")
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"{name} must be finite")
     return z
 
 
-def _one_sample(logits, label: int) -> np.ndarray:
-    """Check one logit vector and its label; return the vector as a (1, K) row."""
+def _one_sample(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check one logit vector and its label; return them as a (1, K) row
+    and a (1,) label array."""
     z = _as_logit_rows(logits, "logits")
     if z.shape[0] != 1:
         raise ValueError("logits must be a single logit vector")
-    if not 0 <= label < z.shape[1]:
-        raise ValueError(f"label {label} out of range for {z.shape[1]} categories")
-    return z
+    labels = np.array([label])
+    _check_labels(labels, z.shape[1], "label")
+    return z, labels
 
 
 def _consistency(p: np.ndarray):
@@ -98,8 +97,8 @@ def cross_entropy(logits, label: int):
 
     Returns ``(loss, grad)`` where ``grad = softmax(logits) - onehot``.
     """
-    z = _one_sample(logits, label)
-    batch = batch_total(z, z, np.array([label]), None, 1.0, mode="ce")
+    z, labels = _one_sample(logits, label)
+    batch = batch_total(z, z, labels, None, 1.0, mode="ce")
     return float(batch.ce[0]), batch.grad_z[0]
 
 
@@ -109,8 +108,8 @@ def naw_ce_loss(logits, label: int, epoch: int, policy: WeightPolicy):
     The weight w comes from the epoch's kernels and is a constant with
     respect to the logits.  Returns ``(loss, weight, grad)``.
     """
-    z = _one_sample(logits, label)
-    batch = batch_total(z, z, np.array([label]), epoch_kernels(policy, epoch),
+    z, labels = _one_sample(logits, label)
+    batch = batch_total(z, z, labels, epoch_kernels(policy, epoch),
                         1.0, mode="naw")
     return float(batch.naw_ce[0]), float(batch.weight[0]), batch.grad_z[0]
 

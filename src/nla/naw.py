@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numkit import _check_labels
+
 __all__ = [
     "ALONG_Y_EQ_X",
     "ALONG_Y_EQ_NEG_X",
@@ -70,8 +72,10 @@ class KernelParams:
 def kernel_params(mu, sigma) -> KernelParams:
     """Validate a mean / covariance pair and precompute its constants.
 
-    The covariance must be finite, symmetric and positive definite with
-    a determinant above 1e-12; it is inverted by the adjugate formula.
+    The one judge of a kernel, :class:`WeightPolicy`'s too: the mean must
+    be a finite 2-vector and the covariance finite, symmetric and positive
+    definite with a determinant above 1e-12; it is inverted by the
+    adjugate formula.
     """
     mu = np.array(mu, dtype=np.float64)
     sigma = np.array(sigma, dtype=np.float64)
@@ -81,16 +85,17 @@ def kernel_params(mu, sigma) -> KernelParams:
         raise ValueError(f"covariance must have shape (2, 2), got {sigma.shape}")
     # Python floats from here on: the same IEEE double operations as
     # numpy's, without its per-scalar overhead.
+    mu_xy = mu.tolist()
     (a, b), (c, d) = sigma.tolist()
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise ValueError("covariance must contain only finite values")
+    if not all(map(math.isfinite, (*mu_xy, a, b, c, d))):
+        raise ValueError("mean and covariance must contain only finite values")
     if b != c:
         raise ValueError("covariance must be symmetric")
     det = a * d - b * c
     if a <= 0.0 or det <= 1e-12:
         raise ValueError("covariance must be positive definite (det > 1e-12)")
     norm_const = 1.0 / (_TWO_PI * math.sqrt(det))
-    constants = np.array(mu.tolist() + [d / det, -b / det, a / det, norm_const])
+    constants = np.array(mu_xy + [d / det, -b / det, a / det, norm_const])
     for arr in (mu, sigma, constants):
         arr.flags.writeable = False
     return KernelParams(mu=mu, sigma=sigma, norm_const=norm_const, constants=constants)
@@ -101,7 +106,9 @@ class WeightPolicy:
     """Complete weighting configuration: both branches plus the horizon.
 
     Axis ratios are ratios of ellipse axis lengths (major : minor), so the
-    covariance eigenvalue ratio is the square of the stated value.
+    covariance eigenvalue ratio is the square of the stated value.  The
+    fields are checked by building the horizon epoch's kernels, the most
+    elongated the policy gives, so :func:`kernel_params` judges them.
     """
 
     mu_true: tuple[float, float] = (0.5, 0.5)
@@ -112,12 +119,7 @@ class WeightPolicy:
     total_epochs: int = 60
 
     def __post_init__(self) -> None:
-        if self.sigma_diag <= 0.0:
-            raise ValueError("sigma_diag must be positive")
-        if self.axis_ratio_true < 1.0 or self.axis_ratio_false < 1.0:
-            raise ValueError("axis ratios must be >= 1")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
+        epoch_kernels(self, self.total_epochs)
 
 
 def covariance_schedule(epoch: int, total_epochs: int) -> float:
@@ -240,6 +242,5 @@ def naw_weights(probs: np.ndarray, labels: np.ndarray,
     n, k = probs.shape
     if labels.shape != (n,):
         raise ValueError("labels must have one entry per probability row")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise ValueError("label out of range")
+    _check_labels(labels, k)
     return score_weights(probs, labels, kernels)

@@ -43,6 +43,12 @@ def _as_finite_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_labels(labels: np.ndarray, n_classes: int, name: str = "labels") -> None:
+    """Raise ValueError unless every entry of ``labels`` lies in [0, n_classes)."""
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
+        raise ValueError(f"{name} must lie in [0, {n_classes})")
+
+
 # ---------------------------------------------------------------------------
 # Softmax family
 # ---------------------------------------------------------------------------

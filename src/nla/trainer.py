@@ -27,7 +27,7 @@ from .losses import MODES, BatchLoss, batch_total
 from .model import (Arch, ModelParams, backward, forward, init_params,
                     save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
-from .numkit import Rng, _softmax_lse, atomic_write_bytes
+from .numkit import Rng, _check_labels, _softmax_lse, atomic_write_bytes
 
 __all__ = [
     "TrainConfig",
@@ -270,8 +270,7 @@ def _check_splits(train: Dataset, test: Dataset) -> None:
             f"{train.n_classes} classes, test has dim {test.dim} and "
             f"{test.n_classes} classes")
     for ds in (train, test):
-        if ds.labels.min(initial=0) < 0 or ds.labels.max(initial=0) >= ds.n_classes:
-            raise ValueError(f"{ds.split} labels must lie in [0, {ds.n_classes})")
+        _check_labels(ds.labels, ds.n_classes, f"{ds.split} labels")
 
 
 def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecord:
@@ -304,22 +303,20 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
         # Gather once per epoch; each batch is then a contiguous slice.
         inputs, labels, inputs_f = train.inputs[perm], train.labels[perm], flipped[perm]
         sums = np.zeros(4)  # ce, naw_ce, reg, total
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            stop = start + config.batch_size
-            try:
+        try:
+            for batch_index, start in enumerate(range(0, n, config.batch_size)):
+                stop = start + config.batch_size
                 loss, grad = train_step(params, inputs[start:stop],
                                         inputs_f[start:stop], labels[start:stop],
                                         kernels, config.lam, config.mode)
-            except FloatingPointError:
-                raise TrainingDiverged(epoch, batch_index) from None
-            adam_step(params, grad, state, lr, config)
-            sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(),
-                     loss.total.sum()]
-        ev = evaluate(params, test)
-        try:
+                adam_step(params, grad, state, lr, config)
+                sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(),
+                         loss.total.sum()]
+            # Only the weight statistics see the epoch's last update.
             quartiles = collect_weight_stats(params, train, kernels)
-        except FloatingPointError:  # the epoch's last update diverged
+        except FloatingPointError:
             raise TrainingDiverged(epoch, batch_index) from None
+        ev = evaluate(params, test)
         metrics.append(EpochMetrics(
             epoch=epoch, lr=lr,
             loss_ce=float(sums[0] / n), loss_naw_ce=float(sums[1] / n),

@@ -264,9 +264,13 @@ class TestTrain:
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("train", [{"lam": 2}, {"foo": 1}, {"policy": [1]},
                                        {"epochs": 2.5}, {"batch_size": 32.0},
-                                       {"hidden_dim": 8.5}],
+                                       {"hidden_dim": 8.5},
+                                       {"policy": {"mu_true": [0.5, 0.5, 0.5]}},
+                                       {"policy": {"sigma_diag": 1e-7}},
+                                       {"policy": {"mu_false": [np.nan, 0.1]}}],
                              ids=["lam", "foo", "policy", "epochs", "batch_size",
-                                  "hidden_dim"])
+                                  "hidden_dim", "policy-mu_true", "policy-sigma_diag",
+                                  "policy-mu_false"])
     def test_rejected_train_section_is_usage_error(self, tmp_path, capsys,
                                                     command, train):
         path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"], train=train)

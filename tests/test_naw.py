@@ -371,9 +371,10 @@ class TestWeightPolicyValidation:
         assert policy.total_epochs == 60
 
     def test_bad_fields_rejected(self):
-        with pytest.raises(ValueError):
-            WeightPolicy(sigma_diag=0.0)
-        with pytest.raises(ValueError):
-            WeightPolicy(axis_ratio_true=0.9)
-        with pytest.raises(ValueError):
-            WeightPolicy(total_epochs=0)
+        # Each value gives a kernel that kernel_params or its builders reject.
+        for fields in ({"sigma_diag": 0.0}, {"axis_ratio_true": 0.9},
+                       {"total_epochs": 0}, {"sigma_diag": np.nan},
+                       {"axis_ratio_false": np.nan}, {"mu_true": (0.5, 0.5, 0.5)},
+                       {"mu_false": (np.nan, 0.1)}, {"sigma_diag": 1e-7}):
+            with pytest.raises(ValueError):
+                WeightPolicy(**fields)

@@ -162,7 +162,7 @@ class TestWeightStats:
         labels[-1] = bad
         train = Dataset(inputs=train.inputs, labels=labels, n_classes=3, split="train")
         params = init_params(Arch(train.dim, 8, 3), Rng(7))
-        with pytest.raises(ValueError, match="label out of range"):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             collect_weight_stats(params, train, epoch_kernels(WeightPolicy(total_epochs=10), 4))
 
 
@@ -340,9 +340,10 @@ class TestRunTraining:
             built.append(1)
             return real(mu, sigma)
 
-        monkeypatch.setattr(nla.naw, "kernel_params", counting)
         train, test = tiny_data()
-        run_training(tiny_config(mode="nla", epochs=3), train, test)
+        cfg = tiny_config(mode="nla", epochs=3)  # builds its policy's kernels
+        monkeypatch.setattr(nla.naw, "kernel_params", counting)
+        run_training(cfg, train, test)
         assert 0 < len(built) <= 2 * 3
 
     def test_noisy_labels_accepted(self):
