@@ -379,9 +379,12 @@ def _grid(cfg: dict) -> list[tuple]:
 
 def _cells(cfg: dict, grid: list[tuple], force: bool) -> list[CellSpec]:
     """The cells of ``grid`` with their training configs built once; a
-    ``train`` section that :class:`TrainConfig` rejects is a usage error,
-    raised before anything is written.  A cell's training seed does not
-    depend on its mode, so modes are paired per (data, seed) cell."""
+    ``train`` section that :class:`TrainConfig` rejects, or that sets the
+    grid's ``mode`` or ``seed``, is a usage error, raised before anything
+    is written.  A cell's training seed does not depend on its mode, so
+    modes are paired per (data, seed) cell."""
+    if {"mode", "seed"} & cfg["train"].keys():
+        raise UsageError("bad train section: the grid sets mode and seed")
     try:
         configs = [TrainConfig.from_dict({
             **cfg["train"], "mode": mode,

@@ -167,6 +167,7 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     vectors to their R batch-mean losses, composed apart from that step:
     logits-only forwards of both views, one :func:`nla.losses.batch_total`
     over the stacked rows with the weights frozen at the step's values.
+    Non-finite logits give a NaN loss, without a floating-point warning.
     """
     kernels = epoch_kernels(policy, epoch)
     step, grad = train_step(params, inputs, flipped, labels, kernels, lam, "nla")
@@ -176,8 +177,9 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
         runs = len(stack.flat)
         z, zf = (forward(stack, x, logits_only=True).logits.reshape(-1, k)
                  for x in (inputs, flipped))
-        loss = batch_total(z, zf, np.tile(labels, runs), kernels, lam, mode="nla",
-                           frozen_weights=np.tile(step.weight, runs))
+        with np.errstate(invalid="ignore", over="ignore"):
+            loss = batch_total(z, zf, np.tile(labels, runs), kernels, lam,
+                               mode="nla", frozen_weights=np.tile(step.weight, runs))
         return loss.total.reshape(runs, -1).mean(axis=1)
 
     return grad, losses

@@ -27,7 +27,8 @@ from .losses import MODES, BatchLoss, batch_total
 from .model import (Arch, ModelParams, backward, forward, init_params,
                     save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
-from .numkit import Rng, _check_labels, _softmax_lse, atomic_write_bytes
+from .numkit import (Rng, _as_finite_array, _check_labels, _softmax_lse,
+                     atomic_write_bytes)
 
 __all__ = [
     "TrainConfig",
@@ -51,8 +52,10 @@ _QUARTILES = np.array([0.25, 0.5, 0.75])  # np.percentile's q / 100
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite logits or loss; carries the epoch and batch index of the
-    step whose loss, or whose update, was the first not finite."""
+    """Non-finite logits or loss after an update; carries the epoch and
+    batch index of the last update taken before they were first seen.
+    Non-finite values before the first update are an input error, a
+    ValueError of :func:`run_training`."""
 
     def __init__(self, epoch: int, batch: int):
         super().__init__(f"training diverged at epoch {epoch}, batch {batch}")
@@ -178,10 +181,14 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
                + cfg.weight_decay * p)
 
 
-def evaluate(params: ModelParams, test: Dataset) -> EvalResult:
-    """Accuracy on the original view only."""
+def _check_covers_classes(test: Dataset) -> None:
     if test.n == 0 or np.any(test.class_counts == 0):
         raise ValueError("test split must contain every class")
+
+
+def evaluate(params: ModelParams, test: Dataset) -> EvalResult:
+    """Accuracy on the original view only."""
+    _check_covers_classes(test)
     logits = forward(params, test.inputs, logits_only=True).logits
     preds = logits.argmax(axis=1)
     k = test.n_classes
@@ -263,7 +270,9 @@ def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | No
 
 
 def _check_splits(train: Dataset, test: Dataset) -> None:
-    """Reject splits a run cannot use, before any step is taken."""
+    """Reject splits a run cannot use, before any step is taken: splits
+    that disagree on dim or class count, a label outside [0, n_classes),
+    a non-finite input, or a test split that lacks a class."""
     if (train.dim, train.n_classes) != (test.dim, test.n_classes):
         raise ValueError(
             f"train and test splits disagree: train has dim {train.dim} and "
@@ -271,6 +280,8 @@ def _check_splits(train: Dataset, test: Dataset) -> None:
             f"{test.n_classes} classes")
     for ds in (train, test):
         _check_labels(ds.labels, ds.n_classes, f"{ds.split} labels")
+        _as_finite_array(ds.inputs, f"{ds.split} inputs")
+    _check_covers_classes(test)
 
 
 def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecord:
@@ -279,10 +290,10 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
     Sub-streams of the run seed: split 0 initializes parameters, split 1
     drives the per-epoch shuffles.  The flipped view is only evaluated in
     mode ``nla``; the other modes never look at it.  Raises ValueError
-    before the first step when the splits disagree on dim or class count
-    or hold a label outside [0, n_classes), and TrainingDiverged when
-    either view's logits or the loss stop being finite (also after an
-    epoch's last update, which only the weight statistics see).
+    before the first step for splits that :func:`_check_splits` rejects,
+    and before the first update when either view's logits or the loss are
+    not finite; TrainingDiverged when they stop being finite later (also
+    after an epoch's last update, which only the weight statistics see).
     """
     _check_splits(train, test)
     rng = Rng(config.seed)
@@ -294,6 +305,7 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
     state = AdamState.zeros_like(params)
     flipped = default_view(train).apply(train.inputs)
     n = train.n
+    last = None  # (epoch, batch) of the last update taken
 
     metrics: list[EpochMetrics] = []
     for epoch in range(config.epochs):
@@ -310,12 +322,15 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
                                         inputs_f[start:stop], labels[start:stop],
                                         kernels, config.lam, config.mode)
                 adam_step(params, grad, state, lr, config)
+                last = epoch, batch_index
                 sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(),
                          loss.total.sum()]
             # Only the weight statistics see the epoch's last update.
             quartiles = collect_weight_stats(params, train, kernels)
-        except FloatingPointError:
-            raise TrainingDiverged(epoch, batch_index) from None
+        except FloatingPointError as exc:
+            if last is None:
+                raise ValueError(f"{exc} before the first update") from None
+            raise TrainingDiverged(*last) from None
         ev = evaluate(params, test)
         metrics.append(EpochMetrics(
             epoch=epoch, lr=lr,

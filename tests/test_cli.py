@@ -267,10 +267,11 @@ class TestTrain:
                                        {"hidden_dim": 8.5},
                                        {"policy": {"mu_true": [0.5, 0.5, 0.5]}},
                                        {"policy": {"sigma_diag": 1e-7}},
-                                       {"policy": {"mu_false": [np.nan, 0.1]}}],
+                                       {"policy": {"mu_false": [np.nan, 0.1]}},
+                                       {"mode": "ce"}, {"seed": 3}],
                              ids=["lam", "foo", "policy", "epochs", "batch_size",
                                   "hidden_dim", "policy-mu_true", "policy-sigma_diag",
-                                  "policy-mu_false"])
+                                  "policy-mu_false", "mode", "seed"])
     def test_rejected_train_section_is_usage_error(self, tmp_path, capsys,
                                                     command, train):
         path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"], train=train)

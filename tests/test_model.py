@@ -1,5 +1,7 @@
 """Predictors: init, forward/backward, gradient checker, checkpoints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,7 +219,6 @@ class TestGradientCheck:
         monkeypatch.setattr(nla.trainer, "batch_total", without_flipped_gradient)
         assert not check_gradient_fidelity(77, 5)[0]
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_stacked_logits_fail_the_check(self, monkeypatch, capsys):
         # A perturbed vector whose logits are not finite fails the check at
         # its coordinate instead of raising out of nla check.
@@ -230,9 +231,11 @@ class TestGradientCheck:
             return logits, pre, hid
 
         monkeypatch.setattr(nla.model, "_dense_pass", inf_in_stacks)
-        ok, detail = check_gradient_fidelity(77, 5)
-        assert not ok and "nan" in detail
-        assert nla.cli.main(["check"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # nothing on stderr
+            ok, detail = check_gradient_fidelity(77, 5)
+            assert not ok and "nan" in detail
+            assert nla.cli.main(["check"]) == 2
         assert "FAIL gradient-fidelity" in capsys.readouterr().out
 
     def test_sampled_subset_requires_at_least_200(self):

@@ -305,8 +305,10 @@ class TestRunTraining:
     def test_divergence_guard_raises(self):
         train, test = tiny_data()
         cfg = tiny_config(lr0=1e150, epochs=2)
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as info:
             run_training(cfg, train, test)
+        # Update (0, 1) overflows the logits; step (0, 2) sees it.
+        assert (info.value.epoch, info.value.batch) == (0, 1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_at_an_epochs_last_step_names_that_step(self):
@@ -328,9 +330,9 @@ class TestRunTraining:
         view = Overflowing(kind="sign_flip", dim=train.dim)
         assert not np.all(np.isfinite(view.apply(train.inputs)))
         monkeypatch.setattr(nla.trainer, "default_view", lambda ds: view)
-        with pytest.raises(TrainingDiverged) as info:
+        # Infinite before any update: an input error, not a divergence.
+        with pytest.raises(ValueError, match="non-finite logits before the first update"):
             run_training(tiny_config(mode="nla"), train, test)
-        assert (info.value.epoch, info.value.batch) == (0, 0)
 
     def test_kernels_built_at_most_twice_per_epoch(self, monkeypatch):
         built = []
@@ -379,6 +381,26 @@ class TestRunValidation:
         train, _ = tiny_data(d=4)
         _, test = tiny_data(d=5)
         with pytest.raises(ValueError, match="disagree"):
+            run_training(tiny_config(), train, test)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inputs(self, no_steps, split, value):
+        splits = dict(zip(("train", "test"), tiny_data(k=3)))
+        ds = splits[split]
+        inputs = ds.inputs.copy()
+        inputs[::2, 1] = value
+        splits[split] = Dataset(inputs=inputs, labels=ds.labels, n_classes=3,
+                                split=split)
+        with pytest.raises(ValueError, match=f"{split} inputs must contain only finite"):
+            run_training(tiny_config(), splits["train"], splits["test"])
+
+    def test_test_split_lacks_a_class(self, no_steps):
+        train, test = tiny_data(k=3)
+        keep = test.labels != 2
+        test = Dataset(inputs=test.inputs[keep], labels=test.labels[keep],
+                       n_classes=3, split="test")
+        with pytest.raises(ValueError, match="test split must contain every class"):
             run_training(tiny_config(), train, test)
 
 
