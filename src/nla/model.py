@@ -1,7 +1,8 @@
 """Minimal differentiable predictors with hand-derived backprop.
 
 Two architectures: a linear softmax head (d -> K) and a one-hidden-layer
-ReLU perceptron (d -> h -> K).  The ReLU derivative at exactly 0 is taken
+ReLU perceptron (d -> h -> K), whose forward and backward passes are one
+loop over the dense layers.  The ReLU derivative at exactly 0 is taken
 as 0 (the left limit), so gradient checks have a fixed convention at the
 kink.  Checkpoints round-trip bit-exactly through a small binary format.
 
@@ -73,14 +74,10 @@ class Arch:
             raise ValueError(f"bad architecture {self}")
 
     @property
-    def is_linear(self) -> bool:
-        return self.hidden_dim == 0
-
-    @property
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) of each dense layer, input side first."""
         d, h, k = self.input_dim, self.hidden_dim, self.n_classes
-        return [(d, k)] if self.is_linear else [(d, h), (h, k)]
+        return [(d, h), (h, k)] if h else [(d, k)]
 
     @property
     def param_count(self) -> int:
@@ -123,13 +120,12 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations for one mini-batch, consumed by backward; a
-    logits-only trace (see :func:`forward`) holds none."""
+    """Logits of one mini-batch and the input of each dense layer (the
+    rows, then the ReLU units), consumed by backward; a logits-only trace
+    (see :func:`forward`) holds no layer inputs."""
 
-    inputs: np.ndarray
     logits: np.ndarray
-    pre_hidden: np.ndarray | None = None
-    hidden: np.ndarray | None = None
+    layer_inputs: list[np.ndarray]
 
 
 def init_params(arch: Arch, rng: Rng) -> ModelParams:
@@ -145,19 +141,17 @@ def init_params(arch: Arch, rng: Rng) -> ModelParams:
 
 
 def _dense_pass(params: ModelParams, x: np.ndarray):
-    """(logits, pre_hidden, hidden) of the rows of ``x``; the last two are
-    None for a linear model.  With stacked parameters each has a leading
-    run axis, over which the (R, 1, fan_out) biases broadcast.  The biases
-    are added in place (one array fewer per layer, the same bits)."""
-    w, b = params.weights, params.biases
-    pre = x @ w[0]
-    pre += b[0][..., None, :]
-    if params.arch.is_linear:
-        return pre, None, None
-    hid = np.maximum(pre, 0.0)
-    logits = hid @ w[1]
-    logits += b[1][..., None, :]
-    return logits, pre, hid
+    """(logits, layer inputs) of the rows of ``x``: every layer but the
+    first takes the ReLU of the one before.  With stacked parameters every
+    array but ``x`` has a leading run axis, over which the (R, 1, fan_out)
+    biases broadcast.  The biases are added in place (one array fewer per
+    layer, the same bits)."""
+    layer_inputs, z = [], x
+    for w, b in zip(params.weights, params.biases):
+        layer_inputs.append(np.maximum(z, 0.0) if layer_inputs else z)
+        z = layer_inputs[-1] @ w
+        z += b[..., None, :]
+    return z, layer_inputs
 
 
 def _row_chunks(n: int) -> list[slice]:
@@ -188,11 +182,10 @@ def forward(params: ModelParams, inputs: np.ndarray,
         raise ValueError(
             f"inputs must be (n, {params.arch.input_dim}), got {x.shape}")
     if logits_only:
-        return ForwardTrace(inputs=x, logits=np.concatenate(
+        return ForwardTrace(logits=np.concatenate(
             [_dense_pass(params, x[rows])[0] for rows in _row_chunks(len(x))],
-            axis=-2))
-    logits, pre, hid = _dense_pass(params, x)
-    return ForwardTrace(inputs=x, logits=logits, pre_hidden=pre, hidden=hid)
+            axis=-2), layer_inputs=[])
+    return ForwardTrace(*_dense_pass(params, x))
 
 
 def backward(params: ModelParams, trace: ForwardTrace,
@@ -209,18 +202,18 @@ def backward(params: ModelParams, trace: ForwardTrace,
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
-    # A linear model's trace, like a logits-only one, has no hidden layer.
-    if (trace.inputs.shape[1] != params.arch.input_dim
-            or (trace.pre_hidden is None) != params.arch.is_linear):
+    ins = trace.layer_inputs
+    if len(ins) != len(params.weights):
         raise ValueError("trace does not match the model architecture")
     grad = np.empty_like(params.flat)
     d_w, d_b = _layer_views(grad, params.arch.layer_shapes)
-    if not params.arch.is_linear:
-        np.matmul(trace.hidden.mT, g, out=d_w[1])
-        np.add.reduce(g, axis=-2, out=d_b[1])
-        g = (g @ params.weights[1].mT) * (trace.pre_hidden > 0.0)  # d pre_hidden
-    np.matmul(trace.inputs.mT, g, out=d_w[0])
-    np.add.reduce(g, axis=-2, out=d_b[0])
+    for layer in reversed(range(len(ins))):
+        np.matmul(ins[layer].mT, g, out=d_w[layer])
+        np.add.reduce(g, axis=-2, out=d_b[layer])
+        if layer:
+            # d of the layer below's pre-activations: the ReLU units are
+            # > 0 exactly where their pre-activations are (NaN included).
+            g = (g @ params.weights[layer].mT) * (ins[layer] > 0.0)
     return grad
 
 

@@ -146,13 +146,11 @@ def draw_kink_safe_batch(params, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
         x = rng.normals(_FD_BATCH * d).reshape(_FD_BATCH, d)
         xf = view.apply(x)
         margin = 4.0 * _FD_STEP * max(float(np.abs(x).max()), 1.0)
-        safe = True
-        for batch in (x, xf):
-            pre = forward(params, batch).pre_hidden
-            if pre is not None and np.abs(pre).min() <= margin:
-                safe = False
-                break
-        if safe:
+        # Pre-activations of the layers that meet a ReLU, all but the last:
+        # the first layer of an MLP, none of a linear head.
+        pre = [batch @ w + b for batch in (x, xf)
+               for w, b in zip(params.weights[:-1], params.biases[:-1])]
+        if all(np.abs(p).min() > margin for p in pre):
             return x, xf
     raise RuntimeError("could not draw a kink-safe batch")
 

@@ -79,10 +79,10 @@ class TestForward:
         np.testing.assert_array_equal(trace.logits, forward(params, x).logits)
         w, b = params.weights, params.biases
         whole = x @ w[0] + b[0]
-        if not arch.is_linear:
+        if arch.hidden_dim:
             whole = np.maximum(whole, 0.0) @ w[1] + b[1]
         np.testing.assert_array_equal(trace.logits, whole)
-        assert trace.pre_hidden is None and trace.hidden is None
+        assert trace.layer_inputs == []
 
     def test_logits_only_trace_rejected_by_backward(self):
         params = init_params(MLP, Rng(16))
@@ -126,6 +126,20 @@ class TestBackward:
         (d_w,), (d_b,) = _layer_views(backward(params, trace, g), LINEAR.layer_shapes)
         np.testing.assert_allclose(d_w, x.T @ g, rtol=1e-12)
         np.testing.assert_allclose(d_b, g.sum(axis=0), rtol=1e-12)
+
+    def test_relu_kink_passes_no_gradient(self):
+        # A hidden unit whose pre-activation is exactly 0 takes the left
+        # limit of the ReLU's slope, 0; just above 0 it passes gradient.
+        params = init_params(MLP, Rng(18))
+        params.weights[0][:, 3] = 0.0
+        x = Rng(19).normals(5 * 8).reshape(5, 8)
+        g = Rng(20).normals(5 * 7).reshape(5, 7)
+        for bias, passes in ((0.0, False), (1e-300, True)):
+            params.biases[0][3] = bias
+            d_w, d_b = _layer_views(backward(params, forward(params, x), g),
+                                    MLP.layer_shapes)
+            assert (d_b[0][3] != 0.0) == passes
+            assert np.any(d_w[0][:, 3] != 0.0) == passes
 
     def test_trace_model_mismatch_rejected(self):
         mlp_params = init_params(MLP, Rng(18))
@@ -225,10 +239,10 @@ class TestGradientCheck:
         real = nla.model._dense_pass
 
         def inf_in_stacks(params, x):
-            logits, pre, hid = real(params, x)
+            logits, layer_inputs = real(params, x)
             if logits.ndim == 3:
                 logits[0, 0, 0] = np.inf
-            return logits, pre, hid
+            return logits, layer_inputs
 
         monkeypatch.setattr(nla.model, "_dense_pass", inf_in_stacks)
         with warnings.catch_warnings():
