@@ -151,23 +151,24 @@ def _apply_overrides(cfg: dict, args) -> dict:
             raise UsageError(f"unknown mode {m!r}")
     # Types, then ranges; apply_imbalance checks the data-dependent per-class bound.
     number = (int, float)
-    fields = [("noise", cfg["noise"], number), ("imbalance", cfg["imbalance"], number),
-              ("seeds", cfg["seeds"], int)]
     ds_cfg = cfg["dataset"]
     ds_kind = ds_cfg["kind"]
-    if ds_kind not in _DATASET_PATHS:
-        raise UsageError(f"unknown dataset kind {ds_kind!r}")
+    fields = [("noise", cfg["noise"], number), ("imbalance", cfg["imbalance"], number),
+              ("seeds", cfg["seeds"], int), ("seed", [cfg["seed"]], int),
+              ("out", [cfg["out"]], str), ("dataset.kind", [ds_kind], str)]
     if ds_kind == "synthetic":
         fields += [(f"dataset.{key}", [ds_cfg[key]], number if key == "spread" else int)
                    for key in ("k", "d", "n_per_class", "test_per_class", "spread")]
+    for name, values, kind in fields:
+        if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
+            raise UsageError(f"config key {name!r} must hold "
+                             + {int: "integers", str: "strings"}.get(kind, "numbers"))
+    if ds_kind not in _DATASET_PATHS:
+        raise UsageError(f"unknown dataset kind {ds_kind!r}")
     for key in _DATASET_PATHS[ds_kind]:
         if not isinstance(ds_cfg.get(key), str):
             raise UsageError(f"dataset kind {ds_kind!r} needs a path string "
                              f"in 'dataset.{key}'")
-    for name, values, kind in fields:
-        if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
-            raise UsageError(f"config key {name!r} must hold "
-                             + ("integers" if kind is int else "numbers"))
     lo, hi = NOISE_RATES
     if not all(lo <= v <= hi for v in cfg["noise"]):
         raise UsageError(f"noise rates must lie in [{lo:g}, {hi:g}]")
@@ -210,10 +211,9 @@ def _ensure_datasets(cfg: dict, grid: list[tuple], force: bool = False,
                      quiet: bool = False) -> dict:
     """Write each dataset cache of ``grid``'s cells that is forced, missing
     or stale (see :func:`_cached_sha256`); return ``{"test" or dataset id:
-    (path, sha256)}``.  The base splits are built only if a cache is written."""
-    out = Path(cfg["out"])
-    data_dir = out / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
+    (path, sha256)}``.  The base splits are built, and ``data/`` made, only
+    when a cache is written."""
+    data_dir = Path(cfg["out"]) / "data"
     base_splits = functools.cache(lambda: _base_splits(cfg))
 
     def reuse_or_write(path: Path, noise, imbalance, build) -> tuple[str, Dataset | None]:
@@ -222,6 +222,7 @@ def _ensure_datasets(cfg: dict, grid: list[tuple], force: bool = False,
         if sha is not None:
             return sha, None
         ds = build()
+        data_dir.mkdir(parents=True, exist_ok=True)
         sha = save_dataset(ds, path)
         _write_dataset_fingerprint(ds, path, cfg, sha)
         return sha, ds

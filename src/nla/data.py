@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import Rng, atomic_write_bytes, derive_seed
+from .numkit import Rng, _as_finite_array, atomic_write_bytes, derive_seed
 
 __all__ = [
     "FormatError",
@@ -194,7 +194,9 @@ def make_synthetic(n_classes: int, dim: int, n_per_class: int, spread: float,
     Each class is an equal mixture of two isotropic Gaussians with
     standard deviation ``spread``, centered at a class center and at its
     mirror twin.  Larger spread means more inter-class overlap and hence
-    more ambiguous samples.  Fully determined by the rng seed.
+    more ambiguous samples.  Fully determined by the rng seed.  Raises
+    ValueError for a sample that is not finite (a NaN spread, or one so
+    large that the samples overflow).
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
@@ -214,8 +216,8 @@ def make_synthetic(n_classes: int, dim: int, n_per_class: int, spread: float,
             labels[row] = k
             row += 1
     meta = {"seed": rng.seed, "spread": spread, "centers": centers}
-    return Dataset(inputs=inputs, labels=labels, n_classes=n_classes,
-                   split=split, meta=meta)
+    return Dataset(inputs=_as_finite_array(inputs, "synthetic inputs"), labels=labels,
+                   n_classes=n_classes, split=split, meta=meta)
 
 
 def bayes_accuracy(ds: Dataset) -> float:
@@ -351,7 +353,8 @@ def ingest_idx(images_path, labels_path, split: str = "train") -> Dataset:
 
 
 def ingest_csv(path, split: str = "train") -> Dataset:
-    """Load a feature table: header ``label,f0,...,f{d-1}``, UTF-8, '.' decimals."""
+    """Load a feature table: header ``label,f0,...,f{d-1}``, UTF-8, '.'
+    decimals, finite features."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -372,6 +375,8 @@ def ingest_csv(path, split: str = "train") -> Dataset:
             raise FormatError(f"{path}: row {i + 2} has {len(row)} fields", offset=0)
         labels[i] = int(row[0])
         inputs[i] = [float(v) for v in row[1:]]
+        if not np.isfinite(inputs[i]).all():
+            raise FormatError(f"{path}: row {i + 2} has a non-finite value", offset=0)
     if labels.min() < 0:
         raise FormatError(f"{path}: negative label", offset=0)
     n_classes = int(labels.max()) + 1

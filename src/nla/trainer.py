@@ -93,10 +93,17 @@ class TrainConfig:
             raise ValueError("lam must lie in [0, 1]")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if min(self.lr0, self.lr_gamma, self.eps) <= 0.0 or self.weight_decay < 0.0:
-            raise ValueError("rates must be positive")
+        # Chained comparisons, so that NaN fails each range.
+        if not (all(0.0 < v < np.inf for v in (self.lr0, self.lr_gamma, self.eps))
+                and 0.0 <= self.weight_decay < np.inf):
+            raise ValueError("lr0, lr_gamma and eps must be finite and > 0, "
+                             "weight_decay finite and >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.arch not in ("mlp", "linear"):
             raise ValueError("arch must be 'mlp' or 'linear'")
+        if self.arch == "mlp" and self.hidden_dim < 1:
+            raise ValueError("arch 'mlp' needs hidden_dim >= 1")
         if self.policy is None:
             self.policy = WeightPolicy(total_epochs=self.epochs)
         elif self.policy.total_epochs != self.epochs:
@@ -186,11 +193,21 @@ def _check_covers_classes(test: Dataset) -> None:
         raise ValueError("test split must contain every class")
 
 
+def _split_logits(params: ModelParams, ds: Dataset) -> np.ndarray:
+    """Logits of a whole split from one logits-only forward; raises
+    FloatingPointError when they are not finite."""
+    logits = forward(params, ds.inputs, logits_only=True).logits
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    return logits
+
+
 def evaluate(params: ModelParams, test: Dataset) -> EvalResult:
-    """Accuracy on the original view only."""
+    """Accuracy on the original view only.  Raises FloatingPointError when
+    the logits are not finite, as finite inputs that overflow the model
+    give."""
     _check_covers_classes(test)
-    logits = forward(params, test.inputs, logits_only=True).logits
-    preds = logits.argmax(axis=1)
+    preds = _split_logits(params, test).argmax(axis=1)
     k = test.n_classes
     confusion = np.bincount(test.labels * k + preds, minlength=k * k).reshape(k, k)
     per_class = np.diag(confusion) / confusion.sum(axis=1)
@@ -209,10 +226,8 @@ def collect_weight_stats(params: ModelParams, train: Dataset,
     Classes absent from the split get NaN rows.  Raises FloatingPointError
     when the logits are not finite.
     """
-    logits = forward(params, train.inputs, logits_only=True).logits
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite logits")
-    weights = naw_weights(_softmax_lse(logits)[0], train.labels, kernels)
+    probs = _softmax_lse(_split_logits(params, train))[0]
+    weights = naw_weights(probs, train.labels, kernels)
     return _class_quartiles(weights, train.labels, train.n_classes)
 
 
@@ -294,6 +309,8 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
     and before the first update when either view's logits or the loss are
     not finite; TrainingDiverged when they stop being finite later (also
     after an epoch's last update, which only the weight statistics see).
+    Non-finite test-split logits are not a divergence of the training
+    split: :func:`evaluate`'s FloatingPointError propagates.
     """
     _check_splits(train, test)
     rng = Rng(config.seed)

@@ -66,12 +66,16 @@ class TestConfig:
         '{"dataset": {"spread": "0.5"}}', '{"seeds": ["x"]}', '{"seeds": [true]}',
         '{"noise": ["a"]}', '{"imbalance": [null]}',
         '{"noise": [-0.1]}', '{"noise": [0.7]}', '{"noise": [NaN]}',
-        '{"imbalance": [0.5]}'])
+        '{"imbalance": [0.5]}', '{"dataset": {"kind": ["csv"]}}',
+        '{"dataset": {"kind": {"a": 1}}}', '{"out": 5}', '{"seed": 1.5}',
+        '{"seed": true}', '{"seed": "x"}'])
     def test_mistyped_config_element_is_usage_error(self, tmp_path, text):
+        # The output root goes in the file, so that a mistyped "out" is read.
         path = tmp_path / "bad.json"
-        path.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        path.write_text(json.dumps({"out": str(out), **json.loads(text)}),
+                        encoding="utf-8")
+        assert main(["generate", "--config", str(path)]) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("dataset", [
@@ -85,6 +89,27 @@ class TestConfig:
         out = tmp_path / "out"
         assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("dataset", [
+        {"spread": float("nan")}, {"spread": 1e308}, {"spread": -1.0}, {"k": 1},
+        {"d": 1}, {"n_per_class": 0}, {"test_per_class": 0}])
+    def test_unbuildable_dataset_writes_nothing(self, tmp_path, dataset):
+        path, cfg = write_config(tmp_path)
+        cfg["dataset"].update(dataset)
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["generate", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_csv_writes_nothing(self, tmp_path):
+        table = "label,f0,f1\n" + "".join(f"{i % 2},{i},1\n" for i in range(10))
+        (tmp_path / "train.csv").write_text(table + "1,nan,1\n", encoding="utf-8")
+        (tmp_path / "test.csv").write_text(table, encoding="utf-8")
+        path, cfg = write_config(tmp_path, modes=["ce"], seeds=[1], dataset={
+            "kind": "csv", "train": str(tmp_path / "train.csv"),
+            "test": str(tmp_path / "test.csv")})
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_cell_and_dataset_ids(self):
         assert cell_id(0.3, 100.0, "nla", 4) == "n0.3_f100_nla_s4"
@@ -268,10 +293,16 @@ class TestTrain:
                                        {"policy": {"mu_true": [0.5, 0.5, 0.5]}},
                                        {"policy": {"sigma_diag": 1e-7}},
                                        {"policy": {"mu_false": [np.nan, 0.1]}},
-                                       {"mode": "ce"}, {"seed": 3}],
+                                       {"mode": "ce"}, {"seed": 3},
+                                       {"lr0": np.nan}, {"weight_decay": np.nan},
+                                       {"eps": np.nan}, {"lr_gamma": np.inf},
+                                       {"beta1": 2.0}, {"beta2": -1.0},
+                                       {"hidden_dim": 0}, {"hidden_dim": -3}],
                              ids=["lam", "foo", "policy", "epochs", "batch_size",
                                   "hidden_dim", "policy-mu_true", "policy-sigma_diag",
-                                  "policy-mu_false", "mode", "seed"])
+                                  "policy-mu_false", "mode", "seed", "lr0-nan",
+                                  "weight_decay-nan", "eps-nan", "lr_gamma-inf",
+                                  "beta1", "beta2", "hidden_dim-0", "hidden_dim-neg"])
     def test_rejected_train_section_is_usage_error(self, tmp_path, capsys,
                                                     command, train):
         path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"], train=train)

@@ -25,6 +25,12 @@ class TestSyntheticGenerator:
         np.testing.assert_array_equal(a.labels, b.labels)
         assert fingerprint(a) == fingerprint(b)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("spread", [float("nan"), 1e308])
+    def test_non_finite_samples_rejected(self, spread):
+        with pytest.raises(ValueError, match="synthetic inputs must contain only finite"):
+            make_synthetic(3, 4, 10, spread, Rng(3))
+
     def test_balanced_counts(self):
         ds = small_train()
         np.testing.assert_array_equal(ds.class_counts, 30)
@@ -272,6 +278,13 @@ class TestIngestCsv:
         path = tmp_path / "data.csv"
         path.write_text("label,x0,x1\n0,1,2\n", encoding="utf-8")
         with pytest.raises(FormatError):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, token):
+        path = tmp_path / "data.csv"
+        path.write_text(f"label,f0,f1\n0,1,2\n1,3,{token}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="row 3 has a non-finite value"):
             ingest_csv(path)
 
 

@@ -47,12 +47,16 @@ class TestTrainConfig:
         assert again == cfg
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(mode="fancy", seed=0)
-        with pytest.raises(ValueError):
-            TrainConfig(lam=1.5, seed=0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0, seed=0)
+        nan = float("nan")
+        for fields in ({"mode": "fancy"}, {"lam": 1.5}, {"batch_size": 0},
+                       {"lr0": nan}, {"weight_decay": nan}, {"eps": nan},
+                       {"lr_gamma": np.inf}, {"weight_decay": np.inf},
+                       {"beta1": 2.0}, {"beta2": -1.0}, {"beta1": nan}, {"beta2": 1.0},
+                       {"hidden_dim": 0}, {"hidden_dim": -3}):
+            with pytest.raises(ValueError):
+                TrainConfig(seed=0, **fields)
+        # A linear head has no hidden layer to size.
+        TrainConfig(seed=0, arch="linear", hidden_dim=0)
 
     @pytest.mark.parametrize("field", ["batch_size", "epochs", "seed", "hidden_dim"])
     @pytest.mark.parametrize("value", [2.5, 32.0, True, "8"])
@@ -333,6 +337,17 @@ class TestRunTraining:
         # Infinite before any update: an input error, not a divergence.
         with pytest.raises(ValueError, match="non-finite logits before the first update"):
             run_training(tiny_config(mode="nla"), train, test)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_test_split_is_an_error(self):
+        # Finite test inputs, which _check_splits accepts, whose logits
+        # overflow: no accuracies are made from non-finite logits.
+        train = make_synthetic(3, 4, 30, 0.7, Rng(1))
+        test = make_synthetic(3, 4, 30, 0.7, Rng(2), split="test")
+        test = Dataset(inputs=test.inputs * (1.7e308 / np.abs(test.inputs).max()),
+                       labels=test.labels, n_classes=3, split="test")
+        with pytest.raises(FloatingPointError, match="non-finite logits"):
+            run_training(TrainConfig(mode="ce", epochs=1, seed=0), train, test)
 
     def test_kernels_built_at_most_twice_per_epoch(self, monkeypatch):
         built = []
