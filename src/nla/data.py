@@ -207,14 +207,16 @@ def make_synthetic(n_classes: int, dim: int, n_per_class: int, spread: float,
     inputs = np.empty((n, dim))
     labels = np.empty(n, dtype=np.int64)
     row = 0
-    for k in range(n_classes):
-        for _ in range(n_per_class):
-            center = centers[k].copy()
-            if rng.below(2) == 1:
-                center[0] = -center[0]
-            inputs[row] = center + spread * rng.normals(dim)
-            labels[row] = k
-            row += 1
+    # An overflow is reported below as a non-finite sample, not as a warning.
+    with np.errstate(over="ignore"):
+        for k in range(n_classes):
+            for _ in range(n_per_class):
+                center = centers[k].copy()
+                if rng.below(2) == 1:
+                    center[0] = -center[0]
+                inputs[row] = center + spread * rng.normals(dim)
+                labels[row] = k
+                row += 1
     meta = {"seed": rng.seed, "spread": spread, "centers": centers}
     return Dataset(inputs=_as_finite_array(inputs, "synthetic inputs"), labels=labels,
                    n_classes=n_classes, split=split, meta=meta)
@@ -373,8 +375,16 @@ def ingest_csv(path, split: str = "train") -> Dataset:
     for i, row in enumerate(rows):
         if len(row) != dim + 1:
             raise FormatError(f"{path}: row {i + 2} has {len(row)} fields", offset=0)
-        labels[i] = int(row[0])
-        inputs[i] = [float(v) for v in row[1:]]
+        try:
+            labels[i] = int(row[0])
+        except ValueError:
+            raise FormatError(f"{path}: row {i + 2} has a non-integer label "
+                              f"{row[0]!r}", offset=0) from None
+        try:
+            inputs[i] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise FormatError(f"{path}: row {i + 2} has a non-numeric feature",
+                              offset=0) from None
         if not np.isfinite(inputs[i]).all():
             raise FormatError(f"{path}: row {i + 2} has a non-finite value", offset=0)
     if labels.min() < 0:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,18 @@ class TestConfig:
         cfg["dataset"].update(dataset)
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["generate", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_spread_prints_only_the_error(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path)
+        cfg["dataset"]["spread"] = 1e308
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["generate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: ValueError: synthetic inputs must contain only finite values"]
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_csv_writes_nothing(self, tmp_path):

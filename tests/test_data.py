@@ -287,6 +287,18 @@ class TestIngestCsv:
         with pytest.raises(FormatError, match="row 3 has a non-finite value"):
             ingest_csv(path)
 
+    def test_non_numeric_feature_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("label,f0,f1\n0,1,2\n1,x,4\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"data\.csv: row 3 has a non-numeric feature"):
+            ingest_csv(path)
+
+    def test_non_integral_label_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("label,f0,f1\n0,1,2\n1.5,3,4\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"data\.csv: row 3 has a non-integer label '1\.5'"):
+            ingest_csv(path)
+
 
 class TestCache:
     def test_bit_exact_round_trip(self, tmp_path):
