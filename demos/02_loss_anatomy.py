@@ -27,12 +27,12 @@ xf = view.apply(x)
 labels = train.labels[idx]
 
 logits = forward(params, x).logits
-logits_f = forward(params, xf).logits
+views = np.array((logits, forward(params, xf).logits))  # the batch, then its mirror
 
 print("Per-sample anatomy at epoch 20 (lambda = 0.5):\n")
 print("  gt_prob  nn_prob  branch   ce      weight  naw_ce  reg     total")
 probs = softmax(logits)
-bd = batch_total(logits, logits_f, labels, epoch_kernels(policy, 20), 0.5, mode="nla")
+bd = batch_total(views, labels, epoch_kernels(policy, 20), 0.5, mode="nla")
 for i in range(len(idx)):
     gt = probs[i, labels[i]]
     others = np.delete(probs[i], labels[i])
@@ -43,8 +43,7 @@ for i in range(len(idx)):
 
 print("\nBatch means by training mode (same batch, epoch 20):")
 for mode in ("ce", "naw", "nla"):
-    batch = batch_total(logits, logits_f, labels, epoch_kernels(policy, 20), 0.5,
-                        mode=mode)
+    batch = batch_total(views, labels, epoch_kernels(policy, 20), 0.5, mode=mode)
     print(f"  {mode:4s}: total={batch.total.mean():.4f} "
           f"(ce={batch.ce.mean():.4f}, reg={batch.reg.mean():.4f})")
 

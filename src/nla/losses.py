@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .naw import KernelParams, WeightPolicy, epoch_kernels, score_weights
-from .numkit import _as_finite_array, _check_labels, _softmax_lse
+from .naw import KernelParams, WeightPolicy, _branch_weights, epoch_kernels
+from .numkit import _as_finite_array, _check_labels, _row_max, _softmax_lse
 
 __all__ = [
     "MODES",
@@ -40,18 +40,27 @@ _M_FLOOR = 1e-12  # floor on mixture entries before taking logs
 class BatchLoss:
     """Per-sample loss components plus gradients of the batch mean.
 
-    Component arrays have one entry per sample.  ``grad_z`` and
-    ``grad_zf`` are the gradients of ``total.mean()`` with respect to the
-    two views' logit matrices (so they already carry the 1/n factor).
+    ``components`` holds the rows ce, naw_ce, reg and total, one entry per
+    sample, so that one reduction sums all four; ``weight`` has one entry
+    per sample.  ``grad`` stacks the gradients of ``total.mean()`` with
+    respect to each view's logits (so they already carry the 1/n factor):
+    (2, n, K) in mode ``nla``, (1, n, K) otherwise, where the mirrored
+    view's gradient is zero.
     """
 
-    ce: np.ndarray
+    components: np.ndarray
     weight: np.ndarray
-    naw_ce: np.ndarray
-    reg: np.ndarray
-    total: np.ndarray
-    grad_z: np.ndarray
-    grad_zf: np.ndarray
+    grad: np.ndarray
+
+    ce = property(lambda self: self.components[0])
+    naw_ce = property(lambda self: self.components[1])
+    reg = property(lambda self: self.components[2])
+    total = property(lambda self: self.components[3])
+    grad_z = property(lambda self: self.grad[0])
+
+    @property
+    def grad_zf(self) -> np.ndarray:
+        return self.grad[1] if len(self.grad) > 1 else np.zeros_like(self.grad[0])
 
 
 def _as_logit_rows(logits, name: str) -> np.ndarray:
@@ -83,13 +92,20 @@ def _consistency(p: np.ndarray):
     and 0 log 0 is taken as 0.  Returns the (n,) losses and the (2, n, K)
     gradients with respect to each view's logits.
     """
-    m = np.maximum(0.5 * (p[0] + p[1]), _M_FLOOR)
-    log_m = np.log(m)
+    m = p[0] + p[1]
+    m *= 0.5
+    np.maximum(m, _M_FLOOR, out=m)
+    log_m = np.log(m, out=m)
     # terms p log(p/m) with the 0 log 0 convention; dual = log(p/m)
-    dual = np.where(p > 0.0, np.log(np.maximum(p, _M_FLOOR)) - log_m, 0.0)
-    kl = (p * dual).sum(axis=-1)
+    dual = np.maximum(p, _M_FLOOR)
+    np.log(dual, out=dual)
+    dual -= log_m
+    dual = np.where(p > 0.0, dual, 0.0)
+    kl = np.add.reduce(p * dual, axis=-1)
     # d loss / d z = p * (log(p/m) - KL(p||m)) for each view.
-    return kl[0] + kl[1], p * (dual - kl[..., None])
+    dual -= kl[..., None]
+    dual *= p
+    return kl[0] + kl[1], dual
 
 
 def cross_entropy(logits, label: int):
@@ -98,7 +114,7 @@ def cross_entropy(logits, label: int):
     Returns ``(loss, grad)`` where ``grad = softmax(logits) - onehot``.
     """
     z, labels = _one_sample(logits, label)
-    batch = batch_total(z, z, labels, None, 1.0, mode="ce")
+    batch = batch_total(z[None], labels, None, 1.0, mode="ce")
     return float(batch.ce[0]), batch.grad_z[0]
 
 
@@ -109,7 +125,7 @@ def naw_ce_loss(logits, label: int, epoch: int, policy: WeightPolicy):
     respect to the logits.  Returns ``(loss, weight, grad)``.
     """
     z, labels = _one_sample(logits, label)
-    batch = batch_total(z, z, labels, epoch_kernels(policy, epoch),
+    batch = batch_total(z[None], labels, epoch_kernels(policy, epoch),
                         1.0, mode="naw")
     return float(batch.naw_ce[0]), float(batch.weight[0]), batch.grad_z[0]
 
@@ -131,7 +147,7 @@ def consistency_loss(logits_a, logits_b):
     return float(losses[0]), grads[0, 0], grads[1, 0]
 
 
-def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray,
+def batch_total(logits: np.ndarray, labels: np.ndarray,
                 kernels: tuple[KernelParams, KernelParams] | None, lam: float,
                 mode: str = "nla",
                 frozen_weights: np.ndarray | None = None) -> BatchLoss:
@@ -142,6 +158,8 @@ def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray,
       * ``naw``: weighted cross-entropy only.
       * ``nla``: lam-blend of weighted cross-entropy and consistency.
 
+    ``logits`` stacks the views' (n, K) logits on a leading axis: the
+    batch, then (read in mode ``nla`` only) its mirrored view.
     ``kernels`` is the (true, false) pair of :func:`nla.naw.epoch_kernels`
     for the batch's epoch; mode ``ce`` and ``frozen_weights`` ignore it.
     ``frozen_weights`` substitutes precomputed per-sample weights for the
@@ -149,50 +167,57 @@ def batch_total(z: np.ndarray, zf: np.ndarray, labels: np.ndarray,
     checks use this to hold the weights constant across perturbations,
     matching the analytic gradients' stop-gradient treatment of them.
 
-    Each view's softmax is computed once and shared by the cross-entropy,
-    its gradient, the adaptive weights and the consistency term.  Inputs
-    are not checked here: ``z`` and ``zf`` must be finite float64 (n, K)
-    arrays of one shape and ``labels`` (n,) integers in [0, K).
+    The views' softmax is computed once and shared by the cross-entropy,
+    its gradient, the adaptive weights and the consistency term.  Each
+    row's label is read at its flat position row * K + label.  The
+    nearest negative is the row maximum of the cross-entropy gradient
+    p - onehot: its label entry is p - 1 <= 0 and every other entry a
+    probability >= 0.  Inputs are not checked here: ``logits`` must be
+    finite float64 and ``labels`` (n,) integers in [0, K).
     ``run_training`` checks the labels once per run and the logits once
     per step; the single-sample functions above check theirs per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    n = z.shape[0]
-    rows = np.arange(n)
-    if mode == "nla":
-        p_views, lse = _softmax_lse(np.array((z, zf)))
-        p, lse = p_views[0], lse[0]
-    else:
-        p, lse = _softmax_lse(z)
-    ce = lse - z[rows, labels]
-    ce_grad = p.copy()
-    ce_grad[rows, labels] -= 1.0
+    z = logits[:2 if mode == "nla" else 1]
+    _, n, k = z.shape
+    p, lse = _softmax_lse(z)
+    at = np.arange(0, n * k, k) + labels
+    components = np.empty((4, n))
+    ce, naw_ce, reg, total = components
+    np.subtract(lse[0], z[0].take(at), out=ce)
+    p_gt = p[0].take(at)
+    ce_grad = p[0].copy()
+    ce_grad.put(at, p_gt - 1.0)
 
     if mode == "ce":
-        zeros = np.zeros(n)
-        return BatchLoss(ce=ce, weight=zeros, naw_ce=ce.copy(), reg=zeros.copy(),
-                         total=ce.copy(), grad_z=ce_grad / n,
-                         grad_zf=np.zeros_like(zf))
+        components[1] = ce
+        components[2] = 0.0
+        components[3] = ce
+        ce_grad /= n
+        return BatchLoss(components, np.zeros(n), ce_grad[None])
 
     if frozen_weights is None:
-        w = score_weights(p, labels, kernels)
+        w = _branch_weights(p_gt, _row_max(ce_grad), kernels)
     else:
         w = np.asarray(frozen_weights, dtype=np.float64)
         if w.shape != (n,):
             raise ValueError("frozen_weights must have one entry per row")
-    naw_ce = (1.0 + w) * ce
-    naw_grad = (1.0 + w)[:, None] * ce_grad
+    multiplier = 1.0 + w
+    np.multiply(multiplier, ce, out=naw_ce)
+    ce_grad *= multiplier[:, None]  # the weighted cross-entropy's gradient
 
     if mode == "naw":
-        zeros = np.zeros(n)
-        return BatchLoss(ce=ce, weight=w, naw_ce=naw_ce, reg=zeros,
-                         total=naw_ce.copy(), grad_z=naw_grad / n,
-                         grad_zf=np.zeros_like(zf))
+        components[2] = 0.0
+        components[3] = naw_ce
+        ce_grad /= n
+        return BatchLoss(components, w, ce_grad[None])
 
-    reg, reg_grads = _consistency(p_views)
-    total = lam * naw_ce + (1.0 - lam) * reg
-    grad_z = (lam * naw_grad + (1.0 - lam) * reg_grads[0]) / n
-    grad_zf = (1.0 - lam) * reg_grads[1] / n
-    return BatchLoss(ce=ce, weight=w, naw_ce=naw_ce, reg=reg, total=total,
-                     grad_z=grad_z, grad_zf=grad_zf)
+    reg[:], grad = _consistency(p)
+    np.multiply(lam, naw_ce, out=total)
+    total += (1.0 - lam) * reg
+    grad *= 1.0 - lam
+    ce_grad *= lam
+    grad[0] += ce_grad
+    grad /= n
+    return BatchLoss(components, w, grad)

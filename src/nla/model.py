@@ -19,7 +19,9 @@ per row.  The same lines then carry a leading run axis: :func:`forward`
 returns (R, n, K) logits through 3-D ``np.matmul`` and :func:`backward`
 an (R, P) stack of gradients, each run's bit-identical to a solo call;
 the finite-difference gradient check evaluates its perturbed parameter
-vectors this way.
+vectors this way.  A training step uses the same axis for the views of
+a batch: one backward over a (V, n, K) trace of one parameter vector
+gives a (V, P) stack, each view's row bit-identical to a solo call.
 """
 
 from __future__ import annotations
@@ -140,16 +142,20 @@ def init_params(arch: Arch, rng: Rng) -> ModelParams:
     return ModelParams(arch, np.concatenate(parts), rng.seed)
 
 
-def _dense_pass(params: ModelParams, x: np.ndarray):
+def _dense_pass(params: ModelParams, x: np.ndarray, outs=None):
     """(logits, layer inputs) of the rows of ``x``: every layer but the
     first takes the ReLU of the one before.  With stacked parameters every
     array but ``x`` has a leading run axis, over which the (R, 1, fan_out)
-    biases broadcast.  The biases are added in place (one array fewer per
-    layer, the same bits)."""
+    biases broadcast.  The biases are added and the ReLU taken in place
+    (fewer arrays, the same bits).  ``outs``, one array per layer, receive
+    the layers' outputs (the units of each hidden layer, then the
+    logits) instead of new arrays."""
     layer_inputs, z = [], x
-    for w, b in zip(params.weights, params.biases):
-        layer_inputs.append(np.maximum(z, 0.0) if layer_inputs else z)
-        z = layer_inputs[-1] @ w
+    for w, b, dest in zip(params.weights, params.biases, outs or [None] * len(params.weights)):
+        if layer_inputs:
+            np.maximum(z, 0.0, out=z)
+        layer_inputs.append(z)
+        z = np.matmul(z, w, out=dest)
         z += b[..., None, :]
     return z, layer_inputs
 
@@ -166,7 +172,7 @@ def _row_chunks(n: int) -> list[slice]:
 
 
 def forward(params: ModelParams, inputs: np.ndarray,
-            logits_only: bool = False) -> ForwardTrace:
+            logits_only: bool = False, out=None) -> ForwardTrace:
     """Batch forward pass; rows of ``inputs`` are samples.
 
     With stacked parameters (``params.flat`` of shape (R, P)) every array
@@ -175,7 +181,10 @@ def forward(params: ModelParams, inputs: np.ndarray,
     With ``logits_only`` (for passes over a whole split) the rows go
     through in chunks of ``_CHUNK_ROWS`` and the trace keeps only the
     logits, so it cannot be passed to :func:`backward`; each row's logits
-    are bit-identical to those of one unchunked pass.
+    are bit-identical to those of one unchunked pass.  Otherwise ``out``,
+    if given, holds one array per layer that receives that layer's output
+    (the ReLU units of each hidden layer, then the logits), so that a
+    training step writes into buffers it owns.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
@@ -185,19 +194,23 @@ def forward(params: ModelParams, inputs: np.ndarray,
         return ForwardTrace(logits=np.concatenate(
             [_dense_pass(params, x[rows])[0] for rows in _row_chunks(len(x))],
             axis=-2), layer_inputs=[])
-    return ForwardTrace(*_dense_pass(params, x))
+    return ForwardTrace(*_dense_pass(params, x, out))
 
 
 def backward(params: ModelParams, trace: ForwardTrace,
-             grad_logits: np.ndarray) -> np.ndarray:
+             grad_logits: np.ndarray, out: ModelParams | None = None) -> np.ndarray:
     """Exact reverse-mode gradient for the supplied logit gradients.
 
     ``grad_logits`` must be dL/d(logits) of the scalar loss being
     differentiated (any batch-mean factor included by the caller), shaped
-    like ``trace.logits``.  Returns a new float64 array in the layout of
-    ``params.flat``; the per-layer products are written straight into it.
-    With stacked parameters every run gets its own gradient row, each
-    bit-identical to a solo backward.
+    like ``trace.logits``.  Returns an array in the layout of
+    ``params.flat`` with one gradient per leading index of
+    ``grad_logits``: a vector for (n, K) logits, and a row per run or view
+    for (R, n, K) logits, each bit-identical to a solo backward.  A
+    (V, n, K) trace of one parameter vector stacks its V views of a batch
+    that way.  The per-layer products are written straight into a new
+    array, or into ``out.flat`` when ``out`` (parameters of that shape,
+    whose layer views its owner built once) is given.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != trace.logits.shape:
@@ -205,16 +218,17 @@ def backward(params: ModelParams, trace: ForwardTrace,
     ins = trace.layer_inputs
     if len(ins) != len(params.weights):
         raise ValueError("trace does not match the model architecture")
-    grad = np.empty_like(params.flat)
-    d_w, d_b = _layer_views(grad, params.arch.layer_shapes)
+    if out is None:
+        out = ModelParams(params.arch, np.empty(g.shape[:-2] + (params.arch.param_count,)))
     for layer in reversed(range(len(ins))):
-        np.matmul(ins[layer].mT, g, out=d_w[layer])
-        np.add.reduce(g, axis=-2, out=d_b[layer])
+        np.matmul(ins[layer].mT, g, out=out.weights[layer])
+        np.add.reduce(g, axis=-2, out=out.biases[layer])
         if layer:
             # d of the layer below's pre-activations: the ReLU units are
             # > 0 exactly where their pre-activations are (NaN included).
-            g = (g @ params.weights[layer].mT) * (ins[layer] > 0.0)
-    return grad
+            g = g @ params.weights[layer].mT
+            g *= ins[layer] > 0.0
+    return out.flat
 
 
 @dataclass

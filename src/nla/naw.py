@@ -16,8 +16,9 @@ weight late in training.  Otherwise a fixed kernel centered at
 (0.3, 0.15) and elongated along y = x is used, which suppresses
 confidently wrong (noisy) samples while keeping weight on ambiguous ones.
 
-One density implementation serves every caller: :func:`naw_weights`
-evaluates it on a batch of probability rows, and :func:`gaussian_weight`
+One density implementation serves every caller: :func:`_branch_weights`
+evaluates it on a batch of (ground-truth, nearest-negative) points, for
+:func:`naw_weights` and for the training loss, and :func:`gaussian_weight`
 on a single point.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _check_labels
+from .numkit import _check_labels, _row_max
 
 __all__ = [
     "ALONG_Y_EQ_X",
@@ -219,9 +220,16 @@ def score_weights(probs: np.ndarray, labels: np.ndarray,
     p_gt = probs[rows, labels]
     masked = probs.copy()
     masked[rows, labels] = -np.inf
-    p_nn = masked.max(axis=1)
+    return _branch_weights(p_gt, _row_max(masked), kernels)
+
+
+def _branch_weights(p_gt: np.ndarray, p_nn: np.ndarray,
+                   kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
+    """Weights at the points (p_gt[i], p_nn[i]): one density per row, with
+    the constants of the true-branch kernel where p_gt >= p_nn and of the
+    false-branch kernel elsewhere.  :func:`score_weights` and the loss
+    both weight their rows here."""
     true_kernel, false_kernel = kernels
-    # One density per row, with the constants of the row's branch.
     constants = np.where(p_gt >= p_nn, true_kernel.constants[:, None],
                          false_kernel.constants[:, None])
     return _density(p_gt, p_nn, constants)

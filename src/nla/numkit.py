@@ -56,15 +56,29 @@ def _check_labels(labels: np.ndarray, n_classes: int, name: str = "labels") -> N
 # Softmax family
 # ---------------------------------------------------------------------------
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the last axis.
+
+    numpy reduces a short contiguous last axis one row at a time, at a
+    high cost per row: over the (2, 32, 7) logits of a training step it
+    took about twice as long as this reduction over the first axis of a
+    transposed copy.  A maximum does not depend on the order of its
+    operands (NaN included), so both give the same values.
+    """
+    return np.maximum.reduce(a.T.copy(), axis=0).T
+
+
 def _softmax_lse(z: np.ndarray):
     """Softmax and log-sum-exp over the last axis from one max/exp/sum.
 
     The package's only softmax; ``z`` must be a finite float64 array.
     """
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    return e / s, m[..., 0] + np.log(s[..., 0])
+    m = _row_max(z)
+    e = z - m[..., None]
+    np.exp(e, out=e)
+    s = np.add.reduce(e, axis=-1)
+    e /= s[..., None]
+    return e, m + np.log(s)
 
 
 def softmax(logits) -> np.ndarray:

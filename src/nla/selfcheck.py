@@ -168,15 +168,16 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     Non-finite logits give a NaN loss, without a floating-point warning.
     """
     kernels = epoch_kernels(policy, epoch)
-    step, grad = train_step(params, inputs, flipped, labels, kernels, lam, "nla")
+    step, grad = train_step(params, np.array((inputs, flipped)), labels, kernels,
+                            lam, "nla")
     k = params.arch.n_classes
 
     def losses(stack):
         runs = len(stack.flat)
-        z, zf = (forward(stack, x, logits_only=True).logits.reshape(-1, k)
-                 for x in (inputs, flipped))
+        logits = np.array([forward(stack, x, logits_only=True).logits.reshape(-1, k)
+                           for x in (inputs, flipped)])
         with np.errstate(invalid="ignore", over="ignore"):
-            loss = batch_total(z, zf, np.tile(labels, runs), kernels, lam,
+            loss = batch_total(logits, np.tile(labels, runs), kernels, lam,
                                mode="nla", frozen_weights=np.tile(step.weight, runs))
         return loss.total.reshape(runs, -1).mean(axis=1)
 
@@ -234,7 +235,7 @@ def check_loss_identities(seed: int, n_equal: int, n_pairs: int, n_dominance: in
     for lo in range(0, n_pairs, _BOUND_CHUNK):
         a, b = za[lo:lo + _BOUND_CHUNK], zb[lo:lo + _BOUND_CHUNK]
         zeros = np.zeros(len(a))
-        reg.append(batch_total(a, b, zeros.astype(np.int64), None, 0.5,
+        reg.append(batch_total(np.array((a, b)), zeros.astype(np.int64), None, 0.5,
                                mode="nla", frozen_weights=zeros).reg)
     reg = np.concatenate(reg)
     bound_ok = bool(np.all(reg >= 0.0) and np.all(reg <= bound))

@@ -1,11 +1,13 @@
 """Mini-batch training loop with epoch-scheduled adaptive weighting.
 
 One shared parameter set sees both views of every batch.  Every optimizer
-step takes its loss and flat gradient from one :func:`train_step` (forward
-of both views, the loss, backward), the step whose gradient the
-gradient-fidelity check verifies.  The optimizer is Adam with
-decoupled weight decay and an exponentially decayed learning rate, applied
-to the flat parameter vector in one pass.  Both weighting kernels are
+step takes its loss and flat gradient from one :func:`train_step` (a
+forward per view, the loss, one backward over the views axis), the step
+whose gradient the gradient-fidelity check verifies; it writes into
+:class:`StepBuffers` that a run builds once per batch size.  The
+optimizer is Adam with decoupled weight decay and an exponentially
+decayed learning rate, applied to the flat parameter vector in one pass.
+Both weighting kernels are
 built once per epoch and shared by every batch and by that epoch's weight
 statistics.  Inputs are checked once per run, before the first step; the
 per-step loop only guards against divergence.  Runs are bit-reproducible
@@ -24,8 +26,8 @@ import numpy as np
 
 from .data import Dataset, default_view
 from .losses import MODES, BatchLoss, batch_total
-from .model import (Arch, ModelParams, backward, forward, init_params,
-                    save_checkpoint)
+from .model import (Arch, ForwardTrace, ModelParams, backward, forward,
+                    init_params, save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
 from .numkit import (Rng, _as_finite_array, _check_labels, _softmax_lse,
                      atomic_write_bytes)
@@ -38,6 +40,7 @@ __all__ = [
     "TrainingDiverged",
     "AdamState",
     "adam_step",
+    "StepBuffers",
     "train_step",
     "run_training",
     "evaluate",
@@ -160,9 +163,15 @@ class RunRecord:
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, plus two temporaries of their shape
+    that every update writes through."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2,) + self.m.shape)
 
     @staticmethod
     def zeros_like(params: ModelParams) -> "AdamState":
@@ -171,7 +180,10 @@ class AdamState:
 
 def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
               lr: float, cfg: TrainConfig) -> None:
-    """One Adam update with decoupled weight decay.
+    """One Adam update with decoupled weight decay:
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, then
+    p -= lr ((m / bias1) / (sqrt(v / bias2) + eps) + wd p), evaluated in
+    that order through ``state.scratch``.
 
     With zero gradients the only change is the shrinkage lr * wd * param.
     """
@@ -180,12 +192,19 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     p, g, m, v = params.flat, grad, state.m, state.v
+    a, b = state.scratch
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=a)
     v *= b2
-    v += (1.0 - b2) * g * g
-    p -= lr * ((m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-               + cfg.weight_decay * p)
+    np.multiply(1.0 - b2, g, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, bias1, out=a)
+    np.divide(v, bias2, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.eps
+    a /= b
+    a += np.multiply(cfg.weight_decay, p, out=b)
+    p -= np.multiply(lr, a, out=a)
 
 
 def _check_covers_classes(test: Dataset) -> None:
@@ -257,31 +276,63 @@ def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     return out
 
 
-def train_step(params: ModelParams, inputs: np.ndarray, flipped: np.ndarray | None,
-               labels: np.ndarray, kernels: tuple[KernelParams, KernelParams],
-               lam: float, mode: str) -> tuple[BatchLoss, np.ndarray]:
+def _views(mode: str) -> int:
+    """Views a step of ``mode`` reads: the batch and, in mode nla, its
+    mirrored view."""
+    return 2 if mode == "nla" else 1
+
+
+class StepBuffers:
+    """Every array that :func:`forward` and :func:`backward` write in a
+    training step on batches of ``rows`` rows, with the views on a leading
+    axis: the (V, rows, ...) units of each hidden layer and logits, held
+    as one trace whose first layer input is the batch, each view's slices
+    of them, the (V, P) per-view gradients with their layer views, and
+    the (P,) gradient of the step.  :func:`run_training` builds them once
+    per run and batch size."""
+
+    def __init__(self, arch: Arch, views: int, rows: int) -> None:
+        outs = [np.empty((views, rows, fan_out)) for _, fan_out in arch.layer_shapes]
+        self.trace = ForwardTrace(logits=outs[-1], layer_inputs=[None] + outs[:-1])
+        self.view_outs = [[out[view] for out in outs] for view in range(views)]
+        self.grads = ModelParams(arch, np.empty((views, arch.param_count)))
+        self.grad = self.grads.flat[0] if views == 1 else np.empty(arch.param_count)
+
+
+def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
+               kernels: tuple[KernelParams, KernelParams], lam: float, mode: str,
+               buffers: StepBuffers | None = None) -> tuple[BatchLoss, np.ndarray]:
     """Loss of one mini-batch and the flat gradient of its mean at ``params``.
 
-    Runs the forward pass of both views (``flipped``, the mirrored view
-    of ``inputs``, is read only in mode ``nla``, where the gradient is
-    view 0's plus view 1's), checks their logits, evaluates
-    :func:`nla.losses.batch_total` on them and backpropagates its logit
-    gradients.  Raises FloatingPointError when either view's logits
-    (checked before the loss is evaluated) or the loss are not finite.
+    ``inputs`` stacks the views of the batch's (n, d) rows on a leading
+    axis: the rows, then in mode ``nla`` their mirrored view.  Runs the
+    forward pass of each view into its slice of ``buffers`` (built for n
+    rows when None), checks the (V, n, K) logits, evaluates
+    :func:`nla.losses.batch_total` on them, backpropagates its logit
+    gradients over the views axis in one :func:`backward`, and in mode
+    ``nla`` adds view 1's gradient to view 0's.  The returned gradient is
+    an array of ``buffers``, overwritten by the next step that uses them.
+    Raises FloatingPointError when the logits (checked before the loss is
+    evaluated) or the loss are not finite.
     """
-    use_flip = mode == "nla"
-    trace = forward(params, inputs)
-    trace_f = forward(params, flipped) if use_flip else trace
-    if not np.isfinite(trace.logits).all() or (
-            use_flip and not np.isfinite(trace_f.logits).all()):
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if len(inputs) != _views(mode):
+        raise ValueError(f"mode {mode} steps on {_views(mode)} views, got {len(inputs)}")
+    if buffers is None:
+        buffers = StepBuffers(params.arch, *inputs.shape[:2])
+    trace = buffers.trace
+    trace.layer_inputs[0] = inputs
+    for x, out in zip(inputs, buffers.view_outs):
+        forward(params, x, out=out)
+    if not np.isfinite(trace.logits).all():
         raise FloatingPointError("non-finite logits")
-    loss = batch_total(trace.logits, trace_f.logits, labels, kernels, lam, mode=mode)
+    loss = batch_total(trace.logits, labels, kernels, lam, mode=mode)
     if not np.isfinite(loss.total).all():
         raise FloatingPointError("non-finite loss")
-    grad = backward(params, trace, loss.grad_z)
-    if use_flip:
-        grad += backward(params, trace_f, loss.grad_zf)
-    return loss, grad
+    grads = backward(params, trace, loss.grad, out=buffers.grads)
+    if len(grads) > 1:
+        np.add(grads[0], grads[1], out=buffers.grad)
+    return loss, buffers.grad
 
 
 def _check_splits(train: Dataset, test: Dataset) -> None:
@@ -320,8 +371,15 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
     params = init_params(arch, rng.split(0))
     shuffle_rng = rng.split(1)
     state = AdamState.zeros_like(params)
-    flipped = default_view(train).apply(train.inputs)
-    n = train.n
+    views = _views(config.mode)
+    # The split's views, stacked once; each epoch gathers them in shuffled
+    # order, so that each batch is a contiguous slice.
+    x = np.asarray(train.inputs, dtype=np.float64)
+    source = np.array((x, default_view(train).apply(x)) if views == 2 else (x,))
+    inputs, labels = np.empty_like(source), np.empty_like(train.labels)
+    n, size = train.n, config.batch_size
+    # One buffer set for the full batch and one for the trailing batch.
+    buffers = {rows: StepBuffers(arch, views, rows) for rows in {min(size, n), n % size or size}}
     last = None  # (epoch, batch) of the last update taken
 
     metrics: list[EpochMetrics] = []
@@ -329,19 +387,18 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
         lr = config.lr0 * config.lr_gamma ** epoch
         kernels = epoch_kernels(config.policy, epoch)
         perm = shuffle_rng.permutation(n)
-        # Gather once per epoch; each batch is then a contiguous slice.
-        inputs, labels, inputs_f = train.inputs[perm], train.labels[perm], flipped[perm]
+        np.take(source, perm, axis=1, out=inputs)
+        np.take(train.labels, perm, out=labels)
         sums = np.zeros(4)  # ce, naw_ce, reg, total
         try:
-            for batch_index, start in enumerate(range(0, n, config.batch_size)):
-                stop = start + config.batch_size
-                loss, grad = train_step(params, inputs[start:stop],
-                                        inputs_f[start:stop], labels[start:stop],
-                                        kernels, config.lam, config.mode)
+            for batch_index, start in enumerate(range(0, n, size)):
+                stop = min(start + size, n)
+                loss, grad = train_step(params, inputs[:, start:stop], labels[start:stop],
+                                        kernels, config.lam, config.mode,
+                                        buffers[stop - start])
                 adam_step(params, grad, state, lr, config)
                 last = epoch, batch_index
-                sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(),
-                         loss.total.sum()]
+                sums += loss.components.sum(axis=1)
             # Only the weight statistics see the epoch's last update.
             quartiles = collect_weight_stats(params, train, kernels)
         except FloatingPointError as exc:

@@ -5,7 +5,7 @@ import pytest
 
 from nla.losses import (BatchLoss, batch_total, consistency_loss,
                         cross_entropy, naw_ce_loss)
-from nla.naw import WeightPolicy, epoch_kernels
+from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
 
 POLICY = WeightPolicy(total_epochs=60)
@@ -84,7 +84,7 @@ class TestNawCeLoss:
         rng = Rng(40)
         z = rng.normals(7, scale=3.0).reshape(1, 7)
         label = np.array([rng.below(7)])
-        batch = batch_total(z, z, label, epoch_kernels(POLICY, 30), 0.5,
+        batch = batch_total(z[None], label, epoch_kernels(POLICY, 30), 0.5,
                             mode="naw", frozen_weights=np.zeros(1))
         ce, _ = cross_entropy(z[0], label[0])
         assert batch.total[0] == ce
@@ -195,7 +195,7 @@ class TestConsistencyLoss:
 
 def one_row_total(z, zf, label: int, epoch: int, lam: float) -> BatchLoss:
     """The blended loss of one sample: a one-row call of batch_total."""
-    return batch_total(np.array([z]), np.array([zf]), np.array([label]),
+    return batch_total(np.array([[z], [zf]]), np.array([label]),
                        epoch_kernels(POLICY, epoch), lam, mode="nla")
 
 
@@ -269,7 +269,7 @@ class TestBatchTotal:
     def test_matches_per_sample_op(self):
         rng = Rng(53)
         z, zf, labels = self._draw(rng)
-        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 15), 0.5,
+        batch = batch_total(np.array((z, zf)), labels, epoch_kernels(POLICY, 15), 0.5,
                             mode="nla")
         for i in range(len(labels)):
             bd = one_row_total(z[i], zf[i], labels[i], 15, 0.5)
@@ -280,7 +280,7 @@ class TestBatchTotal:
     def test_mode_ce_zeroes_weight_and_reg(self):
         rng = Rng(54)
         z, zf, labels = self._draw(rng)
-        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 15), 0.5,
+        batch = batch_total(np.array((z, zf)), labels, epoch_kernels(POLICY, 15), 0.5,
                             mode="ce")
         np.testing.assert_array_equal(batch.weight, 0.0)
         np.testing.assert_array_equal(batch.reg, 0.0)
@@ -290,7 +290,7 @@ class TestBatchTotal:
     def test_mode_naw_total_is_weighted_ce(self):
         rng = Rng(55)
         z, zf, labels = self._draw(rng)
-        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 15), 0.5,
+        batch = batch_total(np.array((z, zf)), labels, epoch_kernels(POLICY, 15), 0.5,
                             mode="naw")
         np.testing.assert_allclose(batch.total, (1.0 + batch.weight) * batch.ce,
                                    rtol=1e-12)
@@ -299,10 +299,10 @@ class TestBatchTotal:
     def test_batch_mean_is_order_invariant(self):
         rng = Rng(56)
         z, zf, labels = self._draw(rng, n=32)
-        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 7), 0.5,
+        batch = batch_total(np.array((z, zf)), labels, epoch_kernels(POLICY, 7), 0.5,
                             mode="nla")
         perm = Rng(57).permutation(32)
-        shuffled = batch_total(z[perm], zf[perm], labels[perm],
+        shuffled = batch_total(np.array((z[perm], zf[perm])), labels[perm],
                                epoch_kernels(POLICY, 7), 0.5, mode="nla")
         assert abs(batch.total.mean() - shuffled.total.mean()) < 1e-12
         assert abs(batch.ce.mean() - shuffled.ce.mean()) < 1e-12
@@ -311,7 +311,36 @@ class TestBatchTotal:
         rng = Rng(58)
         z, zf, labels = self._draw(rng, n=8)
         frozen = np.full(8, 0.25)
-        batch = batch_total(z, zf, labels, epoch_kernels(POLICY, 3), 0.5,
+        batch = batch_total(np.array((z, zf)), labels, epoch_kernels(POLICY, 3), 0.5,
                             mode="nla", frozen_weights=frozen)
         np.testing.assert_array_equal(batch.weight, frozen)
         np.testing.assert_allclose(batch.naw_ce, 1.25 * batch.ce, rtol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["naw", "nla"])
+    def test_nearest_negative_from_the_gradient_matches_naw_weights(self, mode):
+        # The loss takes the nearest negative as the row maximum of the
+        # cross-entropy gradient p - onehot; naw_weights masks the label.
+        # Both must give the same weights on ties (p_gt == p_nn) and on
+        # rows whose other probabilities underflow to 0.
+        rng = Rng(60)
+        n, k = 48, 7
+        z = rng.normals(n * k, scale=3.0).reshape(n, k)
+        labels = np.array([rng.below(k) for _ in range(n)])
+        for i in range(0, n, 4):  # a tie between the label and another class
+            z[i, labels[i]] = z[i, (labels[i] + 1) % k] = z[i].max() + 1.0
+        for i in range(1, n, 4):  # the label takes all the mass
+            z[i] = -400.0
+            z[i, labels[i]] = 400.0
+        for i in range(2, n, 8):  # another class takes all the mass
+            z[i] = -400.0
+            z[i, (labels[i] + 3) % k] = 400.0
+        probs = softmax(z)
+        rows = np.arange(n)
+        others = np.where(np.arange(k) == labels[:, None], -np.inf, probs)
+        p_gt, p_nn = probs[rows, labels], others.max(axis=1)
+        assert (p_gt == p_nn).sum() == n // 4
+        assert np.all(p_nn[1::4] == 0.0) and np.all(p_gt[1::4] == 1.0)
+        assert np.all(p_gt[2::8] == 0.0)
+        kernels = epoch_kernels(POLICY, 25)
+        batch = batch_total(np.array((z, z[:, ::-1])), labels, kernels, 0.5, mode=mode)
+        assert batch.weight.tobytes() == naw_weights(probs, labels, kernels).tobytes()

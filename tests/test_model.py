@@ -9,8 +9,9 @@ import nla.cli
 import nla.model
 import nla.trainer
 from nla.losses import batch_total
-from nla.model import (Arch, ModelParams, _layer_views, backward, forward,
-                       gradient_check, init_params, load_checkpoint,
+from nla.data import ViewTransform
+from nla.model import (Arch, ForwardTrace, ModelParams, _layer_views, backward,
+                       forward, gradient_check, init_params, load_checkpoint,
                        save_checkpoint)
 from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
@@ -164,6 +165,30 @@ class TestBackward:
                 np.testing.assert_array_equal(
                     grad[r], backward(params, forward(params, x), g[r]))
 
+    @pytest.mark.parametrize("arch", [MLP, LINEAR])
+    @pytest.mark.parametrize("n", [12, 32])
+    def test_views_axis_equals_sum_of_per_view_backwards(self, arch, n):
+        # One backward over a (2, n, K) trace of a batch and its mirrored
+        # view, as a training step runs it, gives each view's solo
+        # gradient as a row; one np.add of the rows is the old
+        # `grad += backward(view 1)`, bit for bit, also through buffers.
+        params = init_params(arch, Rng(70))
+        x = Rng(71 + n).normals(n * 8).reshape(n, 8)
+        views = np.array((x, ViewTransform(kind="sign_flip", dim=8).apply(x)))
+        solo = [forward(params, v) for v in views]
+        g = Rng(72 + n).normals(2 * n * 7).reshape(2, n, 7)
+        trace = ForwardTrace(np.array([t.logits for t in solo]),
+                             [np.array(ins) for ins in zip(*(t.layer_inputs for t in solo))])
+        expected = backward(params, solo[0], g[0])
+        expected += backward(params, solo[1], g[1])
+        out = ModelParams(arch, np.empty((2, arch.param_count)))
+        for grads in (backward(params, trace, g), backward(params, trace, g, out=out)):
+            assert grads.shape == (2, arch.param_count)
+            for view in range(2):
+                assert grads[view].tobytes() == backward(params, solo[view], g[view]).tobytes()
+            assert np.add(grads[0], grads[1]).tobytes() == expected.tobytes()
+        assert grads is out.flat
+
     def test_gradients_accumulate(self):
         params = init_params(MLP, Rng(20))
         x = Rng(21).normals(4 * 8).reshape(4, 8)
@@ -238,8 +263,8 @@ class TestGradientCheck:
         # its coordinate instead of raising out of nla check.
         real = nla.model._dense_pass
 
-        def inf_in_stacks(params, x):
-            logits, layer_inputs = real(params, x)
+        def inf_in_stacks(params, x, outs=None):
+            logits, layer_inputs = real(params, x, outs)
             if logits.ndim == 3:
                 logits[0, 0, 0] = np.inf
             return logits, layer_inputs
@@ -333,13 +358,13 @@ class TestGradientCheck:
 
         gradient_check(params, grad, recording, max_coords=200, rng=draw)
         kernels = epoch_kernels(POLICY60, epoch)
-        weights = train_step(params, x, xf, labels, kernels, 0.5, "nla")[0].weight
+        weights = train_step(params, np.array((x, xf)), labels, kernels, 0.5, "nla")[0].weight
         rows = 0
         for flats, losses in stacks:
             for flat, loss in zip(flats, losses):
                 solo = ModelParams(params.arch, flat)
-                total = batch_total(forward(solo, x).logits, forward(solo, xf).logits,
-                                    labels, kernels, 0.5, mode="nla",
+                logits = np.array((forward(solo, x).logits, forward(solo, xf).logits))
+                total = batch_total(logits, labels, kernels, 0.5, mode="nla",
                                     frozen_weights=weights).total
                 assert loss == total.mean()
                 rows += 1
@@ -372,7 +397,7 @@ class TestOptimizerContinuity:
         cfg = TrainConfig(epochs=60, seed=0)
         state = AdamState.zeros_like(params)
         trace = forward(params, x)
-        loss = batch_total(trace.logits, trace.logits, labels,
+        loss = batch_total(np.array((trace.logits, trace.logits)), labels,
                            epoch_kernels(cfg.policy, 0), 0.5, mode="nla")
         grad = backward(params, trace, loss.grad_z)
         adam_step(params, grad, state, lr=1e-12, cfg=cfg)

@@ -9,7 +9,9 @@ import nla.naw
 import nla.trainer
 from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
                       make_synthetic, standard_instance)
-from nla.model import Arch, ModelParams, init_params, load_checkpoint
+from nla.losses import batch_total
+from nla.model import (Arch, ModelParams, backward, forward, init_params,
+                       load_checkpoint)
 from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
@@ -368,6 +370,66 @@ class TestRunTraining:
         noisy = inject_noise(train, 0.2, Rng(9))
         record = run_training(tiny_config(), noisy, test)
         assert len(record.metrics) == 3
+
+
+def reference_run(config, train):
+    """The training loop of run_training composed from unbuffered calls:
+    per-view forward, batch_total, per-view backward summed in place, and
+    adam_step.  Returns the final parameter vector and, per epoch, the
+    loss sums (ce, naw_ce, reg, total)."""
+    rng = Rng(config.seed)
+    params = init_params(Arch(train.dim, config.hidden_dim, train.n_classes), rng.split(0))
+    shuffle_rng = rng.split(1)
+    state = AdamState.zeros_like(params)
+    views = [train.inputs]
+    if config.mode == "nla":
+        views.append(ViewTransform(kind="sign_flip", dim=train.dim).apply(train.inputs))
+    epoch_sums = []
+    for epoch in range(config.epochs):
+        kernels = epoch_kernels(config.policy, epoch)
+        perm = shuffle_rng.permutation(train.n)
+        sums = np.zeros(4)
+        for start in range(0, train.n, config.batch_size):
+            rows = perm[start:start + config.batch_size]
+            traces = [forward(params, v[rows]) for v in views]
+            loss = batch_total(np.array([t.logits for t in traces]), train.labels[rows],
+                               kernels, config.lam, mode=config.mode)
+            grad = backward(params, traces[0], loss.grad_z)
+            if config.mode == "nla":
+                grad += backward(params, traces[1], loss.grad_zf)
+            adam_step(params, grad, state, config.lr0 * config.lr_gamma ** epoch, config)
+            sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(), loss.total.sum()]
+        epoch_sums.append(sums / train.n)
+    return params.flat, epoch_sums
+
+
+@pytest.mark.parametrize("mode", ["ce", "naw", "nla"])
+def test_buffered_steps_equal_the_reference_composition(mode):
+    # 45 rows in batches of 16: two full batches and a trailing one of 13,
+    # so both of a run's buffer sets are used, each on every epoch.
+    train = make_synthetic(3, 4, 15, 0.7, Rng(1))
+    test = make_synthetic(3, 4, 10, 0.7, Rng(2), split="test")
+    config = tiny_config(mode=mode, epochs=4)
+    record = run_training(config, train, test)
+    flat, epoch_sums = reference_run(config, train)
+    assert record.params.flat.tobytes() == flat.tobytes()
+    for m, sums in zip(record.metrics, epoch_sums):
+        assert [m.loss_ce, m.loss_naw_ce, m.loss_reg, m.loss_total] == sums.tolist()
+
+
+def test_step_buffers_are_reused(monkeypatch):
+    # One buffer set per batch size of the run, however many steps.
+    built = []
+    real = nla.trainer.StepBuffers
+
+    def counting(*args):
+        built.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(nla.trainer, "StepBuffers", counting)
+    train, test = tiny_data()  # 40 rows in batches of 16: 16, 16, 8
+    run_training(tiny_config(mode="nla", epochs=3), train, test)
+    assert sorted(built) == [(2, 8), (2, 16)]
 
 
 class TestRunValidation:
