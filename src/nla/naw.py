@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _check_labels, _row_max
+from .numkit import _check_labels
 
 __all__ = [
     "ALONG_Y_EQ_X",
@@ -218,9 +218,11 @@ def score_weights(probs: np.ndarray, labels: np.ndarray,
     """
     rows = np.arange(probs.shape[0])
     p_gt = probs[rows, labels]
-    masked = probs.copy()
-    masked[rows, labels] = -np.inf
-    return _branch_weights(p_gt, _row_max(masked), kernels)
+    # The nearest negative, the row maximum with the label masked, taken
+    # over the first axis of a transposed copy as numkit._row_max does.
+    masked = probs.T.copy()
+    masked[labels, rows] = -np.inf
+    return _branch_weights(p_gt, np.maximum.reduce(masked, axis=0), kernels)
 
 
 def _branch_weights(p_gt: np.ndarray, p_nn: np.ndarray,

@@ -371,15 +371,16 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
     params = init_params(arch, rng.split(0))
     shuffle_rng = rng.split(1)
     state = AdamState.zeros_like(params)
-    views = _views(config.mode)
-    # The split's views, stacked once; each epoch gathers them in shuffled
-    # order, so that each batch is a contiguous slice.
-    x = np.asarray(train.inputs, dtype=np.float64)
-    source = np.array((x, default_view(train).apply(x)) if views == 2 else (x,))
-    inputs, labels = np.empty_like(source), np.empty_like(train.labels)
+    views = [np.asarray(train.inputs, dtype=np.float64)]
+    if _views(config.mode) == 2:
+        views.append(default_view(train).apply(views[0]))
     n, size = train.n, config.batch_size
+    # Each epoch gathers the views in shuffled order into one (V, N, d)
+    # array, so that each batch is a contiguous slice of it.
+    inputs, labels = np.empty((len(views), n, train.dim)), np.empty_like(train.labels)
     # One buffer set for the full batch and one for the trailing batch.
-    buffers = {rows: StepBuffers(arch, views, rows) for rows in {min(size, n), n % size or size}}
+    buffers = {rows: StepBuffers(arch, len(views), rows)
+               for rows in {min(size, n), n % size or size}}
     last = None  # (epoch, batch) of the last update taken
 
     metrics: list[EpochMetrics] = []
@@ -387,7 +388,8 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
         lr = config.lr0 * config.lr_gamma ** epoch
         kernels = epoch_kernels(config.policy, epoch)
         perm = shuffle_rng.permutation(n)
-        np.take(source, perm, axis=1, out=inputs)
+        for view, out in zip(views, inputs):
+            np.take(view, perm, axis=0, out=out)
         np.take(train.labels, perm, out=labels)
         sums = np.zeros(4)  # ce, naw_ce, reg, total
         try:
