@@ -431,6 +431,8 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     specs = _cells(cfg, _grid(cfg), args.force)
     # With more than one pending cell and worker, the pending cells go to
     # a pool of min(workers, pending) processes, one cell per task.

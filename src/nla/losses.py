@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .naw import KernelParams, WeightPolicy, _branch_weights, epoch_kernels
-from .numkit import _as_finite_array, _check_labels, _row_max, _softmax_lse
+from .naw import (KernelParams, WeightPolicy, _branch_weights, _label_scores,
+                  epoch_kernels)
+from .numkit import _as_finite_array, _check_labels, _softmax_lse
 
 __all__ = [
     "MODES",
@@ -31,7 +32,10 @@ __all__ = [
     "batch_total",
 ]
 
-MODES = ("ce", "naw", "nla")
+# Views a step of each mode reads: the batch and, in mode nla, its
+# mirrored view.
+_VIEWS = {"ce": 1, "naw": 1, "nla": 2}
+MODES = tuple(_VIEWS)
 
 _M_FLOOR = 1e-12  # floor on mixture entries before taking logs
 
@@ -168,27 +172,22 @@ def batch_total(logits: np.ndarray, labels: np.ndarray,
     matching the analytic gradients' stop-gradient treatment of them.
 
     The views' softmax is computed once and shared by the cross-entropy,
-    its gradient, the adaptive weights and the consistency term.  Each
-    row's label is read at its flat position row * K + label.  The
-    nearest negative is the row maximum of the cross-entropy gradient
-    p - onehot: its label entry is p - 1 <= 0 and every other entry a
-    probability >= 0.  Inputs are not checked here: ``logits`` must be
-    finite float64 and ``labels`` (n,) integers in [0, K).
+    its gradient, the adaptive weights and the consistency term.  Labels,
+    that gradient and the weights come from the scoring path of
+    :func:`nla.naw.naw_weights`.  Inputs are not checked here: ``logits``
+    must be finite float64 and ``labels`` (n,) integers in [0, K).
     ``run_training`` checks the labels once per run and the logits once
     per step; the single-sample functions above check theirs per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    z = logits[:2 if mode == "nla" else 1]
-    _, n, k = z.shape
+    z = logits[:_VIEWS[mode]]
+    n = z.shape[1]
     p, lse = _softmax_lse(z)
-    at = np.arange(0, n * k, k) + labels
+    at, p_gt, ce_grad = _label_scores(p[0], labels)
     components = np.empty((4, n))
     ce, naw_ce, reg, total = components
     np.subtract(lse[0], z[0].take(at), out=ce)
-    p_gt = p[0].take(at)
-    ce_grad = p[0].copy()
-    ce_grad.put(at, p_gt - 1.0)
 
     if mode == "ce":
         components[1] = ce
@@ -198,7 +197,7 @@ def batch_total(logits: np.ndarray, labels: np.ndarray,
         return BatchLoss(components, np.zeros(n), ce_grad[None])
 
     if frozen_weights is None:
-        w = _branch_weights(p_gt, _row_max(ce_grad), kernels)
+        w = _branch_weights(p_gt, ce_grad, kernels)
     else:
         w = np.asarray(frozen_weights, dtype=np.float64)
         if w.shape != (n,):

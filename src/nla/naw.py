@@ -16,10 +16,9 @@ weight late in training.  Otherwise a fixed kernel centered at
 (0.3, 0.15) and elongated along y = x is used, which suppresses
 confidently wrong (noisy) samples while keeping weight on ambiguous ones.
 
-One density implementation serves every caller: :func:`_branch_weights`
-evaluates it on a batch of (ground-truth, nearest-negative) points, for
-:func:`naw_weights` and for the training loss, and :func:`gaussian_weight`
-on a single point.
+One scoring path serves :func:`naw_weights` and the training loss:
+:func:`_label_scores` then :func:`_branch_weights`, which evaluates one
+density per row; :func:`gaussian_weight` evaluates it on a single point.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _check_labels
+from .numkit import _check_labels, _row_max
 
 __all__ = [
     "ALONG_Y_EQ_X",
@@ -43,7 +42,6 @@ __all__ = [
     "build_false_kernel",
     "epoch_kernels",
     "gaussian_weight",
-    "score_weights",
     "naw_weights",
 ]
 
@@ -209,28 +207,29 @@ def gaussian_weight(p, kernel: KernelParams) -> float:
     return float(_density(x, y, kernel.constants))
 
 
-def score_weights(probs: np.ndarray, labels: np.ndarray,
-                  kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
-    """Adaptive weights of probability rows, without input checks.
-
-    The caller guarantees an (n, K) float array and (n,) labels in
-    [0, K); :func:`naw_weights` is the checked form.
-    """
-    rows = np.arange(probs.shape[0])
-    p_gt = probs[rows, labels]
-    # The nearest negative, the row maximum with the label masked, taken
-    # over the first axis of a transposed copy as numkit._row_max does.
-    masked = probs.T.copy()
-    masked[labels, rows] = -np.inf
-    return _branch_weights(p_gt, np.maximum.reduce(masked, axis=0), kernels)
+def _label_scores(probs: np.ndarray, labels: np.ndarray):
+    """The flat label positions ``row * K + label`` of (n, K) probability
+    rows, the ground-truth probabilities there and the cross-entropy
+    gradient p - onehot, a new array.  Unchecked: the caller guarantees a
+    float array and (n,) integer labels in [0, K)."""
+    n, k = probs.shape
+    at = np.arange(0, n * k, k) + labels
+    p_gt = probs.take(at)
+    grad = probs.copy()
+    grad.put(at, p_gt - 1.0)
+    return at, p_gt, grad
 
 
-def _branch_weights(p_gt: np.ndarray, p_nn: np.ndarray,
-                   kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
-    """Weights at the points (p_gt[i], p_nn[i]): one density per row, with
-    the constants of the true-branch kernel where p_gt >= p_nn and of the
-    false-branch kernel elsewhere.  :func:`score_weights` and the loss
-    both weight their rows here."""
+def _branch_weights(p_gt: np.ndarray, grad: np.ndarray,
+                    kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
+    """Weights at the points (p_gt[i], p_nn[i]) from the scores of
+    :func:`_label_scores`: one density per row, with the constants of the
+    true-branch kernel where p_gt >= p_nn and of the false-branch kernel
+    elsewhere.  The nearest negative p_nn is the row maximum of the
+    gradient p - onehot, which is the maximum over the other classes when
+    K >= 2 and every probability lies in [0, 1]: the label entry is
+    p - 1 <= 0 and every other entry >= 0."""
+    p_nn = _row_max(grad)
     true_kernel, false_kernel = kernels
     constants = np.where(p_gt >= p_nn, true_kernel.constants[:, None],
                          false_kernel.constants[:, None])
@@ -241,16 +240,24 @@ def naw_weights(probs: np.ndarray, labels: np.ndarray,
                 kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
     """Vectorized adaptive weights for a batch.
 
-    ``probs`` is (n, K) with rows on the probability simplex; ``labels``
-    is (n,); ``kernels`` is the (true, false) pair from
-    :func:`epoch_kernels`.  Row i's weight is the density of the
+    ``probs`` is (n, K) with K >= 2 and rows on the probability simplex;
+    ``labels`` is (n,) integers in [0, K); ``kernels`` is the (true, false)
+    pair from :func:`epoch_kernels`.  Row i's weight is the density of the
     true-branch kernel at (p_gt, p_nn) when p_gt >= p_nn, else of the
-    false-branch kernel.
+    false-branch kernel.  Raises ValueError for K < 2, for NaN or
+    probabilities outside [0, 1] and for labels that are not integers in
+    range.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     n, k = probs.shape
+    if k < 2:
+        raise ValueError("probability rows need K >= 2 classes")
+    # One comparison pair, so that NaN fails it too.
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
     if labels.shape != (n,):
         raise ValueError("labels must have one entry per probability row")
     _check_labels(labels, k)
-    return score_weights(probs, labels, kernels)
+    _, p_gt, grad = _label_scores(probs, labels)
+    return _branch_weights(p_gt, grad, kernels)

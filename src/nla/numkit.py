@@ -44,7 +44,10 @@ def _as_finite_array(values, name: str) -> np.ndarray:
 
 
 def _check_labels(labels: np.ndarray, n_classes: int, name: str = "labels") -> None:
-    """Raise ValueError unless every entry of ``labels`` lies in [0, n_classes)."""
+    """Raise ValueError unless ``labels`` is an integer array (bool is not)
+    whose every entry lies in [0, n_classes)."""
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must have an integer dtype, got {labels.dtype}")
     # Bare ufunc reductions: ndarray.min/max add a Python layer that costs
     # a one-label check (the single-sample losses) about a third more.
     if (np.minimum.reduce(labels, initial=0) < 0

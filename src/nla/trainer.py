@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, default_view
-from .losses import MODES, BatchLoss, batch_total
+from .losses import _VIEWS, MODES, BatchLoss, batch_total
 from .model import (Arch, ForwardTrace, ModelParams, backward, forward,
                     init_params, save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
@@ -276,12 +276,6 @@ def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     return out
 
 
-def _views(mode: str) -> int:
-    """Views a step of ``mode`` reads: the batch and, in mode nla, its
-    mirrored view."""
-    return 2 if mode == "nla" else 1
-
-
 class StepBuffers:
     """Every array that :func:`forward` and :func:`backward` write in a
     training step on batches of ``rows`` rows, with the views on a leading
@@ -316,8 +310,9 @@ def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     evaluated) or the loss are not finite.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if len(inputs) != _views(mode):
-        raise ValueError(f"mode {mode} steps on {_views(mode)} views, got {len(inputs)}")
+    # An unknown mode is batch_total's to refuse.
+    if mode in _VIEWS and len(inputs) != _VIEWS[mode]:
+        raise ValueError(f"mode {mode} steps on {_VIEWS[mode]} views, got {len(inputs)}")
     if buffers is None:
         buffers = StepBuffers(params.arch, *inputs.shape[:2])
     trace = buffers.trace
@@ -372,7 +367,7 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
     shuffle_rng = rng.split(1)
     state = AdamState.zeros_like(params)
     views = [np.asarray(train.inputs, dtype=np.float64)]
-    if _views(config.mode) == 2:
+    if _VIEWS[config.mode] == 2:
         views.append(default_view(train).apply(views[0]))
     n, size = train.n, config.batch_size
     # Each epoch gathers the views in shuffled order into one (V, N, d)

@@ -489,6 +489,13 @@ class TestSweep:
         assert f"cell {repeated} appears more than once" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        path, cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
     def test_empty_grid_is_usage_error(self, tmp_path, capsys, command):
         path, cfg = write_config(tmp_path, modes=["ce"])

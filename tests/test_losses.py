@@ -67,6 +67,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy([0.0, 0.0], 2)
 
+    @pytest.mark.parametrize("label", [1.5, "1", True])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match="label must have an integer dtype"):
+            cross_entropy([0.0, 0.0], label)
+
     @pytest.mark.parametrize("logits, label, expected", [
         ([700.0, 0.0, -700.0], 2, 1400.0),
         ([-700.0] * 4, 0, np.log(4.0)),
@@ -318,10 +323,9 @@ class TestBatchTotal:
 
     @pytest.mark.parametrize("mode", ["naw", "nla"])
     def test_nearest_negative_from_the_gradient_matches_naw_weights(self, mode):
-        # The loss takes the nearest negative as the row maximum of the
-        # cross-entropy gradient p - onehot; naw_weights masks the label.
-        # Both must give the same weights on ties (p_gt == p_nn) and on
-        # rows whose other probabilities underflow to 0.
+        # The loss weights its softmax rows as naw_weights weights the
+        # same probabilities given directly, also on ties (p_gt == p_nn)
+        # and on rows whose other probabilities underflow to 0.
         rng = Rng(60)
         n, k = 48, 7
         z = rng.normals(n * k, scale=3.0).reshape(n, k)

@@ -57,6 +57,24 @@ class TestExtractScores:
         with pytest.raises(ValueError):
             one_row_weight([0.5, 0.5], 2, 0)
 
+    @pytest.mark.parametrize("label", [0.7, True, "1"])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match="labels must have an integer dtype"):
+            naw_weights([[0.7, 0.2, 0.1]], [label], epoch_kernels(POLICY, 9))
+
+    # The nearest negative is the row maximum of p - onehot, which equals
+    # the maximum over the other classes only for probabilities in [0, 1]
+    # and K >= 2.
+    @pytest.mark.parametrize("probs, match", [
+        ([np.nan, 0.5, 0.5], r"must lie in \[0, 1\]"),
+        ([1.5, 0.2, 0.1], r"must lie in \[0, 1\]"),
+        ([0.7, -0.1, 0.4], r"must lie in \[0, 1\]"),
+        ([1.0], "K >= 2"),
+    ], ids=["nan", "above-one", "below-zero", "one-class"])
+    def test_rows_outside_the_simplex_range_rejected(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            naw_weights([probs], [0], epoch_kernels(POLICY, 9))
+
     def test_scores_from_a_simplex_point_sum_below_one(self):
         rng = Rng(19)
         for _ in range(300):
@@ -339,8 +357,10 @@ class TestNawWeight:
 
     @pytest.mark.parametrize("epoch", [0, 13, 60])
     def test_one_density_per_row_equals_both_densities(self, epoch):
-        # The parent formula: both kernels' densities on every row, then
-        # np.where on the branch.  The weights must equal it bit for bit.
+        # The parent formula: both kernels' densities on every row at the
+        # label-masked maximum, then np.where on the branch.  The weights
+        # must equal it bit for bit, with K = 7 and K = 2, on ties
+        # (p_gt == p_nn) and on rows whose other probabilities are all 0.
         def density(x, y, k):
             dx = x - k.mu[0]
             dy = y - k.mu[1]
@@ -350,19 +370,24 @@ class TestNawWeight:
 
         rng = Rng(34 + epoch)
         n = 600
-        z = rng.normals(n * 7, scale=3.0).reshape(n, 7)
-        labels = np.array([rng.below(7) for _ in range(n)])
-        for i in range(0, n, 3):  # a tie p_gt == p_nn on every third row
-            z[i, labels[i]] = z[i, (labels[i] + 1) % 7] = z[i].max()
-        probs = softmax(z)
-        rows = np.arange(n)
-        p_gt = probs[rows, labels]
-        p_nn = np.where(np.arange(7) == labels[:, None], -np.inf, probs).max(axis=1)
-        assert (p_gt == p_nn).sum() == n // 3
         kernels = epoch_kernels(POLICY, epoch)
-        expected = np.where(p_gt >= p_nn, density(p_gt, p_nn, kernels[0]),
-                            density(p_gt, p_nn, kernels[1]))
-        assert naw_weights(probs, labels, kernels).tobytes() == expected.tobytes()
+        for k in (7, 2):
+            z = rng.normals(n * k, scale=3.0).reshape(n, k)
+            labels = np.array([rng.below(k) for _ in range(n)])
+            for i in range(0, n, 3):  # a tie p_gt == p_nn on every third row
+                z[i, labels[i]] = z[i, (labels[i] + 1) % k] = z[i].max()
+            for i in range(1, n, 6):  # the label takes all the mass
+                z[i] = -400.0
+                z[i, labels[i]] = 400.0
+            probs = softmax(z)
+            rows = np.arange(n)
+            p_gt = probs[rows, labels]
+            p_nn = np.where(np.arange(k) == labels[:, None], -np.inf, probs).max(axis=1)
+            assert (p_gt == p_nn).sum() == n // 3
+            assert np.all(p_gt[1::6] == 1.0) and np.all(p_nn[1::6] == 0.0)
+            expected = np.where(p_gt >= p_nn, density(p_gt, p_nn, kernels[0]),
+                                density(p_gt, p_nn, kernels[1]))
+            assert naw_weights(probs, labels, kernels).tobytes() == expected.tobytes()
 
 
 class TestWeightPolicyValidation:

@@ -454,6 +454,17 @@ class TestRunValidation:
         with pytest.raises(ValueError, match=f"{split} labels must lie in"):
             run_training(tiny_config(), splits["train"], splits["test"])
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_labels(self, no_steps, split, dtype):
+        # Two classes, so that bool labels hold the same classes 0 and 1.
+        splits = dict(zip(("train", "test"), tiny_data(k=2)))
+        ds = splits[split]
+        splits[split] = Dataset(inputs=ds.inputs, labels=ds.labels.astype(dtype),
+                                n_classes=2, split=split)
+        with pytest.raises(ValueError, match=f"{split} labels must have an integer dtype"):
+            run_training(tiny_config(), splits["train"], splits["test"])
+
     def test_train_and_test_dims_differ(self, no_steps):
         train, _ = tiny_data(d=4)
         _, test = tiny_data(d=5)
