@@ -53,6 +53,7 @@ _VERSION = 1
 _HEADER = struct.Struct("<HBBQIIQddII")  # after the magic; see "Cache format"
 _CENTER_RADIUS = 2.0   # class layout radius in the non-mirrored coordinates
 _MIRROR_OFFSET = 1.0   # distance of each cluster pair from the mirror plane
+_SAMPLE_CHUNK = 256    # synthetic samples per block draw of the random stream
 
 # The standard benchmark instance.  The spread was calibrated by grid
 # search so that the plain cross-entropy baseline at the default training
@@ -203,20 +204,19 @@ def make_synthetic(n_classes: int, dim: int, n_per_class: int, spread: float,
     if spread < 0.0:
         raise ValueError("spread must be >= 0")
     centers = class_centers(n_classes, dim)
-    n = n_classes * n_per_class
-    inputs = np.empty((n, dim))
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
-    # An overflow is reported below as a non-finite sample, not as a warning.
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    inputs = centers[labels]
+    # Sample by sample, the stream is ``below(2)`` (1 mirrors the center)
+    # and then ``normals(dim)``; each chunk of samples takes its part in one
+    # block draw, and below(2) is the top bit of its word.  An overflow is
+    # reported below as a non-finite sample, not as a warning.
     with np.errstate(over="ignore"):
-        for k in range(n_classes):
-            for _ in range(n_per_class):
-                center = centers[k].copy()
-                if rng.below(2) == 1:
-                    center[0] = -center[0]
-                inputs[row] = center + spread * rng.normals(dim)
-                labels[row] = k
-                row += 1
+        for lo in range(0, labels.size, _SAMPLE_CHUNK):
+            rows = inputs[lo:lo + _SAMPLE_CHUNK]
+            words, z = rng._word_normal_rows(rows.shape[0], dim)
+            mirror = words >> 63 == 1
+            rows[mirror, 0] = -rows[mirror, 0]
+            rows += spread * z
     meta = {"seed": rng.seed, "spread": spread, "centers": centers}
     return Dataset(inputs=_as_finite_array(inputs, "synthetic inputs"), labels=labels,
                    n_classes=n_classes, split=split, meta=meta)

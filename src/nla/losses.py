@@ -83,6 +83,8 @@ def _one_sample(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
     if z.shape[0] != 1:
         raise ValueError("logits must be a single logit vector")
     labels = np.array([label])
+    if labels.shape != (1,):
+        raise ValueError(f"label must be a scalar, got {label!r}")
     _check_labels(labels, z.shape[1], "label")
     return z, labels
 

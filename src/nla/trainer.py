@@ -252,13 +252,17 @@ def collect_weight_stats(params: ModelParams, train: Dataset,
 
 def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     """``np.percentile(values[labels == k], [25, 50, 75])`` for every class
-    k, bit for bit, from one sort by (label, value); NaN rows for absent
-    classes."""
-    ranked = values[np.lexsort((values, labels))]
+    k, bit for bit, from one stable sort by label and then by value within
+    each class; NaN rows for absent classes."""
     counts = np.bincount(labels, minlength=n_classes)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    ranked = values[np.argsort(labels, kind="stable")]
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        ranked[a:b].sort(kind="stable")
     present = counts > 0
     n = counts[present][:, None]
-    start = (np.cumsum(counts) - counts)[present][:, None]
+    start = starts[present][:, None]
     # numpy's "linear" method: rank (n - 1) q, then its lerp between the
     # neighbouring order statistics, taken from the upper one when the
     # fraction is >= 0.5.

@@ -1,12 +1,13 @@
 """Dataset generation, corruption, views, ingestion, and caching."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from nla.data import (Dataset, FormatError, ViewTransform, apply_imbalance,
-                      bayes_accuracy, class_centers, default_view,
+                      bayes_accuracy, class_centers, dataset_bytes, default_view,
                       fingerprint, ingest_csv, ingest_idx, inject_noise,
                       load_dataset, make_synthetic, save_dataset,
                       standard_instance)
@@ -17,7 +18,36 @@ def small_train(seed=1, k=4, d=5, n_per_class=30, spread=0.8):
     return make_synthetic(k, d, n_per_class, spread, Rng(seed), split="train")
 
 
+def per_sample_synthetic(n_classes, dim, n_per_class, spread, rng):
+    """The generator drawn one sample at a time: below(2), then normals(dim)."""
+    centers = class_centers(n_classes, dim)
+    inputs, labels = [], []
+    for k in range(n_classes):
+        for _ in range(n_per_class):
+            center = centers[k].copy()
+            if rng.below(2) == 1:
+                center[0] = -center[0]
+            inputs.append(center + spread * np.array([rng.normal() for _ in range(dim)]))
+            labels.append(k)
+    return np.array(inputs), np.array(labels, dtype=np.int64)
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("n_per_class", [1, 41, 500])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_equals_per_sample_draws(self, dim, n_per_class, pending):
+        block, ref = Rng(dim * 1000 + n_per_class), Rng(dim * 1000 + n_per_class)
+        if pending:
+            assert block.normal() == ref.normal()
+        ds = make_synthetic(3, dim, n_per_class, 0.7, block)
+        inputs, labels = per_sample_synthetic(3, dim, n_per_class, 0.7, ref)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == labels.tolist()
+        assert block._s == ref._s
+        assert block._gauss == ref._gauss
+
     def test_same_seed_identical_datasets(self):
         a = make_synthetic(5, 6, 20, 1.0, Rng(3))
         b = make_synthetic(5, 6, 20, 1.0, Rng(3))
@@ -357,6 +387,11 @@ class TestStandardInstance:
         assert train.dim == 8
         np.testing.assert_array_equal(test.class_counts, 200)
         assert test.split == "test"
+
+    def test_bytes_are_pinned(self):
+        train, test = standard_instance(7)
+        digest = hashlib.sha256(dataset_bytes(train) + dataset_bytes(test)).hexdigest()
+        assert digest == "5fb8187a3eeb1a80b492ea668323abda6d5bee6788ca3d0e90fbad34245a5e1c"
 
     def test_deterministic(self):
         a_train, a_test = standard_instance(3)

@@ -72,6 +72,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="label must have an integer dtype"):
             cross_entropy([0.0, 0.0], label)
 
+    @pytest.mark.parametrize("label", [[1], np.array([1]), np.array([[1]]), []])
+    def test_non_scalar_label_rejected(self, label):
+        with pytest.raises(ValueError, match=r"label must be a scalar, got .*\["):
+            cross_entropy([0.0, 0.0], label)
+
     @pytest.mark.parametrize("logits, label, expected", [
         ([700.0, 0.0, -700.0], 2, 1400.0),
         ([-700.0] * 4, 0, np.log(4.0)),
@@ -111,6 +116,11 @@ class TestNawCeLoss:
         ce, _ = cross_entropy(z, 0)
         assert w == pytest.approx(0.19894367886486917, rel=1e-9)
         assert weighted == pytest.approx((1.0 + w) * ce, rel=1e-15)
+
+    @pytest.mark.parametrize("label", [[1], np.array([1])])
+    def test_non_scalar_label_rejected(self, label):
+        with pytest.raises(ValueError, match=r"label must be a scalar, got .*\[1\]"):
+            naw_ce_loss([0.0, 0.0, 0.0], label, 0, POLICY)
 
     def test_weight_is_pointwise_multiplier(self):
         rng = Rng(43)

@@ -167,11 +167,45 @@ class TestRng:
         assert draws.tolist() == [ref.random() for _ in range(n)]
         assert block._s == ref._s
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, derive_seed(7, "train-base")])
+    @pytest.mark.parametrize("n", [0, 1, 7, numkit._MIN_BLOCK_NORMALS - 1,
+                                   numkit._MIN_BLOCK_NORMALS,
+                                   numkit._MIN_BLOCK_NORMALS + 1, 255, 256, 257, 1001])
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_normals_equal_normal(self, seed, n, scale, pending):
+        block, ref = Rng(seed), Rng(seed)
+        if pending:
+            assert block.normal() == ref.normal()
+        draws = block.normals(n, scale)
+        assert draws.dtype == np.float64
+        assert draws.tolist() == [ref.normal(scale) for _ in range(n)]
+        assert block._s == ref._s
+        assert block._gauss == ref._gauss
+
+    @pytest.mark.parametrize("seed", [3, derive_seed(7, "test")])
+    @pytest.mark.parametrize("count", [1, 2, 41, B + 1])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_word_normal_rows_equal_scalar_draws(self, seed, count, dim, pending):
+        block, ref = Rng(seed), Rng(seed)
+        if pending:
+            assert block.normal() == ref.normal()
+        words, rows = block._word_normal_rows(count, dim)
+        expected = [(ref.next_u64(), [ref.normal() for _ in range(dim)])
+                    for _ in range(count)]
+        assert words.tolist() == [w for w, _ in expected]
+        assert rows.shape == (count, dim)
+        assert rows.tolist() == [z for _, z in expected]
+        assert block._s == ref._s
+        assert block._gauss == ref._gauss
+
     def test_block_and_scalar_draws_interleave(self):
         mixed, ref = Rng(5), Rng(5)
         for n in [3, B + 7, 1, 2 * B, 0, 5, B - 1]:
             assert mixed.normal() == ref.normal()
             assert mixed.uniforms(n).tolist() == [ref.random() for _ in range(n)]
+            assert mixed.normals(n + 60).tolist() == [ref.normal() for _ in range(n + 60)]
             assert mixed.normal() == ref.normal()
             assert mixed.permutation(n).tolist() == fisher_yates(ref, n)
             assert mixed.below(n + 1) == ref.below(n + 1)
