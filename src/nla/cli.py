@@ -36,8 +36,8 @@ from .data import (MIN_IMBALANCE, NOISE_RATES, Dataset, apply_imbalance,
                    save_dataset, synthetic_splits)
 from .losses import MODES
 from .numkit import Rng, derive_seed
-from .trainer import (TrainConfig, TrainingDiverged, atomic_write_text,
-                      load_run_metrics, run_training, save_run_record)
+from .trainer import (RunRecord, TrainConfig, TrainingDiverged, atomic_write_text,
+                      load_run_metrics, run_group, run_training, save_run_record)
 
 __all__ = ["main", "load_config", "cell_id", "dataset_id", "DEFAULT_CONFIG"]
 
@@ -210,38 +210,38 @@ def _cell_dataset(base_train: Dataset, cfg: dict, noise: float,
 def _ensure_datasets(cfg: dict, grid: list[tuple], force: bool = False,
                      quiet: bool = False) -> dict:
     """Write each dataset cache of ``grid``'s cells that is forced, missing
-    or stale (see :func:`_cached_sha256`); return ``{"test" or dataset id:
-    (path, sha256)}``.  The base splits are built, and ``data/`` made, only
-    when a cache is written."""
+    or stale (see :func:`_cached_info`); return ``{"test" or dataset id:
+    (path, sidecar)}``, where the sidecar dict holds the cache's sha256 and
+    shape.  The base splits are built, and ``data/`` made, only when a
+    cache is written."""
     data_dir = Path(cfg["out"]) / "data"
     base_splits = functools.cache(lambda: _base_splits(cfg))
 
-    def reuse_or_write(path: Path, noise, imbalance, build) -> tuple[str, Dataset | None]:
-        """The cache's sha256, and the dataset when it was (re)written."""
-        sha = None if force else _cached_sha256(path, cfg, noise, imbalance)
-        if sha is not None:
-            return sha, None
+    def reuse_or_write(path: Path, noise, imbalance, build) -> tuple[dict, Dataset | None]:
+        """The cache's sidecar, and the dataset when it was (re)written."""
+        info = None if force else _cached_info(path, cfg, noise, imbalance)
+        if info is not None:
+            return info, None
         ds = build()
         data_dir.mkdir(parents=True, exist_ok=True)
-        sha = save_dataset(ds, path)
-        _write_dataset_fingerprint(ds, path, cfg, sha)
-        return sha, ds
+        info = _write_dataset_fingerprint(ds, path, cfg, save_dataset(ds, path))
+        return info, ds
 
     path = data_dir / "test.ds"
     caches = {"test": (path, reuse_or_write(path, 0.0, 1.0, lambda: base_splits()[1])[0])}
     for noise, imbalance, seed in dict.fromkeys((n, f, s) for n, f, _, s in grid):
         did = dataset_id(noise, imbalance, seed)
         path = data_dir / f"{did}_train.ds"
-        sha, ds = reuse_or_write(path, noise, imbalance, lambda: _cell_dataset(
+        info, ds = reuse_or_write(path, noise, imbalance, lambda: _cell_dataset(
             base_splits()[0], cfg, noise, imbalance, seed))
-        caches[did] = (path, sha)
+        caches[did] = (path, info)
         if ds is not None and not quiet:
             flipped = 0 if ds.clean_labels is None else int(
                 (ds.labels != ds.clean_labels).sum())
             counts = ds.class_counts
             ratio = float(counts.max() / counts.min())
             print(f"[generate] {did}: n={ds.n} flipped={flipped} "
-                  f"max/min={ratio:.2f} sha={sha[:12]}")
+                  f"max/min={ratio:.2f} sha={info['sha256'][:12]}")
     return caches
 
 
@@ -250,8 +250,8 @@ def _as_json(value):
     return json.loads(json.dumps(value))
 
 
-def _cached_sha256(path: Path, cfg: dict, noise: float, imbalance: float) -> str | None:
-    """The sha256 of a dataset cache that may be reused for ``cfg``, else
+def _cached_info(path: Path, cfg: dict, noise: float, imbalance: float) -> dict | None:
+    """The sidecar of a dataset cache that may be reused for ``cfg``, else
     None.  Reusable means: its ``.json`` sidecar records the requested
     generator, master seed, noise rate and imbalance (0 and 1 for
     ``test.ds``), and the file's sha256 equals the sidecar's."""
@@ -266,13 +266,13 @@ def _cached_sha256(path: Path, cfg: dict, noise: float, imbalance: float) -> str
             and info.get("noise_rate") == noise
             and info.get("imbalance") == imbalance
             and info.get("sha256") == sha):
-        return sha
+        return info
     return None
 
 
-def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) -> None:
-    """Write the ``.json`` sidecar of the cache at ``path``, whose sha256
-    :func:`nla.data.save_dataset` returned."""
+def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) -> dict:
+    """Write and return the ``.json`` sidecar of the cache at ``path``,
+    whose sha256 :func:`nla.data.save_dataset` returned."""
     info = {
         "sha256": sha256,
         "n": ds.n,
@@ -286,6 +286,7 @@ def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) 
         "master_seed": cfg["seed"],
     }
     _write_json(path.with_suffix(".json"), info)
+    return info
 
 
 def _write_json(path: Path, value) -> None:
@@ -307,6 +308,7 @@ class CellSpec:
     test_path: str
     train_sha256: str
     test_sha256: str
+    train_rows: int | None  # as the train cache's sidecar records it
     run_dir: str
     force: bool = False
 
@@ -343,6 +345,23 @@ def _is_complete(spec: CellSpec) -> bool:
     return stored == _as_json(_manifest(spec))
 
 
+def _failed(spec: CellSpec, exc: Exception) -> dict:
+    """The status dict of a cell that raised ``exc``."""
+    error = str(exc) if isinstance(exc, TrainingDiverged) else f"{type(exc).__name__}: {exc}"
+    return {"cell": spec.id, "ok": False, "error": error}
+
+
+def _save_cell(spec: CellSpec, record: RunRecord) -> dict:
+    """Save the cell's run record, then write the manifest that marks the
+    cell complete; return its status dict."""
+    try:
+        save_run_record(record, spec.run_dir)
+        _write_json(Path(spec.run_dir) / "manifest.json", _manifest(spec))
+    except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
+        return _failed(spec, exc)
+    return {"cell": spec.id, "ok": True, "skipped": False}
+
+
 def run_cell(spec: CellSpec) -> dict:
     """Execute one cell unless :func:`_is_complete`: train, save the run
     record, then write the manifest that marks the cell complete.
@@ -353,13 +372,78 @@ def run_cell(spec: CellSpec) -> dict:
         train = load_dataset(spec.train_path)
         test = load_dataset(spec.test_path)
         record = run_training(spec.config, train, test)
-        save_run_record(record, spec.run_dir)
-        _write_json(Path(spec.run_dir) / "manifest.json", _manifest(spec))
-        return {"cell": spec.id, "ok": True, "skipped": False}
-    except TrainingDiverged as exc:
-        return {"cell": spec.id, "ok": False, "error": str(exc)}
     except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
-        return {"cell": spec.id, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return _failed(spec, exc)
+    return _save_cell(spec, record)
+
+
+@dataclass
+class CellGroup:
+    """Pending cells that one pool task trains as stacked runs (see
+    :func:`nla.trainer.run_group`): cells whose training configs are equal
+    apart from ``seed`` and whose train splits have one row count."""
+
+    specs: list[CellSpec]
+
+    @property
+    def id(self) -> str:
+        return "+".join(spec.id for spec in self.specs)
+
+
+def run_cell_group(group: CellGroup) -> list[dict]:
+    """Train the cells of ``group`` as one stack and save each; return
+    their status dicts in order.  Each cell fails alone, with the status
+    :func:`run_cell` gives it; an error of the whole stack fails them all."""
+    results, members = {}, []
+    for spec in group.specs:
+        try:
+            members.append((spec, load_dataset(spec.train_path),
+                            load_dataset(spec.test_path)))
+        except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
+            results[spec.id] = _failed(spec, exc)
+    try:
+        outcomes = run_group([(spec.config, train, test) for spec, train, test in members])
+    except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
+        outcomes = [exc] * len(members)
+    for (spec, _, _), outcome in zip(members, outcomes):
+        results[spec.id] = (_failed(spec, outcome) if isinstance(outcome, Exception)
+                            else _save_cell(spec, outcome))
+    return [results[spec.id] for spec in group.specs]
+
+
+# The most cells a pool task trains as one stack.  Per run, stacks of R
+# runs took this share of a solo run's time (2-vCPU Xeon VM, one process):
+#   n = 929, 5 epochs, ce:    0.65 (R = 2), 0.42 (5), 0.36 (10), 0.41-0.47 (16-40)
+#   n = 929, 5 epochs, nla:   0.73 (R = 2), 0.57 (5), 0.56 (10), 0.50-0.52 (16-40)
+#   n = 3500, 2 epochs, nla:  0.56 (R = 2), 0.37 (5), 0.36 (10), 0.32-0.38 (16-40)
+# Past R = 10 the per-run work outside the step (shuffles, weight
+# statistics, evaluation) dominates.
+_GROUP_CAP = 10
+
+
+def _split(items: list, parts: int) -> list[list]:
+    """``items`` in ``parts`` contiguous slices whose sizes differ by at most 1."""
+    size, extra = divmod(len(items), parts)
+    bounds = [part * size + min(part, extra) for part in range(parts + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _cell_groups(pending: list[CellSpec], workers: int) -> list[CellGroup]:
+    """The pool tasks of ``pending``: cells that share a training config
+    apart from ``seed`` and a train-split row count, in groups of at most
+    ``_GROUP_CAP``, split further while there are fewer groups than
+    ``min(workers, len(pending))``, so that no process idles.  Largest
+    groups first; cells in spec order within a group."""
+    alike: dict[tuple, list[CellSpec]] = {}
+    for spec in pending:
+        key = json.dumps({**spec.config.to_dict(), "seed": None}, sort_keys=True)
+        alike.setdefault((key, spec.train_rows), []).append(spec)
+    groups = [part for specs in alike.values()
+              for part in _split(specs, -(-len(specs) // _GROUP_CAP))]
+    while len(groups) < min(workers, len(pending)):
+        largest = max(range(len(groups)), key=lambda g: len(groups[g]))
+        groups[largest:largest + 1] = _split(groups[largest], 2)
+    return [CellGroup(specs) for specs in sorted(groups, key=len, reverse=True)]
 
 
 def _grid(cfg: dict) -> list[tuple]:
@@ -394,15 +478,16 @@ def _cells(cfg: dict, grid: list[tuple], force: bool) -> list[CellSpec]:
     except (AttributeError, TypeError, ValueError) as exc:  # e.g. "policy": [1]
         raise UsageError(f"bad train section: {exc}") from exc
     caches = _ensure_datasets(cfg, grid, quiet=True)
-    test_path, test_sha = caches["test"]
+    test_path, test_info = caches["test"]
     runs = Path(cfg["out"]) / "runs"
     specs = []
     for (noise, imbalance, mode, seed), config in zip(grid, configs):
-        train_path, train_sha = caches[dataset_id(noise, imbalance, seed)]
+        train_path, train_info = caches[dataset_id(noise, imbalance, seed)]
         specs.append(CellSpec(
             noise=noise, imbalance=imbalance, mode=mode, seed=seed, config=config,
             train_path=str(train_path), test_path=str(test_path),
-            train_sha256=train_sha, test_sha256=test_sha,
+            train_sha256=train_info["sha256"], test_sha256=test_info["sha256"],
+            train_rows=train_info.get("n"),
             run_dir=str(runs / cell_id(noise, imbalance, mode, seed)), force=force))
     return specs
 
@@ -435,16 +520,18 @@ def cmd_sweep(cfg: dict, args) -> int:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     specs = _cells(cfg, _grid(cfg), args.force)
     # With more than one pending cell and worker, the pending cells go to
-    # a pool of min(workers, pending) processes, one cell per task.
-    # run_cell runs every other cell in this process, where a complete
-    # one is skipped.  Results keep spec order.
+    # a pool of processes as groups (see _cell_groups), one group per
+    # task, each trained as stacked runs.  run_cell runs every other cell
+    # in this process, where a complete one is skipped.  Results keep
+    # spec order.
     pending = [s for s in specs if not _is_complete(s)] if args.workers > 1 else []
     pooled = {}
     if len(pending) > 1:
+        groups = _cell_groups(pending, args.workers)
         with multiprocessing.get_context("spawn").Pool(
-                min(args.workers, len(pending))) as pool:
-            pooled = dict(zip([s.id for s in pending],
-                              pool.map(run_cell, pending, chunksize=1)))
+                min(args.workers, len(groups))) as pool:
+            pooled = {r["cell"]: r for results in
+                      pool.map(run_cell_group, groups, chunksize=1) for r in results}
     results = [pooled.get(s.id) or run_cell(s) for s in specs]
     failures = [r for r in results if not r["ok"]]
     for r in results:

@@ -45,11 +45,14 @@ class BatchLoss:
     """Per-sample loss components plus gradients of the batch mean.
 
     ``components`` holds the rows ce, naw_ce, reg and total, one entry per
-    sample, so that one reduction sums all four; ``weight`` has one entry
-    per sample.  ``grad`` stacks the gradients of ``total.mean()`` with
-    respect to each view's logits (so they already carry the 1/n factor):
-    (2, n, K) in mode ``nla``, (1, n, K) otherwise, where the mirrored
-    view's gradient is zero.
+    sample, so that one reduction over the last axis sums all four;
+    ``weight`` has one entry per sample.  ``grad`` stacks the gradients of
+    the batch-mean total with respect to each view's logits (so they
+    already carry the 1/n factor): (2, n, K) in mode ``nla``, (1, n, K)
+    otherwise, where the mirrored view's gradient is zero.  For a stack of
+    R runs, the samples of each are (R, n) instead of (n,): components
+    are (4, R, n), the weights (R, n) and the gradients (V, R, n, K), each
+    run's the mean over its own n samples.
     """
 
     components: np.ndarray
@@ -165,7 +168,10 @@ def batch_total(logits: np.ndarray, labels: np.ndarray,
       * ``nla``: lam-blend of weighted cross-entropy and consistency.
 
     ``logits`` stacks the views' (n, K) logits on a leading axis: the
-    batch, then (read in mode ``nla`` only) its mirrored view.
+    batch, then (read in mode ``nla`` only) its mirrored view.  Logits of
+    a stack of R runs are (V, R, n, K), with labels (R, n): the rows of
+    every run go through one evaluation, and each run's gradient is the
+    one of its own batch mean, as if it were evaluated alone.
     ``kernels`` is the (true, false) pair of :func:`nla.naw.epoch_kernels`
     for the batch's epoch; mode ``ce`` and ``frozen_weights`` ignore it.
     ``frozen_weights`` substitutes precomputed per-sample weights for the
@@ -177,13 +183,17 @@ def batch_total(logits: np.ndarray, labels: np.ndarray,
     its gradient, the adaptive weights and the consistency term.  Labels,
     that gradient and the weights come from the scoring path of
     :func:`nla.naw.naw_weights`.  Inputs are not checked here: ``logits``
-    must be finite float64 and ``labels`` (n,) integers in [0, K).
+    must be finite float64 and ``labels`` integers in [0, K), one per row.
     ``run_training`` checks the labels once per run and the logits once
     per step; the single-sample functions above check theirs per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     z = logits[:_VIEWS[mode]]
+    shape = z.shape  # (V, n, K), or (V, R, n, K) for a stack of runs
+    if len(shape) > 3:  # the rows of every run, one after another
+        z = z.reshape(shape[0], -1, shape[-1])
+        labels = labels.reshape(-1)
     n = z.shape[1]
     p, lse = _softmax_lse(z)
     at, p_gt, ce_grad = _label_scores(p[0], labels)
@@ -195,30 +205,31 @@ def batch_total(logits: np.ndarray, labels: np.ndarray,
         components[1] = ce
         components[2] = 0.0
         components[3] = ce
-        ce_grad /= n
-        return BatchLoss(components, np.zeros(n), ce_grad[None])
-
-    if frozen_weights is None:
-        w = _branch_weights(p_gt, ce_grad, kernels)
+        w, grad = np.zeros(n), ce_grad[None]
     else:
-        w = np.asarray(frozen_weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("frozen_weights must have one entry per row")
-    multiplier = 1.0 + w
-    np.multiply(multiplier, ce, out=naw_ce)
-    ce_grad *= multiplier[:, None]  # the weighted cross-entropy's gradient
-
-    if mode == "naw":
-        components[2] = 0.0
-        components[3] = naw_ce
-        ce_grad /= n
-        return BatchLoss(components, w, ce_grad[None])
-
-    reg[:], grad = _consistency(p)
-    np.multiply(lam, naw_ce, out=total)
-    total += (1.0 - lam) * reg
-    grad *= 1.0 - lam
-    ce_grad *= lam
-    grad[0] += ce_grad
-    grad /= n
+        if frozen_weights is None:
+            w = _branch_weights(p_gt, ce_grad, kernels)
+        else:
+            w = np.asarray(frozen_weights, dtype=np.float64)
+            if w.shape != shape[1:-1]:
+                raise ValueError("frozen_weights must have one entry per row")
+            w = w.reshape(n)
+        multiplier = 1.0 + w
+        np.multiply(multiplier, ce, out=naw_ce)
+        ce_grad *= multiplier[:, None]  # the weighted cross-entropy's gradient
+        if mode == "naw":
+            components[2] = 0.0
+            components[3] = naw_ce
+            grad = ce_grad[None]
+        else:
+            reg[:], grad = _consistency(p)
+            np.multiply(lam, naw_ce, out=total)
+            total += (1.0 - lam) * reg
+            grad *= 1.0 - lam
+            ce_grad *= lam
+            grad[0] += ce_grad
+    grad /= shape[-2]  # each run's batch mean
+    if len(shape) > 3:
+        return BatchLoss(components.reshape((4,) + shape[1:-1]), w.reshape(shape[1:-1]),
+                         grad.reshape(shape))
     return BatchLoss(components, w, grad)

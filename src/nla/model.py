@@ -16,12 +16,15 @@ header plus the vector.
 
 A ``ModelParams`` may also hold an (R, P) stack of R such vectors, one
 per row.  The same lines then carry a leading run axis: :func:`forward`
-returns (R, n, K) logits through 3-D ``np.matmul`` and :func:`backward`
-an (R, P) stack of gradients, each run's bit-identical to a solo call;
-the finite-difference gradient check evaluates its perturbed parameter
-vectors this way.  A training step uses the same axis for the views of
-a batch: one backward over a (V, n, K) trace of one parameter vector
-gives a (V, P) stack, each view's row bit-identical to a solo call.
+takes (n, d) rows that every run sees, or (R, n, d) rows with one (n, d)
+block per run, returns (R, n, K) logits through 3-D ``np.matmul``, and
+:func:`backward` an (R, P) stack of gradients, each run's bit-identical
+to a solo call.  The finite-difference gradient check evaluates its
+perturbed parameter vectors this way, and a group of training runs
+steps on its stack of runs.  A training step puts the views of a batch
+on a further leading axis: one backward over a (V, R, n, K) trace of an
+(R, P) stack (or a (V, n, K) trace of one vector) gives a (V, R, P)
+(or (V, P)) stack, each row bit-identical to a solo call.
 """
 
 from __future__ import annotations
@@ -105,13 +108,14 @@ class ModelParams:
     """Dense weights and biases, ordered input side first, in one vector.
 
     Owns ``flat`` (not copied), which must hold ``arch.param_count``
-    float64 values in the layout of :attr:`Arch.layer_shapes`, or an
-    (R, param_count) stack of R such vectors (see :func:`_layer_views`).
+    float64 values in the layout of :attr:`Arch.layer_shapes`, or a stack
+    of such vectors on leading axes (see :func:`_layer_views`): (R, P)
+    for R runs, (V, R, P) for the per-view gradients of a stacked step.
     """
 
     def __init__(self, arch: Arch, flat: np.ndarray, seed: int = 0) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.ndim not in (1, 2) or flat.shape[-1] != arch.param_count:
+        if flat.ndim < 1 or flat.shape[-1] != arch.param_count:
             raise ValueError(f"{arch} needs a vector of {arch.param_count} "
                              f"parameters or a stack of them, got shape {flat.shape}")
         self.arch = arch
@@ -145,8 +149,8 @@ def init_params(arch: Arch, rng: Rng) -> ModelParams:
 def _dense_pass(params: ModelParams, x: np.ndarray, outs=None):
     """(logits, layer inputs) of the rows of ``x``: every layer but the
     first takes the ReLU of the one before.  With stacked parameters every
-    array but ``x`` has a leading run axis, over which the (R, 1, fan_out)
-    biases broadcast.  The biases are added and the ReLU taken in place
+    array but a 2-D ``x`` has a leading run axis, over which the
+    (R, 1, fan_out) biases broadcast.  The biases are added and the ReLU taken in place
     (fewer arrays, the same bits).  ``outs``, one array per layer, receive
     the layers' outputs (the units of each hidden layer, then the
     logits) instead of new arrays."""
@@ -177,6 +181,8 @@ def forward(params: ModelParams, inputs: np.ndarray,
 
     With stacked parameters (``params.flat`` of shape (R, P)) every array
     of the trace has a leading run axis: the logits are (R, n, K).
+    ``inputs`` are then (n, d) rows that every run sees, or (R, n, d),
+    one block of rows per run.
 
     With ``logits_only`` (for passes over a whole split) the rows go
     through in chunks of ``_CHUNK_ROWS`` and the trace keeps only the
@@ -187,12 +193,15 @@ def forward(params: ModelParams, inputs: np.ndarray,
     training step writes into buffers it owns.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
-        raise ValueError(
-            f"inputs must be (n, {params.arch.input_dim}), got {x.shape}")
+    d = params.arch.input_dim
+    if (x.ndim < 2 or x.shape[-1] != d
+            or x.ndim > 2 and x.shape[:-2] != params.flat.shape[:-1]):
+        runs = params.flat.shape[:-1]
+        raise ValueError(f"inputs must be (n, {d})"
+                         + (f" or ({runs[0]}, n, {d})" if runs else "") + f", got {x.shape}")
     if logits_only:
         return ForwardTrace(logits=np.concatenate(
-            [_dense_pass(params, x[rows])[0] for rows in _row_chunks(len(x))],
+            [_dense_pass(params, x[..., rows, :])[0] for rows in _row_chunks(x.shape[-2])],
             axis=-2), layer_inputs=[])
     return ForwardTrace(*_dense_pass(params, x, out))
 
@@ -208,7 +217,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
     ``grad_logits``: a vector for (n, K) logits, and a row per run or view
     for (R, n, K) logits, each bit-identical to a solo backward.  A
     (V, n, K) trace of one parameter vector stacks its V views of a batch
-    that way.  The per-layer products are written straight into a new
+    that way, and a (V, R, n, K) trace of an (R, P) stack gives a
+    (V, R, P) stack.  The per-layer products are written straight into a new
     array, or into ``out.flat`` when ``out`` (parameters of that shape,
     whose layer views its owner built once) is given.
     """

@@ -4,14 +4,20 @@ One shared parameter set sees both views of every batch.  Every optimizer
 step takes its loss and flat gradient from one :func:`train_step` (a
 forward per view, the loss, one backward over the views axis), the step
 whose gradient the gradient-fidelity check verifies; it writes into
-:class:`StepBuffers` that a run builds once per batch size.  The
-optimizer is Adam with decoupled weight decay and an exponentially
-decayed learning rate, applied to the flat parameter vector in one pass.
-Both weighting kernels are
-built once per epoch and shared by every batch and by that epoch's weight
-statistics.  Inputs are checked once per run, before the first step; the
-per-step loop only guards against divergence.  Runs are bit-reproducible
-functions of (config, datasets).
+:class:`StepBuffers` built once per batch size.  The optimizer is Adam
+with decoupled weight decay and an exponentially decayed learning rate,
+applied to the flat parameter vector in one pass.  Both weighting kernels
+are built once per epoch and shared by every batch and by that epoch's
+weight statistics.  Inputs are checked once per run, before the first
+step; the per-step loop only guards against divergence.  Runs are
+bit-reproducible functions of (config, datasets).
+
+Runs that differ only in their seed and data train together:
+:func:`run_group` stacks R runs' parameter vectors and Adam moments as
+(R, P) arrays, so a step's inputs carry a run axis after the views axis,
+(V, R, n, d) with (R, n) labels, and one step and one Adam update serve
+every run.  Each run's values are those of its solo run, which is the
+R = 1 group (:func:`run_training`).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "StepBuffers",
     "train_step",
     "run_training",
+    "run_group",
     "evaluate",
     "collect_weight_stats",
     "metrics_csv_text",
@@ -253,11 +260,14 @@ def collect_weight_stats(params: ModelParams, train: Dataset,
 def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     """``np.percentile(values[labels == k], [25, 50, 75])`` for every class
     k, bit for bit, from one stable sort by label and then by value within
-    each class; NaN rows for absent classes."""
+    each class; NaN rows for absent classes.  The labels are sorted as the
+    smallest unsigned type that holds n_classes - 1: the order is the same,
+    and numpy radix-sorts 8- and 16-bit keys where it timsorts int64 ones."""
     counts = np.bincount(labels, minlength=n_classes)
     ends = np.cumsum(counts)
     starts = ends - counts
-    ranked = values[np.argsort(labels, kind="stable")]
+    keys = labels.astype(np.min_scalar_type(n_classes - 1))
+    ranked = values[np.argsort(keys, kind="stable")]
     for a, b in zip(starts.tolist(), ends.tolist()):
         ranked[a:b].sort(kind="stable")
     present = counts > 0
@@ -282,19 +292,33 @@ def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> 
 
 class StepBuffers:
     """Every array that :func:`forward` and :func:`backward` write in a
-    training step on batches of ``rows`` rows, with the views on a leading
-    axis: the (V, rows, ...) units of each hidden layer and logits, held
-    as one trace whose first layer input is the batch, each view's slices
-    of them, the (V, P) per-view gradients with their layer views, and
-    the (P,) gradient of the step.  :func:`run_training` builds them once
-    per run and batch size."""
+    training step of ``params`` on batches of ``rows`` rows, with the
+    views on a leading axis and then, for an (R, P) stack, the runs: the
+    (V, [R,] rows, ...) units of each hidden layer and logits, held as one
+    trace whose first layer input is the batch, each view's slices of
+    them, the (V, [R,] P) per-view gradients with their layer views, and
+    the ([R,] P) gradient of the step.  :func:`run_group` builds them
+    once per stack of runs and batch size."""
 
-    def __init__(self, arch: Arch, views: int, rows: int) -> None:
-        outs = [np.empty((views, rows, fan_out)) for _, fan_out in arch.layer_shapes]
+    def __init__(self, params: ModelParams, views: int, rows: int) -> None:
+        arch, runs = params.arch, params.flat.shape[:-1]
+        outs = [np.empty((views, *runs, rows, fan_out)) for _, fan_out in arch.layer_shapes]
         self.trace = ForwardTrace(logits=outs[-1], layer_inputs=[None] + outs[:-1])
         self.view_outs = [[out[view] for out in outs] for view in range(views)]
-        self.grads = ModelParams(arch, np.empty((views, arch.param_count)))
-        self.grad = self.grads.flat[0] if views == 1 else np.empty(arch.param_count)
+        self.grads = ModelParams(arch, np.empty((views, *runs, arch.param_count)))
+        self.grad = self.grads.flat[0] if views == 1 else np.empty(params.flat.shape)
+
+
+class _NonFinite(FloatingPointError):
+    """Logits or a loss of a training step that are not finite.  ``runs``
+    marks the runs of a stacked step that have such a value, along axis
+    ``run_axis`` of ``values`` (True for a step of one parameter vector,
+    whose ``run_axis`` is None)."""
+
+    def __init__(self, what: str, values: np.ndarray, run_axis: int | None) -> None:
+        super().__init__(f"non-finite {what}")
+        self.runs = True if run_axis is None else ~np.isfinite(values).all(
+            axis=tuple(a for a in range(values.ndim) if a != run_axis))
 
 
 def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
@@ -303,31 +327,35 @@ def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     """Loss of one mini-batch and the flat gradient of its mean at ``params``.
 
     ``inputs`` stacks the views of the batch's (n, d) rows on a leading
-    axis: the rows, then in mode ``nla`` their mirrored view.  Runs the
-    forward pass of each view into its slice of ``buffers`` (built for n
-    rows when None), checks the (V, n, K) logits, evaluates
-    :func:`nla.losses.batch_total` on them, backpropagates its logit
-    gradients over the views axis in one :func:`backward`, and in mode
-    ``nla`` adds view 1's gradient to view 0's.  The returned gradient is
-    an array of ``buffers``, overwritten by the next step that uses them.
-    Raises FloatingPointError when the logits (checked before the loss is
-    evaluated) or the loss are not finite.
+    axis: the rows, then in mode ``nla`` their mirrored view.  With an
+    (R, P) stack of parameters each view holds one batch per run, (R, n, d)
+    with (R, n) labels, and the loss and gradient are each run's own, as
+    in a solo step.  Runs the forward pass of each view into its slice of
+    ``buffers`` (built for n rows when None), checks the (V, [R,] n, K)
+    logits, evaluates :func:`nla.losses.batch_total` on them,
+    backpropagates its logit gradients over the views axis in one
+    :func:`backward`, and in mode ``nla`` adds view 1's gradient to view
+    0's.  The returned gradient is an array of ``buffers``, overwritten by
+    the next step that uses them.  Raises FloatingPointError when the
+    logits (checked before the loss is evaluated) or the loss are not
+    finite; its ``runs`` marks the runs of a stack that have such values.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     # An unknown mode is batch_total's to refuse.
     if mode in _VIEWS and len(inputs) != _VIEWS[mode]:
         raise ValueError(f"mode {mode} steps on {_VIEWS[mode]} views, got {len(inputs)}")
     if buffers is None:
-        buffers = StepBuffers(params.arch, *inputs.shape[:2])
+        buffers = StepBuffers(params, len(inputs), inputs.shape[-2])
     trace = buffers.trace
     trace.layer_inputs[0] = inputs
     for x, out in zip(inputs, buffers.view_outs):
         forward(params, x, out=out)
+    stacked = params.flat.ndim > 1
     if not np.isfinite(trace.logits).all():
-        raise FloatingPointError("non-finite logits")
+        raise _NonFinite("logits", trace.logits, 1 if stacked else None)
     loss = batch_total(trace.logits, labels, kernels, lam, mode=mode)
     if not np.isfinite(loss.total).all():
-        raise FloatingPointError("non-finite loss")
+        raise _NonFinite("loss", loss.total, 0 if stacked else None)
     grads = backward(params, trace, loss.grad, out=buffers.grads)
     if len(grads) > 1:
         np.add(grads[0], grads[1], out=buffers.grad)
@@ -352,68 +380,166 @@ def _check_splits(train: Dataset, test: Dataset) -> None:
 def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecord:
     """Full training run; returns all epoch metrics plus the final model.
 
-    Sub-streams of the run seed: split 0 initializes parameters, split 1
-    drives the per-epoch shuffles.  The flipped view is only evaluated in
-    mode ``nla``; the other modes never look at it.  Raises ValueError
-    before the first step for splits that :func:`_check_splits` rejects,
-    and before the first update when either view's logits or the loss are
-    not finite; TrainingDiverged when they stop being finite later (also
-    after an epoch's last update, which only the weight statistics see).
-    Non-finite test-split logits are not a divergence of the training
-    split: :func:`evaluate`'s FloatingPointError propagates.
+    The one-run case of :func:`run_group`, whose errors it raises: a
+    ValueError before the first step for splits that :func:`_check_splits`
+    rejects, and before the first update when either view's logits or the
+    loss are not finite; TrainingDiverged when they stop being finite
+    later (also after an epoch's last update, which only the weight
+    statistics see).  Non-finite test-split logits are not a divergence of
+    the training split: :func:`evaluate`'s FloatingPointError propagates.
     """
-    _check_splits(train, test)
-    rng = Rng(config.seed)
-    arch = Arch(input_dim=train.dim,
+    outcome, = run_group([(config, train, test)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _divergence(exc: FloatingPointError, last: tuple[int, int] | None) -> Exception:
+    """The error of a run whose logits or loss are not finite: an input
+    error before its first update, else a divergence at the last update
+    taken."""
+    if last is None:
+        return ValueError(f"{exc} before the first update")
+    return TrainingDiverged(*last)
+
+
+def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecord | Exception]:
+    """Train the (config, train, test) runs of ``runs`` as one stack; return
+    each run's RunRecord, or the exception its :func:`run_training` raises.
+
+    The configs must be equal apart from ``seed`` and the train splits of
+    one shape (rows, dim, classes), else ValueError.  Each run keeps the
+    sub-streams of its seed (split 0 initializes its parameters, split 1
+    drives its shuffles), its splits and their checks, and its divergence
+    guard.  Its parameters and Adam moments are a row of (R, P) stacks that
+    one :func:`train_step` and one :func:`adam_step` update per batch, with
+    the values of its solo steps (a group of one has no run axis).  The flipped view is only evaluated in
+    mode ``nla``.  A run that fails leaves the stack and the others go on.
+    The weight statistics and the evaluation take one run at a time.
+    """
+    if not runs:
+        return []
+    config = runs[0][0]
+    n, dim, k = shape = runs[0][1].n, runs[0][1].dim, runs[0][1].n_classes
+    outcomes: list = [None] * len(runs)
+    for i, (cfg, train, test) in enumerate(runs):
+        if (dataclasses.replace(cfg, seed=config.seed) != config
+                or (train.n, train.dim, train.n_classes) != shape):
+            raise ValueError("the runs of a group must share a TrainConfig apart "
+                             "from seed and train splits of one shape")
+        try:
+            _check_splits(train, test)
+        except ValueError as exc:
+            outcomes[i] = exc
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return outcomes
+    arch = Arch(input_dim=dim,
                 hidden_dim=config.hidden_dim if config.arch == "mlp" else 0,
-                n_classes=train.n_classes)
-    params = init_params(arch, rng.split(0))
-    shuffle_rng = rng.split(1)
+                n_classes=k)
+    rngs = [Rng(runs[i][0].seed) for i in live]
+    inits = [init_params(arch, rng.split(0)) for rng in rngs]
+    seeds = [p.seed for p in inits]
+    shuffles = [rng.split(1) for rng in rngs]
+    # A group of one run steps without the run axis, on the arrays of a
+    # solo step: numpy spends more per call on a stack of one.  ``at(r)``
+    # indexes run r on the run axis, and is empty without one.
+    lead = (len(live),) if len(live) > 1 else ()
+    at = (lambda r: (r,)) if lead else (lambda r: ())
+    params = ModelParams(arch, np.stack([p.flat for p in inits]).reshape(*lead, -1))
     state = AdamState.zeros_like(params)
-    views = [np.asarray(train.inputs, dtype=np.float64)]
-    if _VIEWS[config.mode] == 2:
-        views.append(default_view(train).apply(views[0]))
-    n, size = train.n, config.batch_size
-    # Each epoch gathers the views in shuffled order into one (V, N, d)
-    # array, so that each batch is a contiguous slice of it.
-    inputs, labels = np.empty((len(views), n, train.dim)), np.empty_like(train.labels)
-    # One buffer set for the full batch and one for the trailing batch.
-    buffers = {rows: StepBuffers(arch, len(views), rows)
-               for rows in {min(size, n), n % size or size}}
+    views = []
+    for i in live:
+        views.append([np.asarray(runs[i][1].inputs, dtype=np.float64)])
+        if _VIEWS[config.mode] == 2:
+            views[-1].append(default_view(runs[i][1]).apply(views[-1][0]))
+    size = config.batch_size
+    # Each epoch gathers every run's views in shuffled order into one
+    # (V, R, N, d) array, so that each batch is a slice of it.
+    inputs = np.empty((len(views[0]), *lead, n, dim))
+    labels = np.empty((*lead, n), dtype=np.intp)
+    metrics: dict[int, list[EpochMetrics]] = {i: [] for i in live}
     last = None  # (epoch, batch) of the last update taken
 
-    metrics: list[EpochMetrics] = []
+    def batch_plan() -> list[tuple[np.ndarray, np.ndarray, StepBuffers]]:
+        """Each batch's slices of ``inputs`` and ``labels`` and its step
+        buffers: one set for the full batch and one for the trailing one."""
+        sets = {rows: StepBuffers(params, len(views[0]), rows)
+                for rows in {min(size, n), n % size or size}}
+        return [(inputs[..., start:start + size, :], labels[..., start:start + size],
+                 sets[min(size, n - start)]) for start in range(0, n, size)]
+
+    def leave(errors: dict[int, Exception]) -> None:
+        """Take the stack's rows ``errors`` names out, with their errors."""
+        nonlocal params, state, inputs, labels, sums, batches
+        for r in sorted(errors, reverse=True):
+            outcomes[live[r]] = errors[r]
+            for per_run in (live, seeds, shuffles, views):
+                del per_run[r]
+        if not live:
+            return
+        keep = np.ones(len(params.flat), dtype=bool)
+        keep[list(errors)] = False
+        params = ModelParams(arch, params.flat[keep])
+        state = AdamState(m=state.m[keep], v=state.v[keep], t=state.t)
+        inputs, labels, sums = inputs[:, keep], labels[keep], sums[:, keep]
+        batches = batch_plan()
+
+    batches = batch_plan()
     for epoch in range(config.epochs):
         lr = config.lr0 * config.lr_gamma ** epoch
         kernels = epoch_kernels(config.policy, epoch)
-        perm = shuffle_rng.permutation(n)
-        for view, out in zip(views, inputs):
-            np.take(view, perm, axis=0, out=out)
-        np.take(train.labels, perm, out=labels)
-        sums = np.zeros(4)  # ce, naw_ce, reg, total
-        try:
-            for batch_index, start in enumerate(range(0, n, size)):
-                stop = min(start + size, n)
-                loss, grad = train_step(params, inputs[:, start:stop], labels[start:stop],
-                                        kernels, config.lam, config.mode,
-                                        buffers[stop - start])
-                adam_step(params, grad, state, lr, config)
-                last = epoch, batch_index
-                sums += loss.components.sum(axis=1)
-            # Only the weight statistics see the epoch's last update.
-            quartiles = collect_weight_stats(params, train, kernels)
-        except FloatingPointError as exc:
-            if last is None:
-                raise ValueError(f"{exc} before the first update") from None
-            raise TrainingDiverged(*last) from None
-        ev = evaluate(params, test)
-        metrics.append(EpochMetrics(
-            epoch=epoch, lr=lr,
-            loss_ce=float(sums[0] / n), loss_naw_ce=float(sums[1] / n),
-            loss_reg=float(sums[2] / n), loss_total=float(sums[3] / n),
-            test_overall=ev.overall, test_mean=ev.mean,
-            per_class_acc=ev.per_class, weight_quartiles=quartiles))
-    return RunRecord(config=config, metrics=metrics, params=params)
+        for r, (run_views, shuffle) in enumerate(zip(views, shuffles)):
+            perm = shuffle.permutation(n)
+            for view, out in zip(run_views, inputs[(slice(None), *at(r))]):
+                np.take(view, perm, axis=0, out=out)
+            labels[at(r)] = runs[live[r]][1].labels[perm]
+        sums = np.zeros((4, *params.flat.shape[:-1]))  # ce, naw_ce, reg, total per run
+        for batch_index in range(len(batches)):
+            while True:
+                batch, batch_labels, buffers = batches[batch_index]
+                try:
+                    loss, grad = train_step(params, batch, batch_labels, kernels,
+                                            config.lam, config.mode, buffers)
+                    break
+                except _NonFinite as exc:
+                    # The runs with non-finite values leave; the others
+                    # take the step again.
+                    leave({r: _divergence(exc, last) for r in np.flatnonzero(exc.runs)})
+                    if not live:
+                        return outcomes
+            adam_step(params, grad, state, lr, config)
+            last = epoch, batch_index
+            sums += loss.components.sum(axis=-1)
+        errors = {}
+        for r, i in enumerate(live):
+            run_params = ModelParams(arch, params.flat[at(r)])
+            run_sums = sums[(slice(None), *at(r))]
+            try:
+                # Only the weight statistics see the epoch's last update.
+                quartiles = collect_weight_stats(run_params, runs[i][1], kernels)
+            except FloatingPointError as exc:
+                errors[r] = _divergence(exc, last)
+                continue
+            try:
+                ev = evaluate(run_params, runs[i][2])
+            except FloatingPointError as exc:
+                errors[r] = exc
+                continue
+            metrics[i].append(EpochMetrics(
+                epoch=epoch, lr=lr,
+                loss_ce=float(run_sums[0] / n), loss_naw_ce=float(run_sums[1] / n),
+                loss_reg=float(run_sums[2] / n), loss_total=float(run_sums[3] / n),
+                test_overall=ev.overall, test_mean=ev.mean,
+                per_class_acc=ev.per_class, weight_quartiles=quartiles))
+        if errors:
+            leave(errors)
+            if not live:
+                return outcomes
+    for r, i in enumerate(live):
+        outcomes[i] = RunRecord(config=runs[i][0], metrics=metrics[i],
+                                params=ModelParams(arch, params.flat[at(r)], seeds[r]))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI: generate, train, sweep, plotdata, check, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -518,6 +519,101 @@ class TestSweep:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["incomplete"] == ["n0_f1_ce_s1"]
         assert summary["cells"] == []
+
+
+def rescale_train_cache(out, did, transform):
+    """Replace the inputs of a train cache by ``transform(inputs)``, and its
+    sidecar's sha256 with the new file's, so that the sweep reuses it."""
+    path = out / "data" / f"{did}_train.ds"
+    ds = load_dataset(path)
+    ds = dataclasses.replace(ds, inputs=transform(ds.inputs))
+    sidecar = path.with_suffix(".json")
+    info = json.loads(sidecar.read_text())
+    info["sha256"] = nla.data.save_dataset(ds, path)
+    sidecar.write_text(json.dumps(info))
+
+
+class TestSweepGroups:
+    """The pool trains groups of alike cells as stacked runs."""
+
+    @pytest.mark.parametrize("workers, seeds, groups", [
+        (2, [1, 2, 3], [["n0_f1_ce_s1", "n0_f1_ce_s2", "n0_f1_ce_s3"],
+                        ["n0_f1_nla_s1", "n0_f1_nla_s2", "n0_f1_nla_s3"],
+                        ["n0_f10_ce_s1", "n0_f10_ce_s2", "n0_f10_ce_s3"],
+                        ["n0_f10_nla_s1", "n0_f10_nla_s2", "n0_f10_nla_s3"]]),
+        (6, [1, 2, 3], [["n0_f1_ce_s1", "n0_f1_ce_s2"], ["n0_f1_nla_s1", "n0_f1_nla_s2"],
+                        ["n0_f1_ce_s3"], ["n0_f1_nla_s3"],
+                        ["n0_f10_ce_s1", "n0_f10_ce_s2", "n0_f10_ce_s3"],
+                        ["n0_f10_nla_s1", "n0_f10_nla_s2", "n0_f10_nla_s3"]]),
+    ])
+    def test_groups_share_config_and_rows(self, tmp_path, monkeypatch, workers, seeds,
+                                          groups):
+        # One group per (mode, imbalance), split until every process has one.
+        path, _ = write_config(tmp_path, imbalance=[1.0, 10.0], seeds=seeds)
+        pools = []
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: InProcessContext(method, pools))
+        assert main(["sweep", "--config", str(path), "--workers", str(workers)]) == 0
+        ((method, processes, ids, chunksize),) = pools
+        assert (method, processes, chunksize) == ("spawn", min(workers, len(groups)), 1)
+        assert sorted(ids) == sorted("+".join(group) for group in groups)
+
+    def test_cap_splits_large_groups(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nla.cli, "_GROUP_CAP", 2)
+        path, _ = write_config(tmp_path, modes=["ce"], seeds=[1, 2, 3, 4, 5])
+        pools = []
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: InProcessContext(method, pools))
+        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 0
+        assert pools[0][2] == ["n0_f1_ce_s1+n0_f1_ce_s2", "n0_f1_ce_s3+n0_f1_ce_s4",
+                               "n0_f1_ce_s5"]
+
+    def test_grid_of_shapes_and_modes_equals_workers_1_and_resumes(self, tmp_path,
+                                                                   monkeypatch):
+        grid = {"imbalance": [1.0, 10.0], "seeds": [1, 2, 3]}
+        path_a, _ = write_config(tmp_path / "a", **grid)
+        path_b, _ = write_config(tmp_path / "b", **grid)
+        assert main(["sweep", "--config", str(path_a)]) == 0
+        assert main(["sweep", "--config", str(path_b), "--workers", "2"]) == 0
+        files = deterministic_files(tmp_path / "b" / "out")
+        assert len(files) == 12 * 3 + 2 + 7  # cells x 3, summaries, caches
+        assert files == deterministic_files(tmp_path / "a" / "out")
+        before = file_states(tmp_path / "b" / "out" / "runs")
+        data = file_states(tmp_path / "b" / "out" / "data")
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        assert main(["sweep", "--config", str(path_b), "--workers", "2"]) == 0
+        assert file_states(tmp_path / "b" / "out" / "runs") == before
+        assert file_states(tmp_path / "b" / "out" / "data") == data
+        assert deterministic_files(tmp_path / "b" / "out") == files
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_members_fail_alone_as_with_one_worker(self, tmp_path, capsys):
+        # lr0 = 1e10 leaves the logits of the cached rows finite for 3
+        # epochs; scaled by 1e200 they overflow after a few updates, and
+        # rows of 1.7e308 overflow before the first one.  The pool trains
+        # s1 with s2 and s3 with s4.
+        path, _ = write_config(tmp_path / "a", modes=["ce"], seeds=[1, 2, 3, 4],
+                               train={"epochs": 3, "hidden_dim": 8, "lr0": 1e10})
+        assert main(["generate", "--config", str(path)]) == 0
+        out_a = tmp_path / "a" / "out"
+        rescale_train_cache(out_a, "n0_f1_s2", lambda x: x * 1e200)
+        rescale_train_cache(out_a, "n0_f1_s3", lambda x: np.full_like(x, 1.7e308))
+        out_b = tmp_path / "b" / "out"
+        shutil.copytree(out_a, out_b)
+        path_b = tmp_path / "b" / "config.json"
+        path_b.write_text(path.read_text().replace(str(out_a), str(out_b)))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(path)]) == 3
+        solo = capsys.readouterr().out
+        assert main(["sweep", "--config", str(path_b), "--workers", "2"]) == 3
+        assert capsys.readouterr().out.replace(str(out_b), str(out_a)) == solo
+        lines = [line for line in solo.splitlines() if line.startswith("[sweep] n0_")]
+        assert lines[0] == "[sweep] n0_f1_ce_s1: ok"
+        assert lines[1].startswith("[sweep] n0_f1_ce_s2: FAILED: training diverged at epoch ")
+        assert lines[2] == ("[sweep] n0_f1_ce_s3: FAILED: ValueError: non-finite logits "
+                            "before the first update")
+        assert lines[3] == "[sweep] n0_f1_ce_s4: ok"
+        assert deterministic_files(out_b) == deterministic_files(out_a)
 
 
 class TestPlotdata:

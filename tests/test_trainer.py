@@ -16,8 +16,8 @@ from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
 from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
                          adam_step, collect_weight_stats, evaluate,
-                         load_run_metrics, metrics_csv_text, run_training,
-                         save_run_record)
+                         load_run_metrics, metrics_csv_text, run_group,
+                         run_training, save_run_record)
 
 
 def tiny_data(seed=1, k=3, d=4, n_train=40, n_test=30, spread=0.7):
@@ -430,6 +430,109 @@ def test_step_buffers_are_reused(monkeypatch):
     train, test = tiny_data()  # 40 rows in batches of 16: 16, 16, 8
     run_training(tiny_config(mode="nla", epochs=3), train, test)
     assert sorted(built) == [(2, 8), (2, 16)]
+
+
+def run_bytes(record, out_dir):
+    """(metrics.csv, checkpoint.bin) bytes of a saved run record."""
+    save_run_record(record, out_dir)
+    return (out_dir / "metrics.csv").read_bytes(), (out_dir / "checkpoint.bin").read_bytes()
+
+
+def outcome_of(fn):
+    """What a run gives: its record, or (type, message) of its error."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+class TestRunGroup:
+    """Stacked runs give each run the bytes and errors of its solo run."""
+
+    @staticmethod
+    def imbalanced_runs(mode, count):
+        # Standard instance at imbalance 100: n = 929, so every epoch ends
+        # with a one-row batch.  Distinct seeds and noise draws per run.
+        train, test = standard_instance(5)
+        runs = []
+        for r in range(count):
+            rng = Rng(200 + r)
+            ds = inject_noise(apply_imbalance(train, 100, rng.split(1)), 0.2, rng.split(0))
+            runs.append((TrainConfig(mode=mode, epochs=2, seed=50 + r), ds, test))
+        assert {ds.n for _, ds, _ in runs} == {929}
+        return runs
+
+    @pytest.mark.parametrize("mode", ["ce", "naw", "nla"])
+    def test_members_give_their_solo_bytes(self, mode, tmp_path):
+        runs = self.imbalanced_runs(mode, 5)
+        solo = [run_bytes(run_training(*run), tmp_path / f"solo{r}")
+                for r, run in enumerate(runs)]
+        assert len(set(solo)) == 5
+        for size in (1, 2, 5):
+            got = []
+            for lo in range(0, 5, size):
+                records = run_group(runs[lo:lo + size])
+                got += [run_bytes(record, tmp_path / f"g{size}_{lo + r}")
+                        for r, record in enumerate(records)]
+            assert got == solo, f"groups of {size}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["ce", "nla"])
+    def test_a_failing_member_fails_alone(self, mode, tmp_path):
+        # At lr0 = 1e8 the weight decay term multiplies the weights by
+        # about -1e4 per update, so the logits overflow the sooner the
+        # larger the inputs: never within 3 epochs on the rows as they
+        # are, at a later step on scaled rows, and before the first
+        # update on rows of 1.7e308.
+        train, test = tiny_data(n_train=40)
+
+        def rows(inputs):
+            return Dataset(inputs=inputs, labels=train.labels, n_classes=3, split="train")
+
+        x = train.inputs
+        datasets = [rows(x), rows(x * 1e200), rows(np.full_like(x, 1.7e308)),
+                    rows(x * 1e150), rows(x)]
+        runs = [(tiny_config(mode=mode, lr0=1e8, seed=11 + r), ds, test)
+                for r, ds in enumerate(datasets)]
+        solo = [outcome_of(lambda run=run: run_training(*run)) for run in runs]
+        assert solo[1:4] == [(TrainingDiverged, "training diverged at epoch 1, batch 5"),
+                             (ValueError, "non-finite logits before the first update"),
+                             (TrainingDiverged, "training diverged at epoch 2, batch 2")]
+        outcomes = run_group(runs)
+        for r in (1, 2, 3):
+            assert (type(outcomes[r]), str(outcomes[r])) == solo[r]
+        for r in (0, 4):
+            assert (run_bytes(outcomes[r], tmp_path / f"group{r}")
+                    == run_bytes(solo[r], tmp_path / f"solo{r}"))
+
+    def test_rejected_splits_fail_their_run_only(self, tmp_path):
+        train, test = tiny_data()
+        lacking = Dataset(inputs=test.inputs[test.labels != 2],
+                          labels=test.labels[test.labels != 2], n_classes=3, split="test")
+        runs = [(tiny_config(seed=11), train, test), (tiny_config(seed=12), train, lacking)]
+        outcomes = run_group(runs)
+        assert isinstance(outcomes[1], ValueError)
+        assert str(outcomes[1]) == "test split must contain every class"
+        assert (run_bytes(outcomes[0], tmp_path / "group")
+                == run_bytes(run_training(*runs[0]), tmp_path / "solo"))
+
+    def test_label_dtypes_may_differ(self, tmp_path):
+        train, test = tiny_data()
+        narrow = Dataset(inputs=train.inputs, labels=train.labels.astype(np.uint8),
+                         n_classes=3, split="train")
+        runs = [(tiny_config(seed=11), train, test), (tiny_config(seed=12), narrow, test)]
+        got = [run_bytes(record, tmp_path / f"group{r}")
+               for r, record in enumerate(run_group(runs))]
+        assert got == [run_bytes(run_training(*run), tmp_path / f"solo{r}")
+                       for r, run in enumerate(runs)]
+
+    @pytest.mark.parametrize("change", [{"mode": "ce"}, {"lr0": 2e-3}, "rows"])
+    def test_runs_must_share_config_and_shape(self, change):
+        train, test = tiny_data()
+        other = tiny_data(n_train=41)[0] if change == "rows" else train
+        config = tiny_config(seed=12, **({} if change == "rows" else change))
+        with pytest.raises(ValueError, match="the runs of a group must share"):
+            run_group([(tiny_config(seed=11), train, test), (config, other, test)])
 
 
 class TestRunValidation:
