@@ -377,38 +377,19 @@ def run_cell(spec: CellSpec) -> dict:
     return _save_cell(spec, record)
 
 
-@dataclass
-class CellGroup:
-    """Pending cells that one pool task trains as stacked runs (see
-    :func:`nla.trainer.run_group`): cells whose training configs are equal
-    apart from ``seed`` and whose train splits have one row count."""
-
-    specs: list[CellSpec]
-
-    @property
-    def id(self) -> str:
-        return "+".join(spec.id for spec in self.specs)
-
-
-def run_cell_group(group: CellGroup) -> list[dict]:
-    """Train the cells of ``group`` as one stack and save each; return
-    their status dicts in order.  Each cell fails alone, with the status
-    :func:`run_cell` gives it; an error of the whole stack fails them all."""
-    results, members = {}, []
-    for spec in group.specs:
-        try:
-            members.append((spec, load_dataset(spec.train_path),
-                            load_dataset(spec.test_path)))
-        except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
-            results[spec.id] = _failed(spec, exc)
+def run_cell_group(specs: list[CellSpec]) -> list[dict]:
+    """Train the cells of ``specs`` as one stack (see
+    :func:`nla.trainer.run_group`) and save each; return their status
+    dicts in order.  If loading or training raises, every cell runs again
+    alone through :func:`run_cell`, so a failing cell gets the status its
+    solo run gives and grouping never changes a result; such a group costs
+    its stacked epochs up to the failure plus one solo run per cell."""
     try:
-        outcomes = run_group([(spec.config, train, test) for spec, train, test in members])
-    except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
-        outcomes = [exc] * len(members)
-    for (spec, _, _), outcome in zip(members, outcomes):
-        results[spec.id] = (_failed(spec, outcome) if isinstance(outcome, Exception)
-                            else _save_cell(spec, outcome))
-    return [results[spec.id] for spec in group.specs]
+        records = run_group([(spec.config, load_dataset(spec.train_path),
+                              load_dataset(spec.test_path)) for spec in specs])
+    except Exception:  # noqa: BLE001 - the cells rerun alone
+        return [run_cell(spec) for spec in specs]
+    return [_save_cell(spec, record) for spec, record in zip(specs, records)]
 
 
 # The most cells a pool task trains as one stack.  Per run, stacks of R
@@ -428,12 +409,14 @@ def _split(items: list, parts: int) -> list[list]:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _cell_groups(pending: list[CellSpec], workers: int) -> list[CellGroup]:
+def _cell_groups(pending: list[CellSpec], workers: int) -> list[list[CellSpec]]:
     """The pool tasks of ``pending``: cells that share a training config
     apart from ``seed`` and a train-split row count, in groups of at most
     ``_GROUP_CAP``, split further while there are fewer groups than
     ``min(workers, len(pending))``, so that no process idles.  Largest
-    groups first; cells in spec order within a group."""
+    groups first; cells in spec order within a group.  Grouping is only a
+    speed hint: a group whose cells cannot stack (a sidecar that misstates
+    the rows, say) trains them one by one (see :func:`run_cell_group`)."""
     alike: dict[tuple, list[CellSpec]] = {}
     for spec in pending:
         key = json.dumps({**spec.config.to_dict(), "seed": None}, sort_keys=True)
@@ -443,7 +426,7 @@ def _cell_groups(pending: list[CellSpec], workers: int) -> list[CellGroup]:
     while len(groups) < min(workers, len(pending)):
         largest = max(range(len(groups)), key=lambda g: len(groups[g]))
         groups[largest:largest + 1] = _split(groups[largest], 2)
-    return [CellGroup(specs) for specs in sorted(groups, key=len, reverse=True)]
+    return sorted(groups, key=len, reverse=True)
 
 
 def _grid(cfg: dict) -> list[tuple]:
@@ -521,9 +504,9 @@ def cmd_sweep(cfg: dict, args) -> int:
     specs = _cells(cfg, _grid(cfg), args.force)
     # With more than one pending cell and worker, the pending cells go to
     # a pool of processes as groups (see _cell_groups), one group per
-    # task, each trained as stacked runs.  run_cell runs every other cell
-    # in this process, where a complete one is skipped.  Results keep
-    # spec order.
+    # task, each trained as stacked runs or, when its stack fails, as solo
+    # runs.  run_cell runs every other cell in this process, where a
+    # complete one is skipped.  Results keep spec order.
     pending = [s for s in specs if not _is_complete(s)] if args.workers > 1 else []
     pooled = {}
     if len(pending) > 1:

@@ -17,7 +17,11 @@ Runs that differ only in their seed and data train together:
 (R, P) arrays, so a step's inputs carry a run axis after the views axis,
 (V, R, n, d) with (R, n) labels, and one step and one Adam update serve
 every run.  Each run's values are those of its solo run, which is the
-R = 1 group (:func:`run_training`).
+R = 1 group (:func:`run_training`).  A stack is all or nothing: the first
+run to fail ends the group with that run's error.  A caller that needs
+each run's own outcome reruns the runs alone, as ``nla sweep`` does, so a
+failing group costs its stacked epochs up to the failure plus one solo
+run per member.
 """
 
 from __future__ import annotations
@@ -309,18 +313,6 @@ class StepBuffers:
         self.grad = self.grads.flat[0] if views == 1 else np.empty(params.flat.shape)
 
 
-class _NonFinite(FloatingPointError):
-    """Logits or a loss of a training step that are not finite.  ``runs``
-    marks the runs of a stacked step that have such a value, along axis
-    ``run_axis`` of ``values`` (True for a step of one parameter vector,
-    whose ``run_axis`` is None)."""
-
-    def __init__(self, what: str, values: np.ndarray, run_axis: int | None) -> None:
-        super().__init__(f"non-finite {what}")
-        self.runs = True if run_axis is None else ~np.isfinite(values).all(
-            axis=tuple(a for a in range(values.ndim) if a != run_axis))
-
-
 def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
                kernels: tuple[KernelParams, KernelParams], lam: float, mode: str,
                buffers: StepBuffers | None = None) -> tuple[BatchLoss, np.ndarray]:
@@ -338,7 +330,7 @@ def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     0's.  The returned gradient is an array of ``buffers``, overwritten by
     the next step that uses them.  Raises FloatingPointError when the
     logits (checked before the loss is evaluated) or the loss are not
-    finite; its ``runs`` marks the runs of a stack that have such values.
+    finite, in any run of a stack.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     # An unknown mode is batch_total's to refuse.
@@ -350,12 +342,11 @@ def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     trace.layer_inputs[0] = inputs
     for x, out in zip(inputs, buffers.view_outs):
         forward(params, x, out=out)
-    stacked = params.flat.ndim > 1
     if not np.isfinite(trace.logits).all():
-        raise _NonFinite("logits", trace.logits, 1 if stacked else None)
+        raise FloatingPointError("non-finite logits")
     loss = batch_total(trace.logits, labels, kernels, lam, mode=mode)
     if not np.isfinite(loss.total).all():
-        raise _NonFinite("loss", loss.total, 0 if stacked else None)
+        raise FloatingPointError("non-finite loss")
     grads = backward(params, trace, loss.grad, out=buffers.grads)
     if len(grads) > 1:
         np.add(grads[0], grads[1], out=buffers.grad)
@@ -388,158 +379,109 @@ def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecor
     statistics see).  Non-finite test-split logits are not a divergence of
     the training split: :func:`evaluate`'s FloatingPointError propagates.
     """
-    outcome, = run_group([(config, train, test)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return run_group([(config, train, test)])[0]
 
 
-def _divergence(exc: FloatingPointError, last: tuple[int, int] | None) -> Exception:
-    """The error of a run whose logits or loss are not finite: an input
-    error before its first update, else a divergence at the last update
-    taken."""
-    if last is None:
-        return ValueError(f"{exc} before the first update")
-    return TrainingDiverged(*last)
-
-
-def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecord | Exception]:
+def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecord]:
     """Train the (config, train, test) runs of ``runs`` as one stack; return
-    each run's RunRecord, or the exception its :func:`run_training` raises.
+    each run's RunRecord.
 
     The configs must be equal apart from ``seed`` and the train splits of
     one shape (rows, dim, classes), else ValueError.  Each run keeps the
     sub-streams of its seed (split 0 initializes its parameters, split 1
-    drives its shuffles), its splits and their checks, and its divergence
-    guard.  Its parameters and Adam moments are a row of (R, P) stacks that
-    one :func:`train_step` and one :func:`adam_step` update per batch, with
-    the values of its solo steps (a group of one has no run axis).  The flipped view is only evaluated in
-    mode ``nla``.  A run that fails leaves the stack and the others go on.
-    The weight statistics and the evaluation take one run at a time.
+    drives its shuffles), its splits and their checks.  Its parameters and
+    Adam moments are a row of (R, P) stacks that one :func:`train_step`
+    and one :func:`adam_step` update per batch, with the values of its
+    solo steps (a group of one has no run axis).  The flipped view is only
+    evaluated in mode ``nla``.  The weight statistics and the evaluation
+    take one run at a time.
+
+    A stack is all or nothing.  Every run's splits are checked before the
+    first step, and the earliest error that a run's :func:`run_training`
+    would raise ends the whole group as that error, with no record
+    returned: a failing group costs its stacked epochs up to the failure,
+    and the other runs' outcomes stay unknown until they train again.
     """
     if not runs:
         return []
     config = runs[0][0]
     n, dim, k = shape = runs[0][1].n, runs[0][1].dim, runs[0][1].n_classes
-    outcomes: list = [None] * len(runs)
-    for i, (cfg, train, test) in enumerate(runs):
+    for cfg, train, test in runs:
         if (dataclasses.replace(cfg, seed=config.seed) != config
                 or (train.n, train.dim, train.n_classes) != shape):
             raise ValueError("the runs of a group must share a TrainConfig apart "
                              "from seed and train splits of one shape")
-        try:
-            _check_splits(train, test)
-        except ValueError as exc:
-            outcomes[i] = exc
-    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if not live:
-        return outcomes
+        _check_splits(train, test)
     arch = Arch(input_dim=dim,
                 hidden_dim=config.hidden_dim if config.arch == "mlp" else 0,
                 n_classes=k)
-    rngs = [Rng(runs[i][0].seed) for i in live]
+    rngs = [Rng(cfg.seed) for cfg, _, _ in runs]
     inits = [init_params(arch, rng.split(0)) for rng in rngs]
-    seeds = [p.seed for p in inits]
     shuffles = [rng.split(1) for rng in rngs]
     # A group of one run steps without the run axis, on the arrays of a
     # solo step: numpy spends more per call on a stack of one.  ``at(r)``
     # indexes run r on the run axis, and is empty without one.
-    lead = (len(live),) if len(live) > 1 else ()
+    lead = (len(runs),) if len(runs) > 1 else ()
     at = (lambda r: (r,)) if lead else (lambda r: ())
     params = ModelParams(arch, np.stack([p.flat for p in inits]).reshape(*lead, -1))
     state = AdamState.zeros_like(params)
     views = []
-    for i in live:
-        views.append([np.asarray(runs[i][1].inputs, dtype=np.float64)])
+    for _, train, _ in runs:
+        views.append([np.asarray(train.inputs, dtype=np.float64)])
         if _VIEWS[config.mode] == 2:
-            views[-1].append(default_view(runs[i][1]).apply(views[-1][0]))
+            views[-1].append(default_view(train).apply(views[-1][0]))
     size = config.batch_size
     # Each epoch gathers every run's views in shuffled order into one
-    # (V, R, N, d) array, so that each batch is a slice of it.
+    # (V, R, N, d) array, so that each batch is a slice of it with the
+    # step buffers of its size: one set for the full batch and one for the
+    # trailing one.
     inputs = np.empty((len(views[0]), *lead, n, dim))
     labels = np.empty((*lead, n), dtype=np.intp)
-    metrics: dict[int, list[EpochMetrics]] = {i: [] for i in live}
+    sets = {rows: StepBuffers(params, len(views[0]), rows)
+            for rows in {min(size, n), n % size or size}}
+    batches = [(inputs[..., start:start + size, :], labels[..., start:start + size],
+                sets[min(size, n - start)]) for start in range(0, n, size)]
+    metrics: list[list[EpochMetrics]] = [[] for _ in runs]
     last = None  # (epoch, batch) of the last update taken
-
-    def batch_plan() -> list[tuple[np.ndarray, np.ndarray, StepBuffers]]:
-        """Each batch's slices of ``inputs`` and ``labels`` and its step
-        buffers: one set for the full batch and one for the trailing one."""
-        sets = {rows: StepBuffers(params, len(views[0]), rows)
-                for rows in {min(size, n), n % size or size}}
-        return [(inputs[..., start:start + size, :], labels[..., start:start + size],
-                 sets[min(size, n - start)]) for start in range(0, n, size)]
-
-    def leave(errors: dict[int, Exception]) -> None:
-        """Take the stack's rows ``errors`` names out, with their errors."""
-        nonlocal params, state, inputs, labels, sums, batches
-        for r in sorted(errors, reverse=True):
-            outcomes[live[r]] = errors[r]
-            for per_run in (live, seeds, shuffles, views):
-                del per_run[r]
-        if not live:
-            return
-        keep = np.ones(len(params.flat), dtype=bool)
-        keep[list(errors)] = False
-        params = ModelParams(arch, params.flat[keep])
-        state = AdamState(m=state.m[keep], v=state.v[keep], t=state.t)
-        inputs, labels, sums = inputs[:, keep], labels[keep], sums[:, keep]
-        batches = batch_plan()
-
-    batches = batch_plan()
     for epoch in range(config.epochs):
         lr = config.lr0 * config.lr_gamma ** epoch
         kernels = epoch_kernels(config.policy, epoch)
-        for r, (run_views, shuffle) in enumerate(zip(views, shuffles)):
+        for r, (run_views, shuffle, (_, train, _)) in enumerate(zip(views, shuffles, runs)):
             perm = shuffle.permutation(n)
             for view, out in zip(run_views, inputs[(slice(None), *at(r))]):
                 np.take(view, perm, axis=0, out=out)
-            labels[at(r)] = runs[live[r]][1].labels[perm]
-        sums = np.zeros((4, *params.flat.shape[:-1]))  # ce, naw_ce, reg, total per run
-        for batch_index in range(len(batches)):
-            while True:
-                batch, batch_labels, buffers = batches[batch_index]
-                try:
-                    loss, grad = train_step(params, batch, batch_labels, kernels,
-                                            config.lam, config.mode, buffers)
-                    break
-                except _NonFinite as exc:
-                    # The runs with non-finite values leave; the others
-                    # take the step again.
-                    leave({r: _divergence(exc, last) for r in np.flatnonzero(exc.runs)})
-                    if not live:
-                        return outcomes
-            adam_step(params, grad, state, lr, config)
-            last = epoch, batch_index
-            sums += loss.components.sum(axis=-1)
-        errors = {}
-        for r, i in enumerate(live):
-            run_params = ModelParams(arch, params.flat[at(r)])
+            labels[at(r)] = train.labels[perm]
+        sums = np.zeros((4, *lead))  # ce, naw_ce, reg, total per run
+        try:
+            for batch_index, (batch, batch_labels, buffers) in enumerate(batches):
+                loss, grad = train_step(params, batch, batch_labels, kernels,
+                                        config.lam, config.mode, buffers)
+                adam_step(params, grad, state, lr, config)
+                last = epoch, batch_index
+                sums += loss.components.sum(axis=-1)
+            # Only the weight statistics see the epoch's last update.
+            quartiles = [collect_weight_stats(ModelParams(arch, params.flat[at(r)]),
+                                              train, kernels)
+                         for r, (_, train, _) in enumerate(runs)]
+        except FloatingPointError as exc:
+            # Non-finite logits or loss: an input error before the first
+            # update, else a divergence at the last update taken.
+            if last is None:
+                raise ValueError(f"{exc} before the first update") from None
+            raise TrainingDiverged(*last) from None
+        for r, (_, _, test) in enumerate(runs):
+            ev = evaluate(ModelParams(arch, params.flat[at(r)]), test)
             run_sums = sums[(slice(None), *at(r))]
-            try:
-                # Only the weight statistics see the epoch's last update.
-                quartiles = collect_weight_stats(run_params, runs[i][1], kernels)
-            except FloatingPointError as exc:
-                errors[r] = _divergence(exc, last)
-                continue
-            try:
-                ev = evaluate(run_params, runs[i][2])
-            except FloatingPointError as exc:
-                errors[r] = exc
-                continue
-            metrics[i].append(EpochMetrics(
+            metrics[r].append(EpochMetrics(
                 epoch=epoch, lr=lr,
                 loss_ce=float(run_sums[0] / n), loss_naw_ce=float(run_sums[1] / n),
                 loss_reg=float(run_sums[2] / n), loss_total=float(run_sums[3] / n),
                 test_overall=ev.overall, test_mean=ev.mean,
-                per_class_acc=ev.per_class, weight_quartiles=quartiles))
-        if errors:
-            leave(errors)
-            if not live:
-                return outcomes
-    for r, i in enumerate(live):
-        outcomes[i] = RunRecord(config=runs[i][0], metrics=metrics[i],
-                                params=ModelParams(arch, params.flat[at(r)], seeds[r]))
-    return outcomes
+                per_class_acc=ev.per_class, weight_quartiles=quartiles[r]))
+    return [RunRecord(config=cfg, metrics=run_metrics,
+                      params=ModelParams(arch, params.flat[at(r)], init.seed))
+            for r, ((cfg, _, _), run_metrics, init)
+            in enumerate(zip(runs, metrics, inits))]
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,8 @@ def forbidden(*args, **kwargs):
 
 class InProcessContext:
     """Stand-in for a multiprocessing context: its pool runs tasks in this
-    process and records (method, processes, cells, chunksize)."""
+    process and records (method, processes, tasks, chunksize), each task
+    (a group of cells) as its cell ids joined by "+"."""
 
     def __init__(self, method, pools):
         self.method, self.pools = method, pools
@@ -370,7 +371,8 @@ class InProcessContext:
 
             def map(self, fn, items, chunksize=None):
                 context.pools.append((context.method, processes,
-                                      [s.id for s in items], chunksize))
+                                      ["+".join(s.id for s in group) for group in items],
+                                      chunksize))
                 return [fn(s) for s in items]
 
         return Pool()
@@ -521,16 +523,40 @@ class TestSweep:
         assert summary["cells"] == []
 
 
-def rescale_train_cache(out, did, transform):
-    """Replace the inputs of a train cache by ``transform(inputs)``, and its
-    sidecar's sha256 with the new file's, so that the sweep reuses it."""
+def rewrite_train_cache(out, did, change):
+    """Replace a train cache by ``change(dataset)``, and its sidecar's
+    sha256 with the new file's, so that the sweep reuses it."""
     path = out / "data" / f"{did}_train.ds"
-    ds = load_dataset(path)
-    ds = dataclasses.replace(ds, inputs=transform(ds.inputs))
+    ds = change(load_dataset(path))
     sidecar = path.with_suffix(".json")
     info = json.loads(sidecar.read_text())
     info["sha256"] = nla.data.save_dataset(ds, path)
     sidecar.write_text(json.dumps(info))
+
+
+def rescale_train_cache(out, did, transform):
+    """Replace the inputs of a train cache by ``transform(inputs)``, as
+    :func:`rewrite_train_cache` does."""
+    rewrite_train_cache(out, did, lambda ds: dataclasses.replace(
+        ds, inputs=transform(ds.inputs)))
+
+
+def sweep_outputs_equal_workers_1(tmp_path, path, capsys):
+    """Copy ``path``'s generated ``out`` directory, sweep the original with
+    one worker and the copy with two, assert equal exit codes, stdout and
+    deterministic files; return the one-worker stdout."""
+    out_a = Path(json.loads(path.read_text())["out"])
+    out_b = tmp_path / "b" / "out"
+    shutil.copytree(out_a, out_b)
+    path_b = tmp_path / "b" / "config.json"
+    path_b.write_text(path.read_text().replace(str(out_a), str(out_b)))
+    capsys.readouterr()
+    code = main(["sweep", "--config", str(path)])
+    solo = capsys.readouterr().out
+    assert main(["sweep", "--config", str(path_b), "--workers", "2"]) == code
+    assert capsys.readouterr().out.replace(str(out_b), str(out_a)) == solo
+    assert deterministic_files(out_b) == deterministic_files(out_a)
+    return solo
 
 
 class TestSweepGroups:
@@ -614,6 +640,40 @@ class TestSweepGroups:
                             "before the first update")
         assert lines[3] == "[sweep] n0_f1_ce_s4: ok"
         assert deterministic_files(out_b) == deterministic_files(out_a)
+
+    def test_a_rejected_label_fails_its_cell_alone(self, tmp_path, capsys):
+        # The pool trains s1 with s2, whose train cache holds label 3 of
+        # a 3-class split.
+        path, _ = write_config(tmp_path / "a", modes=["ce"], seeds=[1, 2, 3, 4])
+        assert main(["generate", "--config", str(path)]) == 0
+
+        def relabel(ds):
+            labels = ds.labels.copy()
+            labels[0] = 3
+            return dataclasses.replace(ds, labels=labels)
+
+        rewrite_train_cache(tmp_path / "a" / "out", "n0_f1_s2", relabel)
+        solo = sweep_outputs_equal_workers_1(tmp_path, path, capsys)
+        lines = [line for line in solo.splitlines() if line.startswith("[sweep] n0_")]
+        assert lines == ["[sweep] n0_f1_ce_s1: ok",
+                         "[sweep] n0_f1_ce_s2: FAILED: ValueError: train labels "
+                         "must lie in [0, 3)",
+                         "[sweep] n0_f1_ce_s3: ok", "[sweep] n0_f1_ce_s4: ok"]
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_sidecar_rows_are_only_a_grouping_hint(self, tmp_path, capsys, rows):
+        # Train sidecars that lack "n" or misstate it put cells of
+        # different row counts in one group; each cell still trains.
+        path, _ = write_config(tmp_path / "a", modes=["ce"], imbalance=[1.0, 2.0, 10.0])
+        assert main(["generate", "--config", str(path)]) == 0
+        sidecars = sorted((tmp_path / "a" / "out" / "data").glob("*_train.json"))
+        assert len(sidecars) == 6
+        for sidecar in sidecars:
+            info = json.loads(sidecar.read_text())
+            info.pop("n") if rows is None else info.update(n=rows)
+            sidecar.write_text(json.dumps(info))
+        solo = sweep_outputs_equal_workers_1(tmp_path, path, capsys)
+        assert "FAILED" not in solo
 
 
 class TestPlotdata:

@@ -438,6 +438,14 @@ def run_bytes(record, out_dir):
     return (out_dir / "metrics.csv").read_bytes(), (out_dir / "checkpoint.bin").read_bytes()
 
 
+@pytest.fixture
+def no_steps(monkeypatch):
+    def step(*args, **kwargs):
+        raise AssertionError("a training step ran before validation")
+
+    monkeypatch.setattr(nla.trainer, "forward", step)
+
+
 def outcome_of(fn):
     """What a run gives: its record, or (type, message) of its error."""
     try:
@@ -478,7 +486,7 @@ class TestRunGroup:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["ce", "nla"])
-    def test_a_failing_member_fails_alone(self, mode, tmp_path):
+    def test_the_first_member_to_fail_fails_the_group(self, mode, tmp_path):
         # At lr0 = 1e8 the weight decay term multiplies the weights by
         # about -1e4 per update, so the logits overflow the sooner the
         # larger the inputs: never within 3 epochs on the rows as they
@@ -498,23 +506,23 @@ class TestRunGroup:
         assert solo[1:4] == [(TrainingDiverged, "training diverged at epoch 1, batch 5"),
                              (ValueError, "non-finite logits before the first update"),
                              (TrainingDiverged, "training diverged at epoch 2, batch 2")]
-        outcomes = run_group(runs)
-        for r in (1, 2, 3):
-            assert (type(outcomes[r]), str(outcomes[r])) == solo[r]
-        for r in (0, 4):
-            assert (run_bytes(outcomes[r], tmp_path / f"group{r}")
+        # Each group raises the error of its member that fails first.
+        for members, first in [((0, 1, 2, 3, 4), 2), ((0, 1, 3, 4), 1), ((3, 0, 4), 3)]:
+            group = [runs[r] for r in members]
+            assert outcome_of(lambda group=group: run_group(group)) == solo[first]
+        records = run_group([runs[0], runs[4]])
+        for r, record in zip((0, 4), records):
+            assert (run_bytes(record, tmp_path / f"group{r}")
                     == run_bytes(solo[r], tmp_path / f"solo{r}"))
 
-    def test_rejected_splits_fail_their_run_only(self, tmp_path):
+    def test_rejected_splits_fail_the_group_before_any_step(self, no_steps):
         train, test = tiny_data()
         lacking = Dataset(inputs=test.inputs[test.labels != 2],
                           labels=test.labels[test.labels != 2], n_classes=3, split="test")
         runs = [(tiny_config(seed=11), train, test), (tiny_config(seed=12), train, lacking)]
-        outcomes = run_group(runs)
-        assert isinstance(outcomes[1], ValueError)
-        assert str(outcomes[1]) == "test split must contain every class"
-        assert (run_bytes(outcomes[0], tmp_path / "group")
-                == run_bytes(run_training(*runs[0]), tmp_path / "solo"))
+        solo = outcome_of(lambda: run_training(*runs[1]))
+        assert solo == (ValueError, "test split must contain every class")
+        assert outcome_of(lambda: run_group(runs)) == solo
 
     def test_label_dtypes_may_differ(self, tmp_path):
         train, test = tiny_data()
@@ -537,13 +545,6 @@ class TestRunGroup:
 
 class TestRunValidation:
     """Unusable splits are rejected before the first training step."""
-
-    @pytest.fixture
-    def no_steps(self, monkeypatch):
-        def step(*args, **kwargs):
-            raise AssertionError("a training step ran before validation")
-
-        monkeypatch.setattr(nla.trainer, "forward", step)
 
     @pytest.mark.parametrize("split, bad", [("train", -1), ("train", 3),
                                             ("test", 3)])
