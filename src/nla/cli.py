@@ -211,37 +211,37 @@ def _ensure_datasets(cfg: dict, grid: list[tuple], force: bool = False,
                      quiet: bool = False) -> dict:
     """Write each dataset cache of ``grid``'s cells that is forced, missing
     or stale (see :func:`_cached_info`); return ``{"test" or dataset id:
-    (path, sidecar)}``, where the sidecar dict holds the cache's sha256 and
-    shape.  The base splits are built, and ``data/`` made, only when a
-    cache is written."""
+    (path, sha256)}``.  The base splits are built, and ``data/`` made, only
+    when a cache is written."""
     data_dir = Path(cfg["out"]) / "data"
     base_splits = functools.cache(lambda: _base_splits(cfg))
 
-    def reuse_or_write(path: Path, noise, imbalance, build) -> tuple[dict, Dataset | None]:
-        """The cache's sidecar, and the dataset when it was (re)written."""
-        info = None if force else _cached_info(path, cfg, noise, imbalance)
-        if info is not None:
-            return info, None
+    def reuse_or_write(path: Path, noise, imbalance, build) -> tuple[str, Dataset | None]:
+        """The cache's sha256, and the dataset when it was (re)written."""
+        sha = None if force else _cached_info(path, cfg, noise, imbalance)
+        if sha is not None:
+            return sha, None
         ds = build()
         data_dir.mkdir(parents=True, exist_ok=True)
-        info = _write_dataset_fingerprint(ds, path, cfg, save_dataset(ds, path))
-        return info, ds
+        sha = save_dataset(ds, path)
+        _write_dataset_fingerprint(ds, path, cfg, sha)
+        return sha, ds
 
     path = data_dir / "test.ds"
     caches = {"test": (path, reuse_or_write(path, 0.0, 1.0, lambda: base_splits()[1])[0])}
     for noise, imbalance, seed in dict.fromkeys((n, f, s) for n, f, _, s in grid):
         did = dataset_id(noise, imbalance, seed)
         path = data_dir / f"{did}_train.ds"
-        info, ds = reuse_or_write(path, noise, imbalance, lambda: _cell_dataset(
+        sha, ds = reuse_or_write(path, noise, imbalance, lambda: _cell_dataset(
             base_splits()[0], cfg, noise, imbalance, seed))
-        caches[did] = (path, info)
+        caches[did] = (path, sha)
         if ds is not None and not quiet:
             flipped = 0 if ds.clean_labels is None else int(
                 (ds.labels != ds.clean_labels).sum())
             counts = ds.class_counts
             ratio = float(counts.max() / counts.min())
             print(f"[generate] {did}: n={ds.n} flipped={flipped} "
-                  f"max/min={ratio:.2f} sha={info['sha256'][:12]}")
+                  f"max/min={ratio:.2f} sha={sha[:12]}")
     return caches
 
 
@@ -250,8 +250,8 @@ def _as_json(value):
     return json.loads(json.dumps(value))
 
 
-def _cached_info(path: Path, cfg: dict, noise: float, imbalance: float) -> dict | None:
-    """The sidecar of a dataset cache that may be reused for ``cfg``, else
+def _cached_info(path: Path, cfg: dict, noise: float, imbalance: float) -> str | None:
+    """The sha256 of a dataset cache that may be reused for ``cfg``, else
     None.  Reusable means: its ``.json`` sidecar records the requested
     generator, master seed, noise rate and imbalance (0 and 1 for
     ``test.ds``), and the file's sha256 equals the sidecar's."""
@@ -266,13 +266,13 @@ def _cached_info(path: Path, cfg: dict, noise: float, imbalance: float) -> dict 
             and info.get("noise_rate") == noise
             and info.get("imbalance") == imbalance
             and info.get("sha256") == sha):
-        return info
+        return sha
     return None
 
 
-def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) -> dict:
-    """Write and return the ``.json`` sidecar of the cache at ``path``,
-    whose sha256 :func:`nla.data.save_dataset` returned."""
+def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) -> None:
+    """Write the ``.json`` sidecar of the cache at ``path``, whose sha256
+    :func:`nla.data.save_dataset` returned."""
     info = {
         "sha256": sha256,
         "n": ds.n,
@@ -286,7 +286,6 @@ def _write_dataset_fingerprint(ds: Dataset, path: Path, cfg: dict, sha256: str) 
         "master_seed": cfg["seed"],
     }
     _write_json(path.with_suffix(".json"), info)
-    return info
 
 
 def _write_json(path: Path, value) -> None:
@@ -308,7 +307,6 @@ class CellSpec:
     test_path: str
     train_sha256: str
     test_sha256: str
-    train_rows: int | None  # as the train cache's sidecar records it
     run_dir: str
     force: bool = False
 
@@ -411,16 +409,17 @@ def _split(items: list, parts: int) -> list[list]:
 
 def _cell_groups(pending: list[CellSpec], workers: int) -> list[list[CellSpec]]:
     """The pool tasks of ``pending``: cells that share a training config
-    apart from ``seed`` and a train-split row count, in groups of at most
+    apart from ``seed`` and an imbalance factor, in groups of at most
     ``_GROUP_CAP``, split further while there are fewer groups than
     ``min(workers, len(pending))``, so that no process idles.  Largest
-    groups first; cells in spec order within a group.  Grouping is only a
-    speed hint: a group whose cells cannot stack (a sidecar that misstates
-    the rows, say) trains them one by one (see :func:`run_cell_group`)."""
+    groups first; cells in spec order within a group.  Label noise keeps
+    the train split's row count and the imbalance factor fixes it, so such
+    cells stack; a group that cannot still trains its cells one by one
+    (see :func:`run_cell_group`)."""
     alike: dict[tuple, list[CellSpec]] = {}
     for spec in pending:
         key = json.dumps({**spec.config.to_dict(), "seed": None}, sort_keys=True)
-        alike.setdefault((key, spec.train_rows), []).append(spec)
+        alike.setdefault((key, spec.imbalance), []).append(spec)
     groups = [part for specs in alike.values()
               for part in _split(specs, -(-len(specs) // _GROUP_CAP))]
     while len(groups) < min(workers, len(pending)):
@@ -461,16 +460,15 @@ def _cells(cfg: dict, grid: list[tuple], force: bool) -> list[CellSpec]:
     except (AttributeError, TypeError, ValueError) as exc:  # e.g. "policy": [1]
         raise UsageError(f"bad train section: {exc}") from exc
     caches = _ensure_datasets(cfg, grid, quiet=True)
-    test_path, test_info = caches["test"]
+    test_path, test_sha = caches["test"]
     runs = Path(cfg["out"]) / "runs"
     specs = []
     for (noise, imbalance, mode, seed), config in zip(grid, configs):
-        train_path, train_info = caches[dataset_id(noise, imbalance, seed)]
+        train_path, train_sha = caches[dataset_id(noise, imbalance, seed)]
         specs.append(CellSpec(
             noise=noise, imbalance=imbalance, mode=mode, seed=seed, config=config,
             train_path=str(train_path), test_path=str(test_path),
-            train_sha256=train_info["sha256"], test_sha256=test_info["sha256"],
-            train_rows=train_info.get("n"),
+            train_sha256=train_sha, test_sha256=test_sha,
             run_dir=str(runs / cell_id(noise, imbalance, mode, seed)), force=force))
     return specs
 

@@ -16,10 +16,9 @@ header plus the vector.
 
 A ``ModelParams`` may also hold an (R, P) stack of R such vectors, one
 per row.  The same lines then carry a leading run axis: :func:`forward`
-takes (n, d) rows that every run sees, or (R, n, d) rows with one (n, d)
-block per run, returns (R, n, K) logits through 3-D ``np.matmul``, and
-:func:`backward` an (R, P) stack of gradients, each run's bit-identical
-to a solo call.  The finite-difference gradient check evaluates its
+takes (R, n, d) rows with one (n, d) block per run, returns (R, n, K)
+logits through 3-D ``np.matmul``, and :func:`backward` an (R, P) stack
+of gradients, each run's bit-identical to a solo call.  The finite-difference gradient check evaluates its
 perturbed parameter vectors this way, and a group of training runs
 steps on its stack of runs.  A training step puts the views of a batch
 on a further leading axis: one backward over a (V, R, n, K) trace of an
@@ -179,10 +178,9 @@ def forward(params: ModelParams, inputs: np.ndarray,
             logits_only: bool = False, out=None) -> ForwardTrace:
     """Batch forward pass; rows of ``inputs`` are samples.
 
-    With stacked parameters (``params.flat`` of shape (R, P)) every array
-    of the trace has a leading run axis: the logits are (R, n, K).
-    ``inputs`` are then (n, d) rows that every run sees, or (R, n, d),
-    one block of rows per run.
+    With stacked parameters (``params.flat`` of shape (R, P)) ``inputs``
+    are (R, n, d), one block of rows per run, and every array of the trace
+    has a leading run axis: the logits are (R, n, K).
 
     With ``logits_only`` (for passes over a whole split) the rows go
     through in chunks of ``_CHUNK_ROWS`` and the trace keeps only the
@@ -194,11 +192,10 @@ def forward(params: ModelParams, inputs: np.ndarray,
     """
     x = np.asarray(inputs, dtype=np.float64)
     d = params.arch.input_dim
-    if (x.ndim < 2 or x.shape[-1] != d
-            or x.ndim > 2 and x.shape[:-2] != params.flat.shape[:-1]):
-        runs = params.flat.shape[:-1]
-        raise ValueError(f"inputs must be (n, {d})"
-                         + (f" or ({runs[0]}, n, {d})" if runs else "") + f", got {x.shape}")
+    runs = params.flat.shape[:-1]
+    if x.ndim < 2 or x.shape[:-2] != runs or x.shape[-1] != d:
+        raise ValueError(f"inputs must be ({''.join(f'{r}, ' for r in runs)}n, {d}), "
+                         f"got {x.shape}")
     if logits_only:
         return ForwardTrace(logits=np.concatenate(
             [_dense_pass(params, x[..., rows, :])[0] for rows in _row_chunks(x.shape[-2])],

@@ -3,11 +3,11 @@
 Stable softmax / log-sum-exp from one core that the loss shares, and a
 seedable pseudo-random source whose stream is identical on every
 platform.  The generator steps in Python integers one draw at a time, or
-draws whole blocks of the same stream with numpy uint64 arrays (shuffles,
-sampling without replacement, arrays of uniforms, arrays of 64 or more
-normals).  Everything here is 64-bit float or 64-bit integer arithmetic;
-nothing depends on process state or hashing.  Also the one atomic file write that every cache,
-checkpoint and record goes through.
+draws a whole array of the same stream with numpy uint64 arithmetic
+(shuffles, sampling without replacement, arrays of uniforms, arrays of 64
+or more normals).  Everything here is 64-bit float or 64-bit integer
+arithmetic; nothing depends on process state or hashing.  Also the one
+atomic file write that every cache, checkpoint and record goes through.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ def _as_finite_array(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     return arr
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"cannot draw a negative number of values ({n})")
 
 
 def _check_labels(labels: np.ndarray, n_classes: int, name: str = "labels") -> None:
@@ -156,10 +161,12 @@ class Rng:
 
     Block draws: ``uniforms(n)``, ``permutation(n)``, ``choice(n,
     size)`` and ``normals(n)`` for n >= ``_MIN_BLOCK_NORMALS`` (64) take
-    their outputs ``_BLOCK`` at a time from tables built on first use (see
-    :func:`_stream_tables`).  They return exactly what the scalar draws
-    above would and leave the same state, so the two kinds of draw
-    interleave freely.  Bounds of block draws must be below 2**32.
+    their outputs from one array per draw (:meth:`_words`), filled
+    ``_BLOCK`` outputs at a time from tables built on first use (see
+    :func:`_stream_tables`) and scrambled in one pass.  They return exactly
+    what the scalar draws above would and leave the same state, so the two
+    kinds of draw interleave freely.  Bounds of block draws must be below
+    2**32, and a negative count is a ValueError.
 
     Instances are single-owner: do not share one across threads.
     """
@@ -226,6 +233,7 @@ class Rng:
         From ``_MIN_BLOCK_NORMALS`` values on, the uniforms come from one
         block draw (see :meth:`_box_muller`).
         """
+        _check_count(n)
         if n < _MIN_BLOCK_NORMALS:
             return np.array([self.normal(scale) for _ in range(n)], dtype=np.float64)
         pending = self._gauss is not None
@@ -276,70 +284,58 @@ class Rng:
         return z[:n]
 
     def _words(self, n: int) -> np.ndarray:
-        """The next ``n`` outputs of :meth:`next_u64`, as uint64."""
-        out = np.empty(n, dtype=np.uint64)
-        for lo, u in self._blocks(n):
-            out[lo:lo + u.size] = u
-        return out
+        """The next ``n`` outputs of :meth:`next_u64`, as one uint64 array.
 
-    def _blocks(self, n: int):
-        """Yield ``(lo, u)`` until the next ``n`` outputs are drawn.
-
-        ``u`` holds outputs ``lo, lo + 1, ...`` as uint64, at most
-        ``_BLOCK`` of them; it is scratch that the next block overwrites.
-        The state advances as ``n`` calls of :meth:`next_u64` would.
+        Each full block is one XOR-reduce of the state's rows of the block
+        table, whose last four words are the next state; a shorter last
+        block reduces the first ``m`` columns and moves the state on by the
+        jump tables of m's set bits.  The state advances as ``n`` calls of
+        :meth:`next_u64` would, and the scrambler runs once over the array.
         """
+        _check_count(n)
         rows, jumps = _stream_tables()
-        words = np.empty(_BLOCK + 4, dtype=np.uint64)
-        spill = np.empty(_BLOCK, dtype=np.uint64)
-        for lo in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - lo)
-            bits = _state_bits(self._s)
-            if m == _BLOCK:
-                np.bitwise_xor.reduce(rows[bits], axis=0, out=words)
-                self._s = words[_BLOCK:].tolist()
-            else:
-                np.bitwise_xor.reduce(rows[bits, :m], axis=0, out=words[:m])
-                for i in range(m.bit_length()):
-                    if m >> i & 1:
-                        self._s = np.bitwise_xor.reduce(
-                            jumps[i][_state_bits(self._s)], axis=0).tolist()
-            # The scrambler of next_u64: rotl(s1 * 5, 7) * 9 mod 2**64.
-            block, high = words[:m], spill[:m]
-            block *= 5
-            np.right_shift(block, 57, out=high)
-            block <<= 7
-            block |= high
-            block *= 9
-            yield lo, block
+        out = np.empty(n, dtype=np.uint64)
+        full = n - n % _BLOCK
+        for lo in range(0, full, _BLOCK):
+            block = np.bitwise_xor.reduce(rows[_state_bits(self._s)], axis=0)
+            out[lo:lo + _BLOCK] = block[:_BLOCK]
+            self._s = block[_BLOCK:].tolist()
+        m = n - full
+        if m:
+            np.bitwise_xor.reduce(rows[_state_bits(self._s), :m], axis=0, out=out[full:])
+            for i in range(m.bit_length()):
+                if m >> i & 1:
+                    self._s = np.bitwise_xor.reduce(
+                        jumps[i][_state_bits(self._s)], axis=0).tolist()
+        # The scrambler of next_u64: rotl(s1 * 5, 7) * 9 mod 2**64.
+        out *= 5
+        high = out >> 57
+        out <<= 7
+        out |= high
+        out *= 9
+        return out
 
     def _descending_below(self, n: int, count: int) -> np.ndarray:
         """``[below(n), below(n - 1), ..., below(n - count + 1)]`` as uint64."""
         if n >= 1 << 32:
             raise ValueError("bounds must be below 2**32")
-        out = np.empty(count, dtype=np.uint64)
-        for lo, u in self._blocks(count):
-            m = u.size
-            bound = np.arange(n - lo, n - lo - m, -1, dtype=np.uint64)
-            # (u * b) >> 64 from the 32-bit halves u = h 2**32 + l: it is
-            # (h b + (l b >> 32)) >> 32, and no product or sum reaches 2**64
-            # while b < 2**32.
-            low = u & 0xFFFFFFFF
-            low *= bound
-            low >>= 32
-            u >>= 32
-            u *= bound
-            u += low
-            np.right_shift(u, 32, out=out[lo:lo + m])
-        return out
+        u = self._words(count)
+        bound = np.arange(n, n - count, -1, dtype=np.uint64)
+        # (u * b) >> 64 from the 32-bit halves u = h 2**32 + l: it is
+        # (h b + (l b >> 32)) >> 32, and no product or sum reaches 2**64
+        # while b < 2**32.
+        low = u & 0xFFFFFFFF
+        low *= bound
+        low >>= 32
+        u >>= 32
+        u *= bound
+        u += low
+        u >>= 32
+        return u
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniform float64 draws in [0, 1): ``[random() for _ in range(n)]``."""
-        out = np.empty(n, dtype=np.float64)
-        for lo, u in self._blocks(n):
-            u >>= 11
-            np.multiply(u, _INV_2_53, out=out[lo:lo + u.size])
-        return out
+        return (self._words(n) >> 11) * _INV_2_53
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n) (Fisher-Yates).
@@ -348,6 +344,7 @@ class Rng:
         draw, so the stream and the result are those of calling
         :meth:`below` per swap.
         """
+        _check_count(n)
         swaps = self._descending_below(n, max(n - 1, 0)).tolist()
         idx = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), swaps):

@@ -170,16 +170,15 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     kernels = epoch_kernels(policy, epoch)
     step, grad = train_step(params, np.array((inputs, flipped)), labels, kernels,
                             lam, "nla")
-    k = params.arch.n_classes
 
     def losses(stack):
-        runs = len(stack.flat)
-        logits = np.array([forward(stack, x, logits_only=True).logits.reshape(-1, k)
-                           for x in (inputs, flipped)])
+        shape = (len(stack.flat), *labels.shape)
+        logits = np.array([forward(stack, np.broadcast_to(x, (*shape, x.shape[-1])),
+                                   logits_only=True).logits for x in (inputs, flipped)])
         with np.errstate(invalid="ignore", over="ignore"):
-            loss = batch_total(logits, np.tile(labels, runs), kernels, lam,
-                               mode="nla", frozen_weights=np.tile(step.weight, runs))
-        return loss.total.reshape(runs, -1).mean(axis=1)
+            loss = batch_total(logits, np.broadcast_to(labels, shape), kernels, lam,
+                               mode="nla", frozen_weights=np.broadcast_to(step.weight, shape))
+        return loss.total.mean(axis=1)
 
     return grad, losses
 

@@ -662,8 +662,8 @@ class TestSweepGroups:
 
     @pytest.mark.parametrize("rows", [None, 1])
     def test_sidecar_rows_are_only_a_grouping_hint(self, tmp_path, capsys, rows):
-        # Train sidecars that lack "n" or misstate it put cells of
-        # different row counts in one group; each cell still trains.
+        # Groups are planned from the grid: a train sidecar's "n" is no
+        # longer read, so one that lacks or misstates it changes nothing.
         path, _ = write_config(tmp_path / "a", modes=["ce"], imbalance=[1.0, 2.0, 10.0])
         assert main(["generate", "--config", str(path)]) == 0
         sidecars = sorted((tmp_path / "a" / "out" / "data").glob("*_train.json"))

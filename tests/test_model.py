@@ -95,6 +95,13 @@ class TestForward:
         params = init_params(MLP, Rng(13))
         with pytest.raises(ValueError):
             forward(params, np.ones((2, 5)))
+        # A stack of R vectors takes one block of rows per run: (n, d) rows
+        # are not broadcast over it, and one vector takes no run axis.
+        stack = ModelParams(MLP, np.stack([params.flat] * 3))
+        for p, shape in ((stack, (4, 8)), (stack, (2, 4, 8)), (params, (3, 4, 8))):
+            for logits_only in (False, True):
+                with pytest.raises(ValueError, match="inputs must be"):
+                    forward(p, np.ones(shape), logits_only)
 
     @pytest.mark.parametrize("arch", [MLP, LINEAR])
     @pytest.mark.parametrize("runs", [1, 7, 50])
@@ -104,12 +111,12 @@ class TestForward:
         solo = [init_params(arch, Rng(100 + r)) for r in range(runs)]
         stack = ModelParams(arch, np.stack([p.flat for p in solo]))
         for n in (1, 32):
-            x = Rng(17 + n).normals(n * 8).reshape(n, 8)
+            x = Rng(17 + n).normals(runs * n * 8).reshape(runs, n, 8)
             for logits_only in (False, True):
                 logits = forward(stack, x, logits_only).logits
                 assert logits.shape == (runs, n, 7)
                 for r, params in enumerate(solo):
-                    np.testing.assert_array_equal(logits[r], forward(params, x).logits)
+                    np.testing.assert_array_equal(logits[r], forward(params, x[r]).logits)
 
 
 class TestBackward:
@@ -157,13 +164,13 @@ class TestBackward:
         solo = [init_params(arch, Rng(200 + r)) for r in range(runs)]
         stack = ModelParams(arch, np.stack([p.flat for p in solo]))
         for n in (1, 12, 32):
-            x = Rng(40 + n).normals(n * 8).reshape(n, 8)
+            x = Rng(40 + n).normals(runs * n * 8).reshape(runs, n, 8)
             g = Rng(60 + n).normals(runs * n * 7).reshape(runs, n, 7)
             grad = backward(stack, forward(stack, x), g)
             assert grad.shape == (runs, arch.param_count)
             for r, params in enumerate(solo):
                 np.testing.assert_array_equal(
-                    grad[r], backward(params, forward(params, x), g[r]))
+                    grad[r], backward(params, forward(params, x[r]), g[r]))
 
     @pytest.mark.parametrize("arch", [MLP, LINEAR])
     @pytest.mark.parametrize("n", [12, 32])

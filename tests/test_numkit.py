@@ -150,13 +150,19 @@ class TestRng:
     @pytest.mark.parametrize("n", STREAM_COUNTS)
     def test_block_draw_equals_next_u64(self, seed, n):
         block, ref = Rng(seed), Rng(seed)
-        starts, words = [], []
-        for lo, u in block._blocks(n):
-            starts.append(lo)
-            words.extend(u.tolist())
-        assert starts == list(range(0, n, B))
-        assert words == [ref.next_u64() for _ in range(n)]
+        words = block._words(n)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [ref.next_u64() for _ in range(n)]
         assert block._s == ref._s
+
+    @pytest.mark.parametrize("draw, n", [("uniforms", -1), ("normals", -3),
+                                         ("normals", -numkit._MIN_BLOCK_NORMALS),
+                                         ("permutation", -2), ("_words", -1)])
+    def test_negative_counts_are_refused(self, draw, n):
+        rng = Rng(1)
+        with pytest.raises(ValueError, match="cannot draw a negative number of values"):
+            getattr(rng, draw)(n)
+        assert rng._s == Rng(1)._s
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     @pytest.mark.parametrize("n", STREAM_COUNTS)
