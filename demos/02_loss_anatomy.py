@@ -10,20 +10,19 @@ Run:  python demos/02_loss_anatomy.py
 
 import numpy as np
 
-from nla import (Arch, WeightPolicy, batch_total, default_view, epoch_kernels,
-                 forward, gradient_check, init_params, softmax, standard_instance)
+from nla import (Arch, WeightPolicy, batch_total, epoch_kernels, forward,
+                 gradient_check, init_params, mirror, softmax, standard_instance)
 from nla.numkit import Rng
 from nla.selfcheck import draw_kink_safe_batch, frozen_loss_fn
 
 policy = WeightPolicy(total_epochs=60)
 train, _ = standard_instance(7)
-view = default_view(train)
 
 rng = Rng(99)
 params = init_params(Arch(train.dim, 64, train.n_classes), rng.split(0))
 idx = rng.choice(train.n, 8)
 x = train.inputs[idx]
-xf = view.apply(x)
+xf = mirror(x)
 labels = train.labels[idx]
 
 logits = forward(params, x).logits
@@ -49,7 +48,7 @@ for mode in ("ce", "naw", "nla"):
 
 print("\nGradient check (weights frozen, central differences, h = 1e-5):")
 check_x, check_xf = draw_kink_safe_batch(params, rng.split(1))
-check_labels = np.array([rng.below(train.n_classes) for _ in range(32)])
+check_labels = rng.belows(np.full(32, train.n_classes)).astype(np.int64)
 grad, losses = frozen_loss_fn(params, check_x, check_xf, check_labels, 20, policy, 0.5)
 result = gradient_check(params, grad, losses)
 print(f"  checked {result.n_checked} coordinates, "

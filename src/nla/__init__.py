@@ -14,8 +14,8 @@ from .naw import (WeightPolicy, build_false_kernel, build_true_kernel,
                   epoch_kernels, gaussian_weight)
 from .losses import batch_total
 from .model import Arch, forward, gradient_check, init_params
-from .data import (apply_imbalance, bayes_accuracy, default_view, fingerprint,
-                   inject_noise, save_dataset, standard_instance)
+from .data import (apply_imbalance, bayes_accuracy, fingerprint, inject_noise,
+                   mirror, save_dataset, standard_instance)
 from .trainer import TrainConfig, run_training
 
 __all__ = [name for name in dir() if not name.startswith("_")]

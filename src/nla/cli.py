@@ -31,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (MIN_IMBALANCE, NOISE_RATES, Dataset, apply_imbalance,
+from .data import (MIN_IMBALANCE, NOISE_RATES, STANDARD_DIM, STANDARD_K,
+                   STANDARD_SPREAD, STANDARD_TEST_PER_CLASS,
+                   STANDARD_TRAIN_PER_CLASS, Dataset, apply_imbalance,
                    ingest_csv, ingest_idx, inject_noise, load_dataset,
                    save_dataset, synthetic_splits)
 from .losses import MODES
@@ -45,11 +47,11 @@ DEFAULT_CONFIG = {
     "seed": 7,
     "dataset": {
         "kind": "synthetic",
-        "k": 7,
-        "d": 8,
-        "n_per_class": 500,
-        "test_per_class": 200,
-        "spread": 0.5,
+        "k": STANDARD_K,
+        "d": STANDARD_DIM,
+        "n_per_class": STANDARD_TRAIN_PER_CLASS,
+        "test_per_class": STANDARD_TEST_PER_CLASS,
+        "spread": STANDARD_SPREAD,
     },
     "noise": [0.0],
     "imbalance": [1.0],

@@ -2,11 +2,12 @@
 
 The synthetic generator builds mirror-symmetric Gaussian class clusters so
 that a fixed sign flip of one coordinate plays the role of horizontal
-image flipping: it is a label-preserving involution under which the data
-distribution is invariant.  Label noise and long-tailed subsampling are
-applied as separate, auditable steps that keep the pre-corruption labels
-around.  Small image corpora in IDX files and feature tables in CSV can
-be ingested as well.
+image flipping: :func:`mirror`, the paired view of either, is a
+label-preserving involution under which the data distribution is
+invariant.  Label noise and long-tailed subsampling are applied as
+separate, auditable steps that keep the pre-corruption labels around.
+Small image corpora in IDX files and feature tables in CSV can be
+ingested as well.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from .numkit import Rng, _as_finite_array, atomic_write_bytes, derive_seed
 __all__ = [
     "FormatError",
     "Dataset",
-    "ViewTransform",
     "make_synthetic",
     "class_centers",
     "bayes_accuracy",
     "inject_noise",
     "apply_imbalance",
-    "default_view",
+    "mirror",
     "ingest_idx",
     "ingest_csv",
     "dataset_bytes",
@@ -121,46 +121,23 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
 
-@dataclass(frozen=True)
-class ViewTransform:
-    """Label-preserving involution on inputs producing the paired view.
-
-    ``sign_flip`` negates coordinate 0 of vector data, the mirror axis of
-    :func:`class_centers`; ``mirror_image`` reverses each pixel row of
-    flattened (height x width) images.  Applying the transform twice
+def mirror(inputs: np.ndarray, image_shape: tuple[int, int] | None = None) -> np.ndarray:
+    """The paired view of each row, as a new array; applied twice it
     returns the input exactly.
+
+    Negates coordinate 0 of each row, the mirror axis of
+    :func:`class_centers`, or with an (h, w) ``image_shape`` reverses each
+    pixel row of rows that are flattened h x w images.  Raises ValueError
+    when the image shape does not tile the row.
     """
-
-    kind: str
-    dim: int
-    height: int = 0
-    width: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sign_flip", "mirror_image"):
-            raise ValueError(f"unknown view transform {self.kind!r}")
-        if self.kind == "mirror_image" and self.height * self.width != self.dim:
-            raise ValueError("image shape does not match the input dimension")
-
-    def apply(self, inputs: np.ndarray) -> np.ndarray:
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(f"inputs must be (n, {self.dim}), got {x.shape}")
-        if self.kind == "sign_flip":
-            out = x.copy()
-            out[:, 0] = -out[:, 0]
-            return out
-        imgs = x.reshape(-1, self.height, self.width)
-        return imgs[:, :, ::-1].reshape(x.shape[0], self.dim).copy()
-
-
-def default_view(ds: Dataset) -> ViewTransform:
-    """The transform matching how the dataset was produced."""
-    shape = ds.meta.get("image_shape")
-    if shape:
-        h, w = shape
-        return ViewTransform(kind="mirror_image", dim=ds.dim, height=h, width=w)
-    return ViewTransform(kind="sign_flip", dim=ds.dim)
+    x = np.array(inputs, dtype=np.float64)
+    if image_shape is None:
+        x[..., 0] = -x[..., 0]
+        return x
+    h, w = image_shape
+    if h * w != x.shape[-1]:
+        raise ValueError(f"a {h} x {w} image does not tile rows of {x.shape[-1]} values")
+    return x.reshape(*x.shape[:-1], h, w)[..., ::-1].reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +191,8 @@ def make_synthetic(n_classes: int, dim: int, n_per_class: int, spread: float,
         for lo in range(0, labels.size, _SAMPLE_CHUNK):
             rows = inputs[lo:lo + _SAMPLE_CHUNK]
             words, z = rng._word_normal_rows(rows.shape[0], dim)
-            mirror = words >> 63 == 1
-            rows[mirror, 0] = -rows[mirror, 0]
+            twin = words >> 63 == 1
+            rows[twin, 0] = -rows[twin, 0]
             rows += spread * z
     meta = {"seed": rng.seed, "spread": spread, "centers": centers}
     return Dataset(inputs=_as_finite_array(inputs, "synthetic inputs"), labels=labels,
@@ -234,8 +211,7 @@ def bayes_accuracy(ds: Dataset) -> float:
         raise ValueError("dataset does not carry its generating mixture")
     if spread <= 0.0:
         raise ValueError("Bayes accuracy needs a positive spread")
-    mirrored = centers.copy()
-    mirrored[:, 0] = -mirrored[:, 0]
+    mirrored = mirror(centers)
     inv_two_var = 1.0 / (2.0 * spread * spread)
     # log class-conditional density up to a shared constant
     d_plus = ((ds.inputs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -263,9 +239,9 @@ def inject_noise(ds: Dataset, rate: float, rng: Rng) -> Dataset:
     n_flips = _round_half_up(rate * ds.n)
     labels = ds.labels.copy()
     clean = (ds.clean_labels if ds.clean_labels is not None else ds.labels).copy()
-    for i in rng.choice(ds.n, n_flips):
-        other = rng.below(ds.n_classes - 1)
-        labels[i] = other + (other >= labels[i])
+    flips = rng.choice(ds.n, n_flips)
+    others = rng.belows(np.full(n_flips, ds.n_classes - 1))
+    labels[flips] = others + (others >= labels[flips])
     meta = dict(ds.meta)
     meta["noise_rate"] = rate
     return Dataset(inputs=ds.inputs.copy(), labels=labels,
@@ -401,10 +377,10 @@ def ingest_csv(path, split: str = "train") -> Dataset:
 #
 # Little-endian layout:
 #   magic "NLAD" | u16 version | u8 split (0 train / 1 test) |
-#   u8 flags (bit 0: clean labels present) | u64 n | u32 d | u32 K |
-#   u64 seed | f8 noise_rate | f8 imbalance | u32 image_h | u32 image_w |
-#   labels int64 | clean labels int64 (if flagged) | inputs float64
-#   row-major.
+#   u8 flags (bit 0: clean labels present; no other bit) | u64 n | u32 d |
+#   u32 K | u64 seed | f8 noise_rate | f8 imbalance | u32 image_h |
+#   u32 image_w (both 0, or h * w = d) | labels int64 |
+#   clean labels int64 (if flagged) | inputs float64 row-major.
 
 def dataset_bytes(ds: Dataset) -> bytes:
     flags = 1 if ds.clean_labels is not None else 0
@@ -443,6 +419,10 @@ def load_dataset(path) -> Dataset:
         _HEADER.unpack_from(blob, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported cache version {version}", offset=4)
+    if (split_code > 1 or flags > 1 or (img_h == 0) != (img_w == 0)
+            or img_h * img_w not in (0, d)):
+        raise FormatError(f"{path}: bad header: split {split_code}, flags {flags}, "
+                          f"{img_h} x {img_w} image for rows of {d}", offset=4)
     # The declared sizes are checked before any array is read, so a header
     # that lies about n or d is reported, not passed on to numpy.
     size = 8 * n * (1 + (flags & 1) + d)
@@ -457,7 +437,7 @@ def load_dataset(path) -> Dataset:
         offset += n * 8
     inputs = np.frombuffer(blob, dtype="<f8", count=n * d, offset=offset)
     meta = {"seed": seed, "noise_rate": noise_rate, "imbalance": imbalance}
-    if img_h and img_w:
+    if img_h:
         meta["image_shape"] = (img_h, img_w)
     return Dataset(inputs=inputs.astype(np.float64).reshape(n, d), labels=labels,
                    n_classes=k, split="train" if split_code == 0 else "test",

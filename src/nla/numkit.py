@@ -4,10 +4,11 @@ Stable softmax / log-sum-exp from one core that the loss shares, and a
 seedable pseudo-random source whose stream is identical on every
 platform.  The generator steps in Python integers one draw at a time, or
 draws a whole array of the same stream with numpy uint64 arithmetic
-(shuffles, sampling without replacement, arrays of uniforms, arrays of 64
-or more normals).  Everything here is 64-bit float or 64-bit integer
-arithmetic; nothing depends on process state or hashing.  Also the one
-atomic file write that every cache, checkpoint and record goes through.
+(shuffles, sampling without replacement, arrays of bounded integers, of
+uniforms and of 64 or more normals).  Everything here is 64-bit float or
+64-bit integer arithmetic; nothing depends on process state or hashing.
+Also the one atomic file write that every cache, checkpoint and record
+goes through.
 """
 
 from __future__ import annotations
@@ -159,10 +160,10 @@ class Rng:
       * ``normal()``   -> Box-Muller on two open-interval uniforms; the
         sine twin is cached and returned by the next call.
 
-    Block draws: ``uniforms(n)``, ``permutation(n)``, ``choice(n,
-    size)`` and ``normals(n)`` for n >= ``_MIN_BLOCK_NORMALS`` (64) take
-    their outputs from one array per draw (:meth:`_words`), filled
-    ``_BLOCK`` outputs at a time from tables built on first use (see
+    Block draws: ``uniforms(n)``, ``belows(bounds)``, ``permutation(n)``,
+    ``choice(n, size)`` and ``normals(n)`` for n >= ``_MIN_BLOCK_NORMALS``
+    (64) take their outputs from one array per draw (:meth:`_words`),
+    filled ``_BLOCK`` outputs at a time from tables built on first use (see
     :func:`_stream_tables`) and scrambled in one pass.  They return exactly
     what the scalar draws above would and leave the same state, so the two
     kinds of draw interleave freely.  Bounds of block draws must be below
@@ -315,12 +316,20 @@ class Rng:
         out *= 9
         return out
 
-    def _descending_below(self, n: int, count: int) -> np.ndarray:
-        """``[below(n), below(n - 1), ..., below(n - count + 1)]`` as uint64."""
-        if n >= 1 << 32:
-            raise ValueError("bounds must be below 2**32")
-        u = self._words(count)
-        bound = np.arange(n, n - count, -1, dtype=np.uint64)
+    def belows(self, bounds) -> np.ndarray:
+        """``[below(b) for b in bounds]`` as uint64, from one block draw.
+
+        Every bound must lie in [1, 2**32), else ValueError before the
+        state moves.
+        """
+        bounds = np.asarray(bounds)
+        # Bare ufunc reductions, as in _check_labels: a shuffle checks its
+        # bounds once per epoch.
+        if (np.minimum.reduce(bounds, initial=1) < 1
+                or np.maximum.reduce(bounds, initial=1) >= 1 << 32):
+            raise ValueError("bounds must lie in [1, 2**32)")
+        u = self._words(bounds.size)
+        bound = bounds.astype(np.uint64, copy=False)
         # (u * b) >> 64 from the 32-bit halves u = h 2**32 + l: it is
         # (h b + (l b >> 32)) >> 32, and no product or sum reaches 2**64
         # while b < 2**32.
@@ -340,12 +349,12 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n) (Fisher-Yates).
 
-        Swap i takes ``j = below(i + 1)``; the draws come from one block
-        draw, so the stream and the result are those of calling
-        :meth:`below` per swap.
+        Swap i takes ``j = below(i + 1)``; the draws are one :meth:`belows`,
+        so the stream and the result are those of calling :meth:`below`
+        per swap.
         """
         _check_count(n)
-        swaps = self._descending_below(n, max(n - 1, 0)).tolist()
+        swaps = self.belows(np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         idx = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), swaps):
             idx[i], idx[j] = idx[j], idx[i]
@@ -358,7 +367,7 @@ class Rng:
         """
         if not 0 <= size <= n:
             raise ValueError(f"cannot choose {size} from {n}")
-        swaps = self._descending_below(n, size).tolist()
+        swaps = self.belows(np.arange(n, n - size, -1, dtype=np.uint64)).tolist()
         pool = list(range(n))
         for i, j in enumerate(swaps):
             j += i

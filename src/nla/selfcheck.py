@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .data import ViewTransform
+from .data import mirror
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
 from .model import _FD_STEP, _GRAD_TOLERANCE, Arch, forward, gradient_check, init_params
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
@@ -141,10 +141,9 @@ def draw_kink_safe_batch(params, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     margin, for up to 100 draws.
     """
     d = params.arch.input_dim
-    view = ViewTransform(kind="sign_flip", dim=d)
     for _ in range(100):
         x = rng.normals(_FD_BATCH * d).reshape(_FD_BATCH, d)
-        xf = view.apply(x)
+        xf = mirror(x)
         margin = 4.0 * _FD_STEP * max(float(np.abs(x).max()), 1.0)
         # Pre-activations of the layers that meet a ReLU, all but the last:
         # the first layer of an MLP, none of a linear head.
@@ -198,7 +197,7 @@ def check_gradient_fidelity(seed: int, trials: int):
         params = init_params(arch, rng.split(trial))
         draw = rng.split(10_000 + trial)
         x, xf = draw_kink_safe_batch(params, draw)
-        labels = np.array([draw.below(7) for _ in range(_FD_BATCH)])
+        labels = draw.belows(np.full(_FD_BATCH, 7)).astype(np.int64)
         epoch = draw.below(61)
         grad, losses = frozen_loss_fn(params, x, xf, labels, epoch, POLICY60, 0.5)
         result = gradient_check(params, grad, losses, max_coords=200, rng=draw)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, default_view
+from .data import Dataset, mirror
 from .losses import _VIEWS, MODES, BatchLoss, batch_total
 from .model import (Arch, ForwardTrace, ModelParams, backward, forward,
                     init_params, save_checkpoint)
@@ -392,9 +392,10 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
     drives its shuffles), its splits and their checks.  Its parameters and
     Adam moments are a row of (R, P) stacks that one :func:`train_step`
     and one :func:`adam_step` update per batch, with the values of its
-    solo steps (a group of one has no run axis).  The flipped view is only
-    evaluated in mode ``nla``.  The weight statistics and the evaluation
-    take one run at a time.
+    solo steps (a group of one has no run axis).  Only mode ``nla`` has a
+    second view, :func:`nla.data.mirror` of the train rows (by the split's
+    ``image_shape`` when it has one).  The weight statistics and the
+    evaluation take one run at a time.
 
     A stack is all or nothing.  Every run's splits are checked before the
     first step, and the earliest error that a run's :func:`run_training`
@@ -429,7 +430,7 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
     for _, train, _ in runs:
         views.append([np.asarray(train.inputs, dtype=np.float64)])
         if _VIEWS[config.mode] == 2:
-            views[-1].append(default_view(train).apply(views[-1][0]))
+            views[-1].append(mirror(views[-1][0], train.meta.get("image_shape")))
     size = config.batch_size
     # Each epoch gathers every run's views in shuffled order into one
     # (V, R, N, d) array, so that each batch is a slice of it with the

@@ -6,11 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from nla.data import (Dataset, FormatError, ViewTransform, apply_imbalance,
-                      bayes_accuracy, class_centers, dataset_bytes, default_view,
-                      fingerprint, ingest_csv, ingest_idx, inject_noise,
-                      load_dataset, make_synthetic, save_dataset,
-                      standard_instance)
+from nla.data import (Dataset, FormatError, apply_imbalance, bayes_accuracy,
+                      class_centers, dataset_bytes, fingerprint, ingest_csv,
+                      ingest_idx, inject_noise, load_dataset, make_synthetic,
+                      mirror, save_dataset, standard_instance)
 from nla.numkit import Rng
 
 
@@ -100,8 +99,7 @@ class TestSyntheticGenerator:
 
     def test_mirror_symmetry_of_per_class_statistics(self):
         ds = make_synthetic(4, 6, 400, 1.0, Rng(6))
-        view = default_view(ds)
-        flipped = view.apply(ds.inputs)
+        flipped = mirror(ds.inputs)
         for k in range(4):
             mask = ds.labels == k
             n = mask.sum()
@@ -110,26 +108,32 @@ class TestSyntheticGenerator:
             assert np.all(np.abs(diff) <= tol)
 
 
-class TestViewTransform:
+class TestMirror:
     def test_involution_exact(self):
         ds = small_train()
-        view = default_view(ds)
-        np.testing.assert_array_equal(view.apply(view.apply(ds.inputs)), ds.inputs)
+        flipped = mirror(ds.inputs)
+        np.testing.assert_array_equal(flipped[:, 0], -ds.inputs[:, 0])
+        np.testing.assert_array_equal(flipped[:, 1:], ds.inputs[:, 1:])
+        np.testing.assert_array_equal(mirror(flipped), ds.inputs)
 
     def test_zero_vector_fixed(self):
-        view = ViewTransform(kind="sign_flip", dim=4)
-        np.testing.assert_array_equal(view.apply(np.zeros((3, 4))), 0.0)
+        np.testing.assert_array_equal(mirror(np.zeros((3, 4))), 0.0)
 
     def test_mirror_image_reverses_rows(self):
-        view = ViewTransform(kind="mirror_image", dim=6, height=2, width=3)
         x = np.arange(6.0)[None, :]
-        np.testing.assert_array_equal(view.apply(x)[0], [2, 1, 0, 5, 4, 3])
-        np.testing.assert_array_equal(view.apply(view.apply(x)), x)
+        np.testing.assert_array_equal(mirror(x, (2, 3))[0], [2, 1, 0, 5, 4, 3])
+        np.testing.assert_array_equal(mirror(mirror(x, (2, 3)), (2, 3)), x)
 
-    def test_dimension_mismatch_rejected(self):
-        view = ViewTransform(kind="sign_flip", dim=4)
-        with pytest.raises(ValueError):
-            view.apply(np.zeros((2, 5)))
+    def test_returns_a_new_array(self):
+        x = np.arange(6.0).reshape(2, 3)
+        for shape in (None, (1, 3)):
+            mirror(x, shape)[:] = 7.0
+        np.testing.assert_array_equal(x, np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 0)], ids=["2x2", "3x3", "5x0"])
+    def test_image_shape_must_tile_the_row(self, shape):
+        with pytest.raises(ValueError, match="does not tile rows of 6 values"):
+            mirror(np.zeros((2, 6)), shape)
 
 
 class TestInjectNoise:
@@ -175,6 +179,20 @@ class TestInjectNoise:
         ds = make_synthetic(3, 4, 10, 1.0, Rng(14), split="test")
         with pytest.raises(ValueError):
             inject_noise(ds, 0.1, Rng(15))
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_equals_per_flip_scalar_draws(self, k, rate):
+        ds = small_train(k=k, n_per_class=40)
+        rng, ref = Rng(100 + k), Rng(100 + k)
+        noisy = inject_noise(ds, rate, rng)
+        labels = ds.labels.copy()
+        for i in ref.choice(ds.n, round(rate * ds.n)):
+            other = ref.below(k - 1)
+            labels[i] = other + (other >= labels[i])
+        assert noisy.labels.dtype == np.int64
+        np.testing.assert_array_equal(noisy.labels, labels)
+        assert rng._s == ref._s
 
 
 class TestApplyImbalance:
@@ -289,9 +307,9 @@ class TestIngestIdx:
     def test_mirror_view_assigned(self, tmp_path):
         img, lab, _, _ = self._write_idx(tmp_path)
         ds = ingest_idx(img, lab)
-        view = default_view(ds)
-        assert view.kind == "mirror_image"
-        np.testing.assert_array_equal(view.apply(view.apply(ds.inputs)), ds.inputs)
+        shape = ds.meta["image_shape"]
+        assert shape == (4, 3)
+        np.testing.assert_array_equal(mirror(mirror(ds.inputs, shape), shape), ds.inputs)
 
 
 class TestIngestCsv:
@@ -350,7 +368,7 @@ class TestCache:
                      meta={"image_shape": (2, 3)})
         path = tmp_path / "imgs.ds"
         save_dataset(ds, path)
-        assert default_view(load_dataset(path)).kind == "mirror_image"
+        assert load_dataset(path).meta["image_shape"] == (2, 3)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ds"
@@ -378,6 +396,23 @@ class TestCache:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="header declares"):
             load_dataset(path)
+
+    # Header fields after the magic: u8 split at byte 6, u8 flags at 7, and
+    # u32 image height and width at 48 and 52.
+    @pytest.mark.parametrize("offset, value", [
+        (6, b"\x02"), (7, b"\x06"),
+        (48, struct.pack("<II", 5, 0)), (48, struct.pack("<II", 2, 2)),
+    ], ids=["split-2", "flags-6", "height-5-width-0", "2x2-image-on-d-6"])
+    def test_bad_header_fields_rejected(self, tmp_path, offset, value):
+        path = tmp_path / "test.ds"
+        save_dataset(Dataset(inputs=np.zeros((2, 6)), labels=np.array([0, 1]),
+                             n_classes=2, split="test"), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(value)] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="bad header") as err:
+            load_dataset(path)
+        assert err.value.offset == 4
 
 
 class TestStandardInstance:

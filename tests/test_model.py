@@ -9,7 +9,7 @@ import nla.cli
 import nla.model
 import nla.trainer
 from nla.losses import batch_total
-from nla.data import ViewTransform
+from nla.data import mirror
 from nla.model import (Arch, ForwardTrace, ModelParams, _layer_views, backward,
                        forward, gradient_check, init_params, load_checkpoint,
                        save_checkpoint)
@@ -181,7 +181,7 @@ class TestBackward:
         # `grad += backward(view 1)`, bit for bit, also through buffers.
         params = init_params(arch, Rng(70))
         x = Rng(71 + n).normals(n * 8).reshape(n, 8)
-        views = np.array((x, ViewTransform(kind="sign_flip", dim=8).apply(x)))
+        views = np.array((x, mirror(x)))
         solo = [forward(params, v) for v in views]
         g = Rng(72 + n).normals(2 * n * 7).reshape(2, n, 7)
         trace = ForwardTrace(np.array([t.logits for t in solo]),

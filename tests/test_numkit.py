@@ -221,10 +221,27 @@ class TestRng:
     def test_bounds_up_to_the_32_bit_limit_are_exact(self):
         top = 2**32 - 1
         block, ref = Rng(17), Rng(17)
-        assert (block._descending_below(top, B + 3).tolist()
+        assert (block.belows(np.arange(top, top - B - 3, -1, dtype=np.uint64)).tolist()
                 == [ref.below(top - t) for t in range(B + 3)])
         with pytest.raises(ValueError):
-            Rng(17)._descending_below(2**32, 1)
+            Rng(17).belows([2**32])
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("bounds", [[], [1] * 5, [7] * (B + 1), [2**32 - 1] * 3,
+                                        [1, 7, 2**32 - 1, 2, 1000, 3] * 50])
+    def test_belows_equal_below(self, seed, bounds):
+        block, ref = Rng(seed), Rng(seed)
+        draws = block.belows(bounds)
+        assert draws.dtype == np.uint64
+        assert draws.tolist() == [ref.below(b) for b in bounds]
+        assert block._s == ref._s
+
+    @pytest.mark.parametrize("bounds", [[0], [3, 0, 5], [2**32], [5, 2**32, 1]])
+    def test_belows_refuse_bounds_outside_the_range(self, bounds):
+        rng = Rng(1)
+        with pytest.raises(ValueError, match=r"bounds must lie in \[1, 2\*\*32\)"):
+            rng.belows(bounds)
+        assert rng._s == Rng(1)._s
 
     def test_tables_are_built_on_first_use(self):
         code = ("import nla, nla.cli, nla.selfcheck\n"

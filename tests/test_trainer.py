@@ -7,8 +7,8 @@ import pytest
 
 import nla.naw
 import nla.trainer
-from nla.data import (Dataset, ViewTransform, apply_imbalance, inject_noise,
-                      make_synthetic, standard_instance)
+from nla.data import (Dataset, apply_imbalance, inject_noise, make_synthetic,
+                      mirror, standard_instance)
 from nla.losses import batch_total
 from nla.model import (Arch, ModelParams, backward, forward, init_params,
                        load_checkpoint)
@@ -328,14 +328,12 @@ class TestRunTraining:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard_covers_the_flipped_view(self, monkeypatch):
-        class Overflowing(ViewTransform):
-            def apply(self, inputs):
-                return np.asarray(inputs, dtype=np.float64) * 1e308
+        def overflowing(inputs, image_shape=None):
+            return np.asarray(inputs, dtype=np.float64) * 1e308
 
         train, test = tiny_data()
-        view = Overflowing(kind="sign_flip", dim=train.dim)
-        assert not np.all(np.isfinite(view.apply(train.inputs)))
-        monkeypatch.setattr(nla.trainer, "default_view", lambda ds: view)
+        assert not np.all(np.isfinite(overflowing(train.inputs)))
+        monkeypatch.setattr(nla.trainer, "mirror", overflowing)
         # Infinite before any update: an input error, not a divergence.
         with pytest.raises(ValueError, match="non-finite logits before the first update"):
             run_training(tiny_config(mode="nla"), train, test)
@@ -383,7 +381,7 @@ def reference_run(config, train):
     state = AdamState.zeros_like(params)
     views = [train.inputs]
     if config.mode == "nla":
-        views.append(ViewTransform(kind="sign_flip", dim=train.dim).apply(train.inputs))
+        views.append(mirror(train.inputs))
     epoch_sums = []
     for epoch in range(config.epochs):
         kernels = epoch_kernels(config.policy, epoch)
