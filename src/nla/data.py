@@ -383,15 +383,19 @@ def ingest_csv(path, split: str = "train") -> Dataset:
 #   clean labels int64 (if flagged) | inputs float64 row-major.
 
 def dataset_bytes(ds: Dataset) -> bytes:
+    """The cache file's bytes.  Raises ValueError for an ``image_shape``
+    that :func:`load_dataset` would refuse: one that does not tile the
+    rows."""
     flags = 1 if ds.clean_labels is not None else 0
-    shape = ds.meta.get("image_shape", (0, 0))
+    h, w = (int(v) for v in ds.meta.get("image_shape", (0, 0)))
+    if min(h, w) < 0 or (h == 0) != (w == 0) or h * w not in (0, ds.dim):
+        raise ValueError(f"image_shape {h} x {w} does not tile rows of {ds.dim}")
     blob = bytearray()
     blob += _MAGIC
     blob += _HEADER.pack(
         _VERSION, 0 if ds.split == "train" else 1, flags,
         ds.n, ds.dim, ds.n_classes, int(ds.meta.get("seed", 0)),
-        float(ds.meta.get("noise_rate", 0.0)), float(ds.meta.get("imbalance", 1.0)),
-        int(shape[0]), int(shape[1]))
+        float(ds.meta.get("noise_rate", 0.0)), float(ds.meta.get("imbalance", 1.0)), h, w)
     blob += np.ascontiguousarray(ds.labels, dtype="<i8").tobytes()
     if ds.clean_labels is not None:
         blob += np.ascontiguousarray(ds.clean_labels, dtype="<i8").tobytes()

@@ -18,7 +18,10 @@ confidently wrong (noisy) samples while keeping weight on ambiguous ones.
 
 One scoring path serves :func:`naw_weights` and the training loss:
 :func:`_label_scores` then :func:`_branch_weights`, which evaluates one
-density per row; :func:`gaussian_weight` evaluates it on a single point.
+density per row; :func:`gaussian_weight` evaluates it at given points.
+:func:`kernel_params` builds one kernel or a stack of them with the same
+code, so the acceptance oracle builds and scores its random kernels a
+block at a time.
 """
 
 from __future__ import annotations
@@ -54,50 +57,63 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True, eq=False)
 class KernelParams:
-    """One Gaussian weighting branch: mean, covariance, and constants.
+    """Gaussian weighting kernels: means, covariances and constants.
 
-    ``norm_const`` is 1 / (2 pi sqrt(det(sigma))), the kernel's value at
-    its mean and the upper bound of every weight it produces.
-    ``constants`` is what the density reads: (mu_x, mu_y, inv_xx, inv_xy,
-    inv_yy, norm_const), with inv the inverse of sigma.
+    One kernel has ``mu`` (2,), ``sigma`` (2, 2), a float ``norm_const``
+    and ``constants`` (6,); a stack of kernels puts its leading axes after
+    those: ``mu`` (..., 2), ``sigma`` (..., 2, 2), ``norm_const`` (...)
+    and ``constants`` (6, ...).  ``norm_const`` is 1 / (2 pi
+    sqrt(det(sigma))), a kernel's value at its mean and the upper bound of
+    every weight it produces.  ``constants`` is what the density reads:
+    (mu_x, mu_y, inv_xx, inv_xy, inv_yy, norm_const), with inv the inverse
+    of sigma.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    norm_const: float
+    norm_const: float | np.ndarray
     constants: np.ndarray
 
 
 def kernel_params(mu, sigma) -> KernelParams:
-    """Validate a mean / covariance pair and precompute its constants.
+    """Validate means and covariances and precompute their constants.
 
-    The one judge of a kernel, :class:`WeightPolicy`'s too: the mean must
-    be a finite 2-vector and the covariance finite, symmetric and positive
-    definite with a determinant above 1e-12; it is inverted by the
-    adjugate formula.
+    ``mu`` is (..., 2) and ``sigma`` (..., 2, 2) with the same leading
+    axes, none for one kernel; a stack is judged and built with one numpy
+    call per step.  The one judge of a kernel, :class:`WeightPolicy`'s
+    too: every mean must be finite and every covariance finite, symmetric
+    and positive definite with a determinant above 1e-12; each is inverted
+    by the adjugate formula.  The first rule that any kernel of the stack
+    breaks names the error.
     """
     mu = np.array(mu, dtype=np.float64)
     sigma = np.array(sigma, dtype=np.float64)
-    if mu.shape != (2,):
-        raise ValueError(f"mean must have shape (2,), got {mu.shape}")
-    if sigma.shape != (2, 2):
-        raise ValueError(f"covariance must have shape (2, 2), got {sigma.shape}")
-    # Python floats from here on: the same IEEE double operations as
-    # numpy's, without its per-scalar overhead.
-    mu_xy = mu.tolist()
-    (a, b), (c, d) = sigma.tolist()
-    if not all(map(math.isfinite, (*mu_xy, a, b, c, d))):
+    if mu.shape[-1:] != (2,):
+        raise ValueError(f"mean must have shape (..., 2), got {mu.shape}")
+    if sigma.shape[-2:] != (2, 2):
+        raise ValueError(f"covariance must have shape (..., 2, 2), got {sigma.shape}")
+    if mu.shape[:-1] != sigma.shape[:-2]:
+        raise ValueError(f"mean and covariance stacks differ: {mu.shape} and {sigma.shape}")
+    # Each kernel's six numbers on the last axis.  count_nonzero is numpy's
+    # cheapest reduction, for one kernel too.
+    raw = np.concatenate((mu, sigma.reshape(mu.shape[:-1] + (4,))), axis=-1)
+    if np.count_nonzero(np.isfinite(raw)) < raw.size:
         raise ValueError("mean and covariance must contain only finite values")
-    if b != c:
+    # That axis first: one kernel unpacks to numpy scalars, a stack to one
+    # array per number.
+    lead = range(mu.ndim - 1)
+    mu_x, mu_y, a, b, c, d = raw.transpose(-1, *lead)
+    if np.count_nonzero(b != c):
         raise ValueError("covariance must be symmetric")
     det = a * d - b * c
-    if a <= 0.0 or det <= 1e-12:
+    if np.count_nonzero((a <= 0.0) | (det <= 1e-12)):
         raise ValueError("covariance must be positive definite (det > 1e-12)")
-    norm_const = 1.0 / (_TWO_PI * math.sqrt(det))
-    constants = np.array(mu_xy + [d / det, -b / det, a / det, norm_const])
+    norm_const = 1.0 / (_TWO_PI * np.sqrt(det))
+    constants = np.array([mu_x, mu_y, d / det, -b / det, a / det, norm_const])
     for arr in (mu, sigma, constants):
         arr.flags.writeable = False
-    return KernelParams(mu=mu, sigma=sigma, norm_const=norm_const, constants=constants)
+    return KernelParams(mu=mu, sigma=sigma, constants=constants,
+                        norm_const=constants[5] if lead else float(norm_const))
 
 
 @dataclass(frozen=True)
@@ -189,22 +205,26 @@ def epoch_kernels(policy: WeightPolicy, epoch: int) -> tuple[KernelParams, Kerne
 def _density(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Kernel density at the points (x[i], y[i]).
 
-    ``c`` holds a kernel's :attr:`KernelParams.constants`, each a scalar
-    or one value per point.
+    ``c`` holds :attr:`KernelParams.constants`, each entry a scalar or one
+    value per point.  Squares are products, as numpy computes an array's
+    ``** 2``, so a scalar point gets the bits of the same point in an array.
     """
     dx = x - c[0]
     dy = y - c[1]
-    q = c[2] * dx ** 2 + 2.0 * c[3] * dx * dy + c[4] * dy ** 2
+    q = c[2] * (dx * dx) + 2.0 * c[3] * dx * dy + c[4] * (dy * dy)
     return c[5] * np.exp(-0.5 * q)
 
 
-def gaussian_weight(p, kernel: KernelParams) -> float:
-    """Kernel density at a single point; in (0, norm_const].
+def gaussian_weight(p, kernel: KernelParams):
+    """Kernel density at (..., 2) points; each in (0, norm_const].
 
-    A one-point call of the density that :func:`naw_weights` evaluates.
+    The density that :func:`naw_weights` evaluates.  The points broadcast
+    against the kernel's leading axes, so a stack of points can meet one
+    kernel or a stack of kernels.  One point on one kernel gives a float.
     """
-    x, y = np.asarray(p, dtype=np.float64)
-    return float(_density(x, y, kernel.constants))
+    p = np.asarray(p, dtype=np.float64)
+    w = _density(p[..., 0], p[..., 1], kernel.constants)
+    return w if w.ndim else float(w)
 
 
 def _label_scores(probs: np.ndarray, labels: np.ndarray):

@@ -370,6 +370,18 @@ class TestCache:
         save_dataset(ds, path)
         assert load_dataset(path).meta["image_shape"] == (2, 3)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 0), (-2, -3)])
+    def test_untiled_image_shape_refused_before_writing(self, tmp_path, shape):
+        # A shape the loader would refuse is refused by the writer, so no
+        # cache that load_dataset cannot read is ever written.
+        ds = Dataset(inputs=np.zeros((2, 6)), labels=np.array([0, 1]),
+                     n_classes=2, split="test", meta={"image_shape": shape})
+        path = tmp_path / "imgs.ds"
+        with pytest.raises(ValueError, match=rf"image_shape {shape[0]} x {shape[1]} "
+                                             r"does not tile rows of 6"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ds"
         path.write_bytes(b"WUT?" + b"\x00" * 40)

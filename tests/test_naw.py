@@ -1,5 +1,6 @@
 """Adaptive weighting kernels: score extraction, scheduling, shapes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -245,8 +246,7 @@ class TestGaussianWeight:
         k = build_true_kernel(POLICY, 13)
         pts = np.array([[rng.random(), rng.random()] for _ in range(64)])
         singles = [gaussian_weight(p, k) for p in pts]
-        np.testing.assert_allclose(naw._density(pts[:, 0], pts[:, 1], k.constants), singles,
-                                   rtol=1e-15)
+        np.testing.assert_array_equal(naw._density(pts[:, 0], pts[:, 1], k.constants), singles)
 
     def test_bounded_by_norm_const(self):
         rng = Rng(23)
@@ -265,6 +265,115 @@ class TestGaussianWeight:
                       [[1.0, np.nan], [np.nan, 1.0]]):
             with pytest.raises(ValueError):
                 kernel_params([0.0, 0.0], sigma)
+
+
+class TestKernelStacks:
+    """One kernel is the no-leading-axes case of a stack of kernels."""
+
+    GOOD_MU = [0.3, 0.15]
+    GOOD_SIGMA = [[0.8, 0.2], [0.2, 0.8]]
+
+    @staticmethod
+    def one_kernel_error(mu, sigma) -> str:
+        with pytest.raises(ValueError) as err:
+            kernel_params(mu, sigma)
+        return str(err.value)
+
+    @pytest.mark.parametrize("mu, sigma", [
+        ([np.nan, 0.1], [[0.8, 0.2], [0.2, 0.8]]),     # non-finite mean
+        ([0.3, 0.15], [[np.inf, 0.2], [0.2, 0.8]]),    # non-finite covariance
+        ([0.3, 0.15], [[0.8, 0.2], [0.1, 0.8]]),       # asymmetric
+        ([0.3, 0.15], [[-0.8, 0.0], [0.0, -0.8]]),     # a <= 0 (det > 0)
+        ([0.3, 0.15], [[0.0, 0.0], [0.0, 0.8]]),       # a == 0
+        ([0.3, 0.15], [[1.0, 1.0], [1.0, 1.0]]),       # singular
+        ([0.3, 0.15], [[1e-6, 0.0], [0.0, 2e-7]]),     # det ~2e-13 <= 1e-12
+    ])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_one_bad_kernel_fails_the_stack_with_its_message(self, mu, sigma, at):
+        message = self.one_kernel_error(mu, sigma)
+        means = np.array([self.GOOD_MU] * 7)
+        sigmas = np.array([self.GOOD_SIGMA] * 7)
+        means[at], sigmas[at] = mu, sigma
+        with pytest.raises(ValueError) as err:
+            kernel_params(means, sigmas)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:  # and on two leading axes
+            kernel_params(means.reshape(7, 1, 2), sigmas.reshape(7, 1, 2, 2))
+        assert str(err.value) == message
+
+    def test_first_rule_broken_names_the_error(self):
+        # The same order as one kernel's: finite, symmetric, positive definite.
+        means = np.array([self.GOOD_MU] * 3)
+        sigmas = np.array([[[1.0, 1.0], [1.0, 1.0]], [[0.8, 0.2], [0.1, 0.8]],
+                           [[np.nan, 0.0], [0.0, 0.8]]])
+        with pytest.raises(ValueError, match="only finite values"):
+            kernel_params(means, sigmas)
+        with pytest.raises(ValueError, match="symmetric"):
+            kernel_params(means[:2], sigmas[:2])
+
+    @pytest.mark.parametrize("mu_shape, sigma_shape", [
+        ((3, 2), (4, 2, 2)), ((3, 2), (2, 2)), ((2,), (3, 2, 2)),
+        ((3, 2), (1, 3, 2, 2)), ((2, 3, 2), (3, 2, 2, 2)),
+    ])
+    def test_leading_axes_must_match(self, mu_shape, sigma_shape):
+        mu = np.broadcast_to(self.GOOD_MU, mu_shape)
+        sigma = np.broadcast_to(self.GOOD_SIGMA, sigma_shape)
+        with pytest.raises(ValueError, match="stacks differ"):
+            kernel_params(mu, sigma)
+
+    @pytest.mark.parametrize("mu_shape, sigma_shape", [
+        ((3,), (2, 2)), ((2,), (2, 3)), ((4, 3), (4, 2, 2)), ((), (2, 2)),
+    ])
+    def test_kernel_axes_must_be_2_and_2x2(self, mu_shape, sigma_shape):
+        with pytest.raises(ValueError, match="must have shape"):
+            kernel_params(np.zeros(mu_shape), np.ones(sigma_shape))
+
+    def test_stack_equals_one_kernel_calls_bit_for_bit(self):
+        points, means, sigmas = random_kernel_cases(Rng(98).uniforms(7 * 500).reshape(-1, 7))
+        stack = kernel_params(means, sigmas)
+        singles = [kernel_params(m, s) for m, s in zip(means, sigmas)]
+        assert stack.constants.shape == (6, 500) and stack.norm_const.shape == (500,)
+        assert all(type(k.norm_const) is float for k in singles)
+        np.testing.assert_array_equal(stack.constants,
+                                      np.stack([k.constants for k in singles], axis=1))
+        np.testing.assert_array_equal(stack.norm_const, [k.norm_const for k in singles])
+        np.testing.assert_array_equal(stack.mu, means)
+        np.testing.assert_array_equal(stack.sigma, sigmas)
+        # Leading axes are kept: a (20, 25) stack is the same kernels.
+        grid = kernel_params(means.reshape(20, 25, 2), sigmas.reshape(20, 25, 2, 2))
+        assert grid.constants.tobytes() == stack.constants.reshape(6, 20, 25).tobytes()
+        for arr in (stack.mu, stack.sigma, stack.constants, stack.norm_const):
+            assert not arr.flags.writeable
+
+    def test_one_kernel_weights_equal_the_stacked_call_bit_for_bit(self):
+        # One point on one kernel takes scalar numpy arithmetic; the stack
+        # takes array loops.  Squares by multiplication make them agree.
+        points, means, sigmas = random_kernel_cases(Rng(99).uniforms(7 * 20_000).reshape(-1, 7))
+        stacked = gaussian_weight(points, kernel_params(means, sigmas))
+        singles = [gaussian_weight(p, kernel_params(m, s))
+                   for p, m, s in zip(points, means, sigmas)]
+        assert all(type(w) is float for w in singles[:10])
+        np.testing.assert_array_equal(stacked, singles)
+
+    def test_points_broadcast_against_one_kernel(self):
+        k = build_true_kernel(POLICY, 13)
+        pts = Rng(97).uniforms(2 * 24).reshape(4, 6, 2)
+        w = gaussian_weight(pts, k)
+        assert w.shape == (4, 6)
+        np.testing.assert_array_equal(w.ravel(), [gaussian_weight(p, k)
+                                                  for p in pts.reshape(-1, 2)])
+
+    def test_epoch_kernels_are_pinned(self):
+        # constants and norm_const of both kernels at epochs 0..60, as the
+        # one-kernel judge on Python floats built them before kernels stacked.
+        digest = hashlib.sha256()
+        for e in range(61):
+            for k in epoch_kernels(WeightPolicy(), e):
+                assert type(k.norm_const) is float and k.constants.shape == (6,)
+                digest.update(k.constants.tobytes())
+                digest.update(np.float64(k.norm_const).tobytes())
+        assert digest.hexdigest() == (
+            "f045e59f89dea280cc13a5be0908e218708bf709d5d7e6fbac862878a0b9a1ad")
 
 
 class TestNawWeight:
