@@ -352,9 +352,13 @@ def _failed(spec: CellSpec, exc: Exception) -> dict:
 
 
 def _save_cell(spec: CellSpec, record: RunRecord) -> dict:
-    """Save the cell's run record, then write the manifest that marks the
-    cell complete; return its status dict."""
+    """Remove the cell's old manifest, save the run record, then write the
+    manifest that marks the cell complete; return its status dict.  A
+    process killed between the record and the manifest so leaves a cell
+    that :func:`_is_complete` reruns, never an old manifest beside new
+    files."""
     try:
+        (Path(spec.run_dir) / "manifest.json").unlink(missing_ok=True)
         save_run_record(record, spec.run_dir)
         _write_json(Path(spec.run_dir) / "manifest.json", _manifest(spec))
     except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps

@@ -49,7 +49,7 @@ class BatchLoss:
     ``weight`` has one entry per sample.  ``grad`` stacks the gradients of
     the batch-mean total with respect to each view's logits (so they
     already carry the 1/n factor): (2, n, K) in mode ``nla``, (1, n, K)
-    otherwise, where the mirrored view's gradient is zero.  For a stack of
+    otherwise, whose loss does not read the mirrored view.  For a stack of
     R runs, the samples of each are (R, n) instead of (n,): components
     are (4, R, n), the weights (R, n) and the gradients (V, R, n, K), each
     run's the mean over its own n samples.
@@ -64,10 +64,6 @@ class BatchLoss:
     reg = property(lambda self: self.components[2])
     total = property(lambda self: self.components[3])
     grad_z = property(lambda self: self.grad[0])
-
-    @property
-    def grad_zf(self) -> np.ndarray:
-        return self.grad[1] if len(self.grad) > 1 else np.zeros_like(self.grad[0])
 
 
 def _as_logit_rows(logits, name: str) -> np.ndarray:

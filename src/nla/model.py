@@ -261,7 +261,9 @@ def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
     ``ModelParams`` whose ``flat`` is an (R, P) stack of perturbed copies
     of ``params.flat`` (see :func:`forward`).  Each copy moves one
     coordinate by +h or -h (h = ``_FD_STEP``), and a stack holds at most
-    ``_GRAD_STACK`` copies; ``params`` itself is never modified.
+    ``_GRAD_STACK`` copies; ``params`` itself is never modified.  The
+    stacks are rows of one buffer, tiled once and restored after each
+    call, so ``loss_fn`` must not keep the stack it is handed.
 
     Every coordinate is checked unless ``max_coords`` (at least 200 when
     sampling) limits the check to a random subset.  The reported error is
@@ -290,11 +292,14 @@ def gradient_check(params: ModelParams, grad: np.ndarray, loss_fn,
     coords = np.concatenate((index, index))
     values = np.concatenate((flat[index] + _FD_STEP, flat[index] - _FD_STEP))
     losses = np.empty(2 * m)
+    buffer = np.tile(flat, (min(2 * m, _GRAD_STACK), 1))
+    rows = np.arange(len(buffer))
     for lo in range(0, 2 * m, _GRAD_STACK):
         at = coords[lo:lo + _GRAD_STACK]
-        stack = np.tile(flat, (at.size, 1))
-        stack[np.arange(at.size), at] = values[lo:lo + at.size]
+        stack, row = buffer[:at.size], rows[:at.size]
+        stack[row, at] = values[lo:lo + at.size]
         loss = loss_fn(ModelParams(params.arch, stack, params.seed))
+        stack[row, at] = flat[at]
         if np.shape(loss) != (at.size,):
             raise ValueError("loss_fn must return one loss per stacked vector")
         losses[lo:lo + at.size] = loss

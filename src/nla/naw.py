@@ -124,6 +124,11 @@ class WeightPolicy:
     covariance eigenvalue ratio is the square of the stated value.  The
     fields are checked by building the horizon epoch's kernels, the most
     elongated the policy gives, so :func:`kernel_params` judges them.
+
+    Each instance keeps the kernel pairs that :func:`epoch_kernels` builds
+    for it, keyed by epoch, outside its fields: ``asdict``, ``==`` and
+    ``hash`` see only the fields, and a pickle or copy carries none of the
+    pairs.
     """
 
     mu_true: tuple[float, float] = (0.5, 0.5)
@@ -135,6 +140,9 @@ class WeightPolicy:
 
     def __post_init__(self) -> None:
         epoch_kernels(self, self.total_epochs)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_kernels"}
 
 
 def covariance_schedule(epoch: int, total_epochs: int) -> float:
@@ -196,10 +204,21 @@ def build_false_kernel(policy: WeightPolicy) -> KernelParams:
 def epoch_kernels(policy: WeightPolicy, epoch: int) -> tuple[KernelParams, KernelParams]:
     """The (true-branch, false-branch) kernel pair in force at ``epoch``.
 
-    Only the true-branch kernel depends on the epoch, so a trainer builds
-    the pair once per epoch and passes it to every batch.
+    Only the true-branch kernel depends on the epoch, so a trainer asks
+    for the pair once per epoch and passes it to every batch.  The pair is
+    a pure function of the policy's fields and the epoch: the first call
+    builds it and keeps it on ``policy``, and later calls with that epoch
+    return the same pair, whose arrays are read-only.  Equal policies do
+    not share pairs.
     """
-    return build_true_kernel(policy, epoch), build_false_kernel(policy)
+    memo = vars(policy).get("_kernels")
+    if memo is None:
+        memo = {}
+        object.__setattr__(policy, "_kernels", memo)
+    pair = memo.get(epoch)
+    if pair is None:
+        pair = memo[epoch] = build_true_kernel(policy, epoch), build_false_kernel(policy)
+    return pair
 
 
 def _density(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import mirror
 from .losses import batch_total, consistency_loss, cross_entropy, naw_ce_loss
-from .model import _FD_STEP, _GRAD_TOLERANCE, Arch, forward, gradient_check, init_params
+from .model import _FD_STEP, _GRAD_TOLERANCE, Arch, _dense_pass, gradient_check, init_params
 from .naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
                   covariance_schedule, epoch_kernels, gaussian_weight,
                   kernel_params, sigma_from_axis_ratio)
@@ -164,18 +164,20 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     :func:`nla.trainer.train_step` in mode ``nla``, which treats the
     adaptive weights as constants.  ``losses`` maps a stack of R parameter
     vectors to their R batch-mean losses, composed apart from that step:
-    logits-only forwards of both views, one :func:`nla.losses.batch_total`
-    over the stacked rows with the weights frozen at the step's values.
-    Non-finite logits give a NaN loss, without a floating-point warning.
+    one :func:`nla.model._dense_pass` over the (2, R, n, d) broadcast of
+    both views gives the (2, R, n, K) logits, and one
+    :func:`nla.losses.batch_total` scores them with the weights frozen at
+    the step's values.  Non-finite logits give a NaN loss, without a
+    floating-point warning.
     """
     kernels = epoch_kernels(policy, epoch)
-    step, grad = train_step(params, np.array((inputs, flipped)), labels, kernels,
-                            lam, "nla")
+    views = np.array((inputs, flipped))
+    step, grad = train_step(params, views, labels, kernels, lam, "nla")
 
     def losses(stack):
         shape = (len(stack.flat), *labels.shape)
-        logits = np.array([forward(stack, np.broadcast_to(x, (*shape, x.shape[-1])),
-                                   logits_only=True).logits for x in (inputs, flipped)])
+        x = np.broadcast_to(views[:, None], (2, *shape, views.shape[-1]))
+        logits, _ = _dense_pass(stack, x)
         with np.errstate(invalid="ignore", over="ignore"):
             loss = batch_total(logits, np.broadcast_to(labels, shape), kernels, lam,
                                mode="nla", frozen_weights=np.broadcast_to(step.weight, shape))

@@ -247,6 +247,40 @@ class TestTrain:
         assert main(args + ["--epochs", "4"]) == 0
         assert "skipped (already complete)" in capsys.readouterr().out
 
+    def test_run_killed_before_its_manifest_is_not_complete(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 3 epochs, then 5 killed after its data files but before its
+        # manifest, then 3 again: the old manifest must not vouch for the
+        # 5-epoch files, so the last request retrains.
+        path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"])
+        args = ["train", "--config", str(path), "--noise", "0.1", "--mode", "ce",
+                "--seed", "1", "--epochs"]
+        run_dir = tmp_path / "out" / "runs" / "n0.1_f1_ce_s1"
+
+        def rows():
+            return len((run_dir / "metrics.csv").read_text().strip().split("\n")) - 1
+
+        assert main(args + ["3"]) == 0
+        assert rows() == 3
+        real = nla.cli._write_json
+
+        def killed_at_manifest(target, value):
+            if Path(target).name == "manifest.json":
+                raise KeyboardInterrupt
+            real(target, value)
+
+        monkeypatch.setattr(nla.cli, "_write_json", killed_at_manifest)
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["5"])
+        monkeypatch.undo()
+        assert rows() == 5
+        assert not (run_dir / "manifest.json").exists()
+        capsys.readouterr()
+        assert main(args + ["3"]) == 0
+        assert "skipped" not in capsys.readouterr().out
+        assert rows() == 3
+        assert (run_dir / "manifest.json").exists()
+
     def test_cache_is_rebuilt_for_another_noise_rate(self, tmp_path, capsys):
         # 0.1 and 0.1000001 both format to cell n0.1_f1_ce_s2; the cache's
         # sidecar records the rate it was built for, so it is not reused.

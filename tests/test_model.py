@@ -7,11 +7,12 @@ import pytest
 
 import nla.cli
 import nla.model
+import nla.selfcheck
 import nla.trainer
 from nla.losses import batch_total
 from nla.data import mirror
-from nla.model import (Arch, ForwardTrace, ModelParams, _layer_views, backward,
-                       forward, gradient_check, init_params, load_checkpoint,
+from nla.model import (_FD_STEP, Arch, ForwardTrace, ModelParams, _layer_views,
+                       backward, forward, gradient_check, init_params, load_checkpoint,
                        save_checkpoint)
 from nla.naw import WeightPolicy, epoch_kernels
 from nla.numkit import Rng, softmax
@@ -258,7 +259,7 @@ class TestGradientCheck:
 
         def without_flipped_gradient(*args, **kwargs):
             loss = real(*args, **kwargs)
-            loss.grad_zf[:] = 0.0
+            loss.grad[1][:] = 0.0
             return loss
 
         assert check_gradient_fidelity(77, 5)[0]
@@ -267,16 +268,17 @@ class TestGradientCheck:
 
     def test_non_finite_stacked_logits_fail_the_check(self, monkeypatch, capsys):
         # A perturbed vector whose logits are not finite fails the check at
-        # its coordinate instead of raising out of nla check.
-        real = nla.model._dense_pass
+        # its coordinate instead of raising out of nla check.  The losses
+        # take the (V, R, n, K) logits of both views from one pass.
+        real = nla.selfcheck._dense_pass
 
         def inf_in_stacks(params, x, outs=None):
             logits, layer_inputs = real(params, x, outs)
-            if logits.ndim == 3:
-                logits[0, 0, 0] = np.inf
+            if logits.ndim == 4:
+                logits[0, 0, 0, 0] = np.inf
             return logits, layer_inputs
 
-        monkeypatch.setattr(nla.model, "_dense_pass", inf_in_stacks)
+        monkeypatch.setattr(nla.selfcheck, "_dense_pass", inf_in_stacks)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # nothing on stderr
             ok, detail = check_gradient_fidelity(77, 5)
@@ -376,6 +378,37 @@ class TestGradientCheck:
                 assert loss == total.mean()
                 rows += 1
         assert rows == 400
+
+    @pytest.mark.parametrize("size,coords", [(24, 200), (7, 200), (50, None)])
+    def test_each_stacked_row_moves_only_its_own_coordinate(self, monkeypatch,
+                                                            size, coords):
+        # The stacks are rows of one reused buffer: every row a loss_fn is
+        # handed differs from params.flat at its own coordinate only, by
+        # +h or -h, and params.flat is untouched afterwards.  (7 and 50
+        # leave a short last stack; with None every coordinate is checked.)
+        monkeypatch.setattr(nla.model, "_GRAD_STACK", size)
+        params = init_params(LINEAR if coords is None else MLP, Rng(36))
+        before = params.flat.copy()
+        seen = []
+
+        def recording(stack):
+            assert len(stack.flat) <= size
+            seen.append(stack.flat.copy())
+            return np.zeros(len(stack.flat))
+
+        result = gradient_check(params, np.zeros_like(params.flat), recording,
+                                max_coords=coords, rng=Rng(37))
+        assert params.flat.tobytes() == before.tobytes()
+        moved = []
+        for stack in seen:
+            for row in stack:
+                (at,) = np.flatnonzero(row != before)
+                assert row[at] in (before[at] + _FD_STEP, before[at] - _FD_STEP)
+                moved.append((int(at), bool(row[at] > before[at])))
+        m = result.n_checked
+        assert len(moved) == 2 * m
+        assert [up for _, up in moved] == [True] * m + [False] * m
+        assert [at for at, _ in moved[:m]] == [at for at, _ in moved[m:]]
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_stack_size_does_not_change_the_result(self, monkeypatch, linear):

@@ -1,7 +1,9 @@
 """Adaptive weighting kernels: score extraction, scheduling, shapes."""
 
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from nla.naw import (ALONG_Y_EQ_NEG_X, ALONG_Y_EQ_X, WeightPolicy,
 from nla.numkit import Rng, softmax
 from nla.selfcheck import (brute_force_gaussian, check_kernel_oracle,
                            random_kernel_cases)
+from nla.trainer import TrainConfig
 
 POLICY = WeightPolicy(total_epochs=60)
 
@@ -512,3 +515,65 @@ class TestWeightPolicyValidation:
                        {"mu_false": (np.nan, 0.1)}, {"sigma_diag": 1e-7}):
             with pytest.raises(ValueError):
                 WeightPolicy(**fields)
+
+
+def kernel_bytes(kernel) -> bytes:
+    return (kernel.mu.tobytes() + kernel.sigma.tobytes() + kernel.constants.tobytes()
+            + np.float64(kernel.norm_const).tobytes())
+
+
+class TestEpochKernelsMemo:
+    def test_repeated_call_returns_the_built_pair(self):
+        policy = WeightPolicy(total_epochs=60)
+        for epoch in (0, 17, 60):
+            pair = epoch_kernels(policy, epoch)
+            assert epoch_kernels(policy, epoch) is pair
+            assert kernel_bytes(pair[0]) == kernel_bytes(build_true_kernel(policy, epoch))
+            assert kernel_bytes(pair[1]) == kernel_bytes(build_false_kernel(policy))
+            for kernel in pair:
+                for arr in (kernel.mu, kernel.sigma, kernel.constants):
+                    assert not arr.flags.writeable
+
+    def test_each_new_pair_is_built_once(self, monkeypatch):
+        built = []
+        real = naw.kernel_params
+
+        def counting(mu, sigma):
+            built.append(1)
+            return real(mu, sigma)
+
+        policy = WeightPolicy(total_epochs=10)  # builds epoch 10's pair
+        monkeypatch.setattr(naw, "kernel_params", counting)
+        for _ in range(3):
+            for epoch in range(11):
+                epoch_kernels(policy, epoch)
+        assert len(built) == 2 * 10
+
+    def test_equal_policies_do_not_share_pairs(self):
+        a, b = WeightPolicy(sigma_diag=0.7), WeightPolicy(sigma_diag=0.7)
+        assert a == b and hash(a) == hash(b)
+        assert epoch_kernels(a, 5) is not epoch_kernels(b, 5)
+        other = WeightPolicy(sigma_diag=0.9)
+        assert (kernel_bytes(epoch_kernels(other, 5)[0])
+                != kernel_bytes(epoch_kernels(a, 5)[0]))
+
+    def test_fields_equality_hash_pickle_and_dict_ignore_the_pairs(self):
+        used, fresh = WeightPolicy(axis_ratio_true=3.0), WeightPolicy(axis_ratio_true=3.0)
+        for epoch in range(61):
+            epoch_kernels(used, epoch)
+        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used
+        assert kernel_bytes(epoch_kernels(back, 30)[0]) == kernel_bytes(
+            epoch_kernels(used, 30)[0])
+        assert (TrainConfig(policy=used).to_dict()
+                == TrainConfig(policy=fresh).to_dict())
+
+    def test_list_means_are_accepted(self):
+        policy = WeightPolicy(mu_true=[0.4, 0.6], mu_false=[0.3, 0.1])
+        pair = epoch_kernels(policy, 12)
+        assert epoch_kernels(policy, 12) is pair
+        assert kernel_bytes(pair[0]) == kernel_bytes(build_true_kernel(policy, 12))
+        assert pair[1].mu.tolist() == [0.3, 0.1]

@@ -394,7 +394,7 @@ def reference_run(config, train):
                                kernels, config.lam, mode=config.mode)
             grad = backward(params, traces[0], loss.grad_z)
             if config.mode == "nla":
-                grad += backward(params, traces[1], loss.grad_zf)
+                grad += backward(params, traces[1], loss.grad[1])
             adam_step(params, grad, state, config.lr0 * config.lr_gamma ** epoch, config)
             sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(), loss.total.sum()]
         epoch_sums.append(sums / train.n)
