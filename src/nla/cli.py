@@ -39,7 +39,8 @@ from .data import (MIN_IMBALANCE, NOISE_RATES, STANDARD_DIM, STANDARD_K,
 from .losses import MODES
 from .numkit import Rng, derive_seed
 from .trainer import (RunRecord, TrainConfig, TrainingDiverged, atomic_write_text,
-                      load_run_metrics, run_group, run_training, save_run_record)
+                      load_final_metrics, load_run_metrics, run_group, run_training,
+                      save_run_record)
 
 __all__ = ["main", "load_config", "cell_id", "dataset_id", "DEFAULT_CONFIG"]
 
@@ -536,7 +537,7 @@ def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> Non
         if spec.id not in ok:
             continue
         key = (spec.noise, spec.imbalance, spec.mode)
-        by_group.setdefault(key, []).append(load_run_metrics(spec.run_dir)[-1])
+        by_group.setdefault(key, []).append(load_final_metrics(spec.run_dir))
 
     rows = {}  # (noise, imbalance, mode) -> summary row, in sorted key order
     for (noise, imbalance, mode), finals in sorted(by_group.items()):

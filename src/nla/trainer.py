@@ -16,7 +16,9 @@ Runs that differ only in their seed and data train together:
 :func:`run_group` stacks R runs' parameter vectors and Adam moments as
 (R, P) arrays, so a step's inputs carry a run axis after the views axis,
 (V, R, n, d) with (R, n) labels, and one step and one Adam update serve
-every run.  Each run's values are those of its solo run, which is the
+every run.  Its splits are held as :class:`SplitStack` arrays, and each
+epoch's weight statistics and evaluation are one whole-split pass over
+the stack.  Each run's values are those of its solo run, which is the
 R = 1 group (:func:`run_training`).  A stack is all or nothing: the first
 run to fail ends the group with that run's error.  A caller that needs
 each run's own outcome reruns the runs alone, as ``nla sweep`` does, so a
@@ -27,6 +29,7 @@ run per member.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import numbers
 from dataclasses import dataclass
@@ -47,6 +50,7 @@ __all__ = [
     "EpochMetrics",
     "RunRecord",
     "EvalResult",
+    "SplitStack",
     "TrainingDiverged",
     "AdamState",
     "adam_step",
@@ -59,6 +63,7 @@ __all__ = [
     "metrics_csv_text",
     "save_run_record",
     "load_run_metrics",
+    "load_final_metrics",
     "atomic_write_text",
 ]
 
@@ -159,8 +164,11 @@ class EpochMetrics:
 
 @dataclass
 class EvalResult:
-    overall: float
-    mean: float
+    """Test accuracies of one run, or of each run of a stack on a leading
+    run axis (see :func:`evaluate`)."""
+
+    overall: float | np.ndarray
+    mean: float | np.ndarray
     per_class: np.ndarray
     confusion: np.ndarray
 
@@ -218,64 +226,129 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
     p -= np.multiply(lr, a, out=a)
 
 
-def _check_covers_classes(test: Dataset) -> None:
-    if test.n == 0 or np.any(test.class_counts == 0):
+class SplitStack:
+    """One split per run of an (R, P) parameter stack, held as arrays with a
+    leading run axis: (R, n, d) float64 ``inputs`` and (R, n) ``labels``.
+
+    A single :class:`Dataset` is the stack of one run, without the run axis,
+    and shares its arrays; a list of R splits is stacked once.  The splits
+    must share their row count, dim and class count, and their labels must
+    be integers in [0, n_classes), else ValueError.  ``class_counts`` holds
+    the ([R,] K) rows of each class in each split.  ``class_order``, the
+    order of the weight statistics' sort, is built at its first use and
+    kept, since the labels do not change.
+    """
+
+    def __init__(self, splits: Dataset | list[Dataset]) -> None:
+        if isinstance(splits, Dataset):
+            first = splits
+            self.inputs = np.asarray(first.inputs, dtype=np.float64)
+            self.labels = first.labels
+        else:
+            first = splits[0]
+            shape = first.n, first.dim, first.n_classes
+            if any((ds.n, ds.dim, ds.n_classes) != shape for ds in splits):
+                raise ValueError(f"the {first.split} splits of a stack must share "
+                                 "their row count, dim and class count")
+            self.inputs = np.stack([ds.inputs for ds in splits], dtype=np.float64)
+            self.labels = np.stack([ds.labels for ds in splits])
+        self.n_classes = k = first.n_classes
+        _check_labels(self.labels.ravel(), k, f"{first.split} labels")
+        runs = self.labels.shape[:-1]
+        bins = int(np.prod(runs)) * k
+        # The (run, class) bin of each row, flat: its label plus K times its run.
+        self._bins = (self.labels + np.arange(0, bins, k).reshape(*runs, 1)).ravel()
+        self.class_counts = np.bincount(self._bins, minlength=bins).reshape(*runs, k)
+
+    @functools.cached_property
+    def class_order(self) -> np.ndarray:
+        """The flat rows of the stack by run, by class within a run, and in
+        split order within a class: one stable sort of the bins, as the
+        smallest unsigned type that holds them, which numpy radix-sorts for
+        8- and 16-bit keys where it timsorts int64 ones."""
+        keys = self._bins.astype(np.min_scalar_type(self.class_counts.size - 1))
+        return np.argsort(keys, kind="stable")
+
+
+def _as_stack(splits: Dataset | SplitStack) -> SplitStack:
+    return splits if isinstance(splits, SplitStack) else SplitStack(splits)
+
+
+def _check_covers_classes(counts: np.ndarray) -> None:
+    """Raise ValueError unless the ([R,] K) class counts of test splits
+    are all positive."""
+    if counts.size == 0 or not counts.all():
         raise ValueError("test split must contain every class")
 
 
-def _split_logits(params: ModelParams, ds: Dataset) -> np.ndarray:
-    """Logits of a whole split from one logits-only forward; raises
-    FloatingPointError when they are not finite."""
-    logits = forward(params, ds.inputs, logits_only=True).logits
+def _split_logits(params: ModelParams, splits: SplitStack) -> np.ndarray:
+    """([R,] n, K) logits of whole splits from one logits-only forward;
+    raises FloatingPointError when they are not finite."""
+    logits = forward(params, splits.inputs, logits_only=True).logits
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
     return logits
 
 
-def evaluate(params: ModelParams, test: Dataset) -> EvalResult:
-    """Accuracy on the original view only.  Raises FloatingPointError when
-    the logits are not finite, as finite inputs that overflow the model
-    give."""
-    _check_covers_classes(test)
-    preds = _split_logits(params, test).argmax(axis=1)
+def evaluate(params: ModelParams, test: Dataset | SplitStack) -> EvalResult:
+    """Accuracy on the original view only.
+
+    With an (R, P) stack of parameters ``test`` is a :class:`SplitStack`
+    of one split per run, and every field of the result has a leading run
+    axis: (R,) ``overall`` and ``mean``, (R, K) ``per_class`` and
+    (R, K, K) ``confusion``, each run's equal to its solo call's.  One
+    forward, one argmax and one bincount serve the stack.  Raises
+    FloatingPointError when the logits are not finite, as finite inputs
+    that overflow the model give.
+    """
+    test = _as_stack(test)
+    counts = test.class_counts
+    _check_covers_classes(counts)
+    preds = _split_logits(params, test).argmax(axis=-1)
     k = test.n_classes
-    confusion = np.bincount(test.labels * k + preds, minlength=k * k).reshape(k, k)
-    per_class = np.diag(confusion) / confusion.sum(axis=1)
-    return EvalResult(overall=float(np.trace(confusion) / test.n),
-                      mean=float(per_class.mean()),
-                      per_class=per_class,
-                      confusion=confusion)
+    confusion = np.bincount(test._bins * k + preds.ravel(),
+                            minlength=counts.size * k).reshape(*counts.shape, k)
+    per_class = np.diagonal(confusion, axis1=-2, axis2=-1) / counts
+    overall = np.trace(confusion, axis1=-2, axis2=-1) / preds.shape[-1]
+    return EvalResult(overall=overall[()], mean=per_class.mean(axis=-1)[()],
+                      per_class=per_class, confusion=confusion)
 
 
-def collect_weight_stats(params: ModelParams, train: Dataset,
+def collect_weight_stats(params: ModelParams, train: Dataset | SplitStack,
                          kernels: tuple[KernelParams, KernelParams]) -> np.ndarray:
-    """Per-class quartiles (q1, median, q3) of the adaptive weights.
+    """Per-class quartiles (q1, median, q3) of the adaptive weights, (K, 3).
 
     Weights are computed for every training sample under the given
     (true, false) kernel pair of one epoch (see :func:`nla.naw.epoch_kernels`).
-    Classes absent from the split get NaN rows.  Raises FloatingPointError
-    when the logits are not finite.
+    Classes absent from the split get NaN rows.  With an (R, P) stack of
+    parameters ``train`` is a :class:`SplitStack` of one split per run and
+    the result is (R, K, 3), each run's equal to its solo call's: one
+    forward, one softmax and one :func:`nla.naw.naw_weights` call score
+    every run's rows.  Raises FloatingPointError when the logits are not
+    finite.
     """
+    train = _as_stack(train)
     probs = _softmax_lse(_split_logits(params, train))[0]
-    weights = naw_weights(probs, train.labels, kernels)
-    return _class_quartiles(weights, train.labels, train.n_classes)
+    weights = naw_weights(probs.reshape(-1, probs.shape[-1]), train.labels.reshape(-1),
+                          kernels)
+    return _class_quartiles(weights, train.class_order, train.class_counts)
 
 
-def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """``np.percentile(values[labels == k], [25, 50, 75])`` for every class
-    k, bit for bit, from one stable sort by label and then by value within
-    each class; NaN rows for absent classes.  The labels are sorted as the
-    smallest unsigned type that holds n_classes - 1: the order is the same,
-    and numpy radix-sorts 8- and 16-bit keys where it timsorts int64 ones."""
-    counts = np.bincount(labels, minlength=n_classes)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    keys = labels.astype(np.min_scalar_type(n_classes - 1))
-    ranked = values[np.argsort(keys, kind="stable")]
+def _class_quartiles(values: np.ndarray, order: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.percentile`` at 25, 50 and 75 of each group of ``values``, bit
+    for bit, in an array of shape ``counts.shape + (3,)``; NaN rows for
+    empty groups.  ``order`` lists the indices of ``values`` group by
+    group, and ``counts`` holds the size of each group in that order (a
+    :class:`SplitStack`'s ``class_order`` and ``class_counts``): the
+    values are gathered in that order, and each group's are sorted."""
+    sizes = counts.ravel()
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    ranked = values[order]
     for a, b in zip(starts.tolist(), ends.tolist()):
         ranked[a:b].sort(kind="stable")
-    present = counts > 0
-    n = counts[present][:, None]
+    present = sizes > 0
+    n = sizes[present][:, None]
     start = starts[present][:, None]
     # numpy's "linear" method: rank (n - 1) q, then its lerp between the
     # neighbouring order statistics, taken from the upper one when the
@@ -289,9 +362,9 @@ def _class_quartiles(values: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     diff = hi - lo
     quartiles = lo + diff * frac
     np.subtract(hi, diff * (1 - frac), out=quartiles, where=frac >= 0.5)
-    out = np.full((n_classes, 3), np.nan)
+    out = np.full((sizes.size, 3), np.nan)
     out[present] = quartiles
-    return out
+    return out.reshape(*counts.shape, 3)
 
 
 class StepBuffers:
@@ -365,7 +438,7 @@ def _check_splits(train: Dataset, test: Dataset) -> None:
     for ds in (train, test):
         _check_labels(ds.labels, ds.n_classes, f"{ds.split} labels")
         _as_finite_array(ds.inputs, f"{ds.split} inputs")
-    _check_covers_classes(test)
+    _check_covers_classes(test.class_counts)
 
 
 def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecord:
@@ -394,8 +467,13 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
     and one :func:`adam_step` update per batch, with the values of its
     solo steps (a group of one has no run axis).  Only mode ``nla`` has a
     second view, :func:`nla.data.mirror` of the train rows (by the split's
-    ``image_shape`` when it has one).  The weight statistics and the
-    evaluation take one run at a time.
+    ``image_shape`` when it has one).  The train splits are held as one
+    :class:`SplitStack`, whose rows each epoch's shuffles gather, and the
+    test splits as another, so the test splits must share one row count,
+    else ValueError, raised after every run's own split checks.  Each
+    epoch's weight statistics and evaluation are one
+    :func:`collect_weight_stats` and one :func:`evaluate` call on the
+    whole stack.
 
     A stack is all or nothing.  Every run's splits are checked before the
     first step, and the earliest error that a run's :func:`run_training`
@@ -413,32 +491,34 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
             raise ValueError("the runs of a group must share a TrainConfig apart "
                              "from seed and train splits of one shape")
         _check_splits(train, test)
+    # A group of one run steps without the run axis, on the arrays of a
+    # solo step: numpy spends more per call on a stack of one.  ``at(r)``
+    # indexes run r on the run axis, and is empty without one.
+    lead = (len(runs),) if len(runs) > 1 else ()
+    at = (lambda r: (r,)) if lead else (lambda r: ())
+    trains = SplitStack([train for _, train, _ in runs] if lead else runs[0][1])
+    tests = SplitStack([test for _, _, test in runs] if lead else runs[0][2])
     arch = Arch(input_dim=dim,
                 hidden_dim=config.hidden_dim if config.arch == "mlp" else 0,
                 n_classes=k)
     rngs = [Rng(cfg.seed) for cfg, _, _ in runs]
     inits = [init_params(arch, rng.split(0)) for rng in rngs]
     shuffles = [rng.split(1) for rng in rngs]
-    # A group of one run steps without the run axis, on the arrays of a
-    # solo step: numpy spends more per call on a stack of one.  ``at(r)``
-    # indexes run r on the run axis, and is empty without one.
-    lead = (len(runs),) if len(runs) > 1 else ()
-    at = (lambda r: (r,)) if lead else (lambda r: ())
     params = ModelParams(arch, np.stack([p.flat for p in inits]).reshape(*lead, -1))
     state = AdamState.zeros_like(params)
-    views = []
-    for _, train, _ in runs:
-        views.append([np.asarray(train.inputs, dtype=np.float64)])
-        if _VIEWS[config.mode] == 2:
-            views[-1].append(mirror(views[-1][0], train.meta.get("image_shape")))
+    views = [trains.inputs]
+    if _VIEWS[config.mode] == 2:
+        views.append(np.empty_like(trains.inputs))
+        for r, (_, train, _) in enumerate(runs):
+            views[1][at(r)] = mirror(trains.inputs[at(r)], train.meta.get("image_shape"))
     size = config.batch_size
     # Each epoch gathers every run's views in shuffled order into one
     # (V, R, N, d) array, so that each batch is a slice of it with the
     # step buffers of its size: one set for the full batch and one for the
     # trailing one.
-    inputs = np.empty((len(views[0]), *lead, n, dim))
+    inputs = np.empty((len(views), *lead, n, dim))
     labels = np.empty((*lead, n), dtype=np.intp)
-    sets = {rows: StepBuffers(params, len(views[0]), rows)
+    sets = {rows: StepBuffers(params, len(views), rows)
             for rows in {min(size, n), n % size or size}}
     batches = [(inputs[..., start:start + size, :], labels[..., start:start + size],
                 sets[min(size, n - start)]) for start in range(0, n, size)]
@@ -447,11 +527,11 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
     for epoch in range(config.epochs):
         lr = config.lr0 * config.lr_gamma ** epoch
         kernels = epoch_kernels(config.policy, epoch)
-        for r, (run_views, shuffle, (_, train, _)) in enumerate(zip(views, shuffles, runs)):
+        for r, shuffle in enumerate(shuffles):
             perm = shuffle.permutation(n)
-            for view, out in zip(run_views, inputs[(slice(None), *at(r))]):
-                np.take(view, perm, axis=0, out=out)
-            labels[at(r)] = train.labels[perm]
+            for view, out in zip(views, inputs[(slice(None), *at(r))]):
+                np.take(view[at(r)], perm, axis=0, out=out)
+            labels[at(r)] = trains.labels[at(r)][perm]
         sums = np.zeros((4, *lead))  # ce, naw_ce, reg, total per run
         try:
             for batch_index, (batch, batch_labels, buffers) in enumerate(batches):
@@ -461,24 +541,22 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
                 last = epoch, batch_index
                 sums += loss.components.sum(axis=-1)
             # Only the weight statistics see the epoch's last update.
-            quartiles = [collect_weight_stats(ModelParams(arch, params.flat[at(r)]),
-                                              train, kernels)
-                         for r, (_, train, _) in enumerate(runs)]
+            quartiles = collect_weight_stats(params, trains, kernels)
         except FloatingPointError as exc:
             # Non-finite logits or loss: an input error before the first
             # update, else a divergence at the last update taken.
             if last is None:
                 raise ValueError(f"{exc} before the first update") from None
             raise TrainingDiverged(*last) from None
-        for r, (_, _, test) in enumerate(runs):
-            ev = evaluate(ModelParams(arch, params.flat[at(r)]), test)
+        ev = evaluate(params, tests)
+        for r, run_metrics in enumerate(metrics):
             run_sums = sums[(slice(None), *at(r))]
-            metrics[r].append(EpochMetrics(
+            run_metrics.append(EpochMetrics(
                 epoch=epoch, lr=lr,
                 loss_ce=float(run_sums[0] / n), loss_naw_ce=float(run_sums[1] / n),
                 loss_reg=float(run_sums[2] / n), loss_total=float(run_sums[3] / n),
-                test_overall=ev.overall, test_mean=ev.mean,
-                per_class_acc=ev.per_class, weight_quartiles=quartiles[r]))
+                test_overall=float(ev.overall[at(r)]), test_mean=float(ev.mean[at(r)]),
+                per_class_acc=ev.per_class[at(r)], weight_quartiles=quartiles[at(r)]))
     return [RunRecord(config=cfg, metrics=run_metrics,
                       params=ModelParams(arch, params.flat[at(r)], init.seed))
             for r, ((cfg, _, _), run_metrics, init)
@@ -533,23 +611,34 @@ def save_run_record(record: RunRecord, out_dir) -> None:
     atomic_write_text(out_dir / "metrics.csv", metrics_csv_text(record))
 
 
+def _metrics_row(header: list[str], line: str) -> EpochMetrics:
+    """One row of a metrics.csv under its ``header`` columns."""
+    row = dict(zip(header, line.split(",")))
+    k = sum(1 for name in header if name.startswith("acc_c"))
+    per_class = np.array([float(row[f"acc_c{i}"]) for i in range(k)])
+    quart = np.array([[float(row[f"w{i}_q1"]), float(row[f"w{i}_med"]),
+                       float(row[f"w{i}_q3"])] for i in range(k)])
+    return EpochMetrics(
+        epoch=int(row["epoch"]), lr=float(row["lr"]),
+        loss_ce=float(row["loss_ce"]), loss_naw_ce=float(row["loss_naw_ce"]),
+        loss_reg=float(row["loss_reg"]), loss_total=float(row["loss_total"]),
+        test_overall=float(row["test_overall"]),
+        test_mean=float(row["test_mean"]),
+        per_class_acc=per_class, weight_quartiles=quart)
+
+
+def _metrics_lines(run_dir) -> list[str]:
+    return (Path(run_dir) / "metrics.csv").read_text(encoding="utf-8").strip().split("\n")
+
+
 def load_run_metrics(run_dir) -> list[EpochMetrics]:
     """Read back the epoch metrics of a persisted run."""
-    lines = (Path(run_dir) / "metrics.csv").read_text(encoding="utf-8").strip().split("\n")
-    header = lines[0].split(",")
-    k = sum(1 for name in header if name.startswith("acc_c"))
-    metrics = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        row = dict(zip(header, vals))
-        per_class = np.array([float(row[f"acc_c{i}"]) for i in range(k)])
-        quart = np.array([[float(row[f"w{i}_q1"]), float(row[f"w{i}_med"]),
-                           float(row[f"w{i}_q3"])] for i in range(k)])
-        metrics.append(EpochMetrics(
-            epoch=int(row["epoch"]), lr=float(row["lr"]),
-            loss_ce=float(row["loss_ce"]), loss_naw_ce=float(row["loss_naw_ce"]),
-            loss_reg=float(row["loss_reg"]), loss_total=float(row["loss_total"]),
-            test_overall=float(row["test_overall"]),
-            test_mean=float(row["test_mean"]),
-            per_class_acc=per_class, weight_quartiles=quart))
-    return metrics
+    header, *lines = _metrics_lines(run_dir)
+    return [_metrics_row(header.split(","), line) for line in lines]
+
+
+def load_final_metrics(run_dir) -> EpochMetrics:
+    """Read back the last epoch's metrics of a persisted run, parsing only
+    that row."""
+    lines = _metrics_lines(run_dir)
+    return _metrics_row(lines[0].split(","), lines[-1])

@@ -452,6 +452,74 @@ class TestSweep:
         assert len(files_a) == 4 * 3 + 2 + 3  # cells x 3, summaries, caches
         assert deterministic_files(tmp_path / "b" / "out") == files_a
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier"])
+    def test_kill_at_any_replace_then_resume_gives_a_clean_sweeps_bytes(
+            self, tmp_path, monkeypatch, earlier):
+        # Every file a sweep writes is committed by one os.replace, so a
+        # kill can land before or after each of them.  The kill is a
+        # BaseException from the k-th call, which no per-cell handler
+        # catches (as KeyboardInterrupt in the test above), for every k.  The killed sweep asks
+        # for 3 epochs, in a fresh directory or over a complete 2-epoch
+        # sweep, and is resumed with that earlier request when there is
+        # one, else with its own.  A cell whose manifest is the resumed
+        # request's is one the resume skips, so its files must already be
+        # that request's; after the resume every file must be.
+        def sweep(root, epochs):
+            path, _ = write_config(root, modes=["ce", "nla"], seeds=[1],
+                                   train={"epochs": epochs, "hidden_dim": 8, "lr0": 1e-3})
+            return main(["sweep", "--config", str(path), "--workers", "1"])
+
+        def files(out):
+            return {str(p.relative_to(out)): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        def start(root):
+            if earlier:
+                assert sweep(root, 2) == 0
+            calls.clear()
+
+        class Killed(BaseException):
+            pass
+
+        real, calls, kill_at = os.replace, [], None
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == kill_at:
+                raise Killed
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        clean = {}
+        for epochs in (2, 3):
+            assert sweep(tmp_path / f"clean{epochs}", epochs) == 0
+            clean[epochs] = files(tmp_path / f"clean{epochs}" / "out")
+        start(tmp_path / "count")
+        assert sweep(tmp_path / "count", 3) == 0
+        assert files(tmp_path / "count" / "out") == clean[3]
+        # Two cells' checkpoint, metrics and manifest and two summaries,
+        # after two train and two test cache files when fresh.
+        assert len(calls) == 3 * 2 + 2 + (0 if earlier else 2 * 2)
+        resumed = 2 if earlier else 3
+        expected = clean[resumed]
+        for k in range(1, len(calls) + 1):
+            root = tmp_path / f"kill{k}"
+            start(root)
+            kill_at = k
+            with pytest.raises(Killed):
+                sweep(root, 3)
+            kill_at = None
+            killed = files(root / "out")
+            assert set(killed) <= set(expected), k
+            for name, data in killed.items():
+                if name.endswith("manifest.json") and data == expected[name]:
+                    run = Path(name).parent
+                    for other in expected:
+                        if Path(other).parent == run:
+                            assert killed[other] == expected[other], (k, other)
+            assert sweep(root, resumed) == 0
+            assert files(root / "out") == expected, k
+
     def test_changed_dataset_reruns_every_cell(self, tmp_path):
         # A complete run is reused only on the dataset caches it was
         # trained on: after a changed dataset section the directory must

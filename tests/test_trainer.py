@@ -14,9 +14,9 @@ from nla.model import (Arch, ModelParams, backward, forward, init_params,
                        load_checkpoint)
 from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
-from nla.trainer import (AdamState, TrainConfig, TrainingDiverged,
+from nla.trainer import (AdamState, SplitStack, TrainConfig, TrainingDiverged,
                          adam_step, collect_weight_stats, evaluate,
-                         load_run_metrics, metrics_csv_text, run_group,
+                         load_final_metrics, load_run_metrics, metrics_csv_text, run_group,
                          run_training, save_run_record)
 
 
@@ -173,26 +173,40 @@ class TestWeightStats:
 
 
 class TestClassQuartiles:
-    """The one-sort quartiles equal numpy's per-class percentiles."""
+    """The quartiles from a split stack's once-built class order equal
+    numpy's per-class percentiles of each run."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equal_per_class_percentile(self, seed):
         rng = Rng(seed)
+        for runs in (1, 3):
+            self.check_runs(rng, runs, seed % 2)
+
+    @staticmethod
+    def check_runs(rng, runs, tied):
         # Absent classes, 1, 2 and 3 samples, and larger classes, in random
         # label order; half the cases draw from 4 values, so ties are common.
         sizes = [0, 1, 2, 3, 4, 7, 40]
-        order = rng.permutation(len(sizes))
-        labels = np.concatenate([np.full(sizes[i], k) for k, i in enumerate(order)])
-        labels = labels[rng.permutation(labels.size)]
-        if seed % 2:
-            values = np.array([0.05 * rng.below(4) for _ in range(labels.size)])
-        else:
-            values = rng.normals(labels.size, scale=0.3) ** 2
-        got = nla.trainer._class_quartiles(values, labels, 8)
-        for k in range(8):
-            expected = (np.percentile(values[labels == k], [25.0, 50.0, 75.0])
-                        if (labels == k).any() else np.full(3, np.nan))
-            assert got[k].tobytes() == np.asarray(expected).tobytes(), k
+        splits, values = [], []
+        for _ in range(runs):
+            order = rng.permutation(len(sizes))
+            labels = np.concatenate([np.full(sizes[i], k) for k, i in enumerate(order)])
+            labels = labels[rng.permutation(labels.size)]
+            splits.append(Dataset(inputs=np.zeros((labels.size, 1)), labels=labels,
+                                  n_classes=8, split="train"))
+            if tied:
+                values.append(np.array([0.05 * rng.below(4) for _ in range(labels.size)]))
+            else:
+                values.append(rng.normals(labels.size, scale=0.3) ** 2)
+        stack = SplitStack(splits if runs > 1 else splits[0])
+        got = nla.trainer._class_quartiles(np.concatenate(values), stack.class_order,
+                                           stack.class_counts).reshape(runs, 8, 3)
+        for r, (split, run_values) in enumerate(zip(splits, values)):
+            for k in range(8):
+                rows = split.labels == k
+                expected = (np.percentile(run_values[rows], [25.0, 50.0, 75.0])
+                            if rows.any() else np.full(3, np.nan))
+                assert got[r, k].tobytes() == np.asarray(expected).tobytes(), (r, k)
 
 
 def split_of(ds, n, split):
@@ -253,6 +267,53 @@ class TestChunkedPasses:
         np.testing.assert_array_equal(result.per_class, per_class)
         assert result.overall == float(np.trace(confusion) / n)
         assert result.mean == float(per_class.mean())
+
+
+def rows_of(ds, n, seed, lacking=None):
+    """n rows of ``ds`` in an order drawn from ``seed``, none of class
+    ``lacking``."""
+    keep = np.flatnonzero(ds.labels != lacking) if lacking is not None else np.arange(ds.n)
+    rows = keep[Rng(seed).permutation(keep.size)[:n]]
+    return Dataset(inputs=ds.inputs[rows], labels=ds.labels[rows],
+                   n_classes=ds.n_classes, split=ds.split)
+
+
+class TestStackedPasses:
+    """The whole-split passes over a stack of R runs, each with its own
+    parameters and splits, give each run the bits of its solo call, on
+    both sides of forward's chunk edge; the last run's train split lacks
+    class 3."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        train, test = standard_instance(3)
+        return train, test, epoch_kernels(WeightPolicy(total_epochs=60), 30)
+
+    @pytest.mark.parametrize("n", [511, 512, 513])
+    @pytest.mark.parametrize("runs", [1, 2, 5])
+    def test_each_run_gets_its_solo_bits(self, setting, runs, n):
+        base_train, base_test, kernels = setting
+        solo = [init_params(Arch(8, 64, 7), Rng(20 + r)) for r in range(runs)]
+        params = ModelParams(solo[0].arch, np.stack([p.flat for p in solo]))
+        trains = [rows_of(base_train, n, 30 + r, lacking=3 if r == runs - 1 else None)
+                  for r in range(runs)]
+        tests = [rows_of(base_test, n, 40 + r) for r in range(runs)]
+        stats = collect_weight_stats(params, SplitStack(trains), kernels)
+        result = evaluate(params, SplitStack(tests))
+        assert stats.shape == (runs, 7, 3)
+        for r in range(runs):
+            expected = collect_weight_stats(solo[r], trains[r], kernels)
+            assert stats[r].tobytes() == expected.tobytes(), r
+            assert np.isnan(expected[3]).all() == (r == runs - 1)
+            one = evaluate(solo[r], tests[r])
+            assert result.confusion[r].tobytes() == one.confusion.tobytes(), r
+            assert result.per_class[r].tobytes() == one.per_class.tobytes(), r
+            assert (result.overall[r], result.mean[r]) == (one.overall, one.mean), r
+
+    def test_splits_of_a_stack_share_their_shape(self, setting):
+        base_train, _, _ = setting
+        with pytest.raises(ValueError, match="train splits of a stack must share"):
+            SplitStack([rows_of(base_train, 40, 1), rows_of(base_train, 41, 2)])
 
 
 class TestRunTraining:
@@ -522,6 +583,13 @@ class TestRunGroup:
         assert solo == (ValueError, "test split must contain every class")
         assert outcome_of(lambda: run_group(runs)) == solo
 
+    def test_test_splits_must_share_a_row_count(self, no_steps):
+        train, test = tiny_data()
+        other = tiny_data(n_test=31)[1]
+        runs = [(tiny_config(seed=11), train, test), (tiny_config(seed=12), train, other)]
+        with pytest.raises(ValueError, match="test splits of a stack must share"):
+            run_group(runs)
+
     def test_label_dtypes_may_differ(self, tmp_path):
         train, test = tiny_data()
         narrow = Dataset(inputs=train.inputs, labels=train.labels.astype(np.uint8),
@@ -644,6 +712,9 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.per_class_acc, orig.per_class_acc)
             np.testing.assert_array_equal(loaded.weight_quartiles,
                                           orig.weight_quartiles)
+        final = load_final_metrics(tmp_path / "run")
+        assert (final.epoch, final.test_overall) == (metrics[-1].epoch, metrics[-1].test_overall)
+        np.testing.assert_array_equal(final.weight_quartiles, metrics[-1].weight_quartiles)
         params = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         for a, b in zip(params.weights, record.params.weights):
             np.testing.assert_array_equal(a, b)
