@@ -616,7 +616,8 @@ def _print_pivot(rows: dict[tuple, dict]) -> None:
 def cmd_plotdata(cfg: dict, args) -> int:
     out = Path(cfg["out"])
     runs_dir = out / "runs"
-    run_dirs = sorted(d for d in runs_dir.glob("*") if (d / "metrics.csv").exists()) \
+    # Only runs a manifest vouches for; it is written after metrics.csv.
+    run_dirs = sorted(d for d in runs_dir.glob("*") if (d / "manifest.json").exists()) \
         if runs_dir.exists() else []
     if not run_dirs:
         print(f"[plotdata] no run records under {runs_dir}", file=sys.stderr)
@@ -653,31 +654,33 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_common(p, train_like=True):
+    # Each subcommand takes only the flags it reads.
+    def add_common(p, grid=True, epochs=True):
         p.add_argument("--config", default=None, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output root (default $NLA_OUT_DIR)")
-        if train_like:
+        if grid:
             p.add_argument("--seed", type=int, default=None, help="single run seed")
             p.add_argument("--seeds", default=None, help="seed list: A..B or a,b,c")
             p.add_argument("--noise", default=None, help="noise rates, comma separated")
             p.add_argument("--imbalance", default=None, help="imbalance factors, comma separated")
             p.add_argument("--mode", default=None, help="ce|naw|nla (comma list for sweep)")
-            p.add_argument("--epochs", type=int, default=None)
+            if epochs:
+                p.add_argument("--epochs", type=int, default=None)
             p.add_argument("--force", action="store_true", help="redo existing outputs")
 
-    add_common(sub.add_parser("generate", help="write dataset caches"))
+    add_common(sub.add_parser("generate", help="write dataset caches"), epochs=False)
     add_common(sub.add_parser("train", help="run a single cell"))
     sweep = sub.add_parser("sweep", help="run the full grid and aggregate")
     add_common(sweep)
     sweep.add_argument("--workers", type=int, default=1, help="parallel cells")
-    add_common(sub.add_parser("plotdata", help="emit plot-ready CSVs"), train_like=False)
-    add_common(sub.add_parser("check", help="run built-in verification"), train_like=False)
+    add_common(sub.add_parser("plotdata", help="emit plot-ready CSVs"), grid=False)
+    sub.add_parser("check", help="run built-in verification")
 
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _apply_overrides(load_config(getattr(args, "config", None)), args)
         handler = {"generate": cmd_generate, "train": cmd_train,
                    "sweep": cmd_sweep, "plotdata": cmd_plotdata,
                    "check": cmd_check}[args.command]

@@ -226,34 +226,44 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
     p -= np.multiply(lr, a, out=a)
 
 
+def _check_covers_classes(counts: np.ndarray) -> None:
+    """Raise ValueError unless the ([R,] K) class counts of test splits
+    are all positive."""
+    if counts.size == 0 or not counts.all():
+        raise ValueError("test split must contain every class")
+
+
 class SplitStack:
     """One split per run of an (R, P) parameter stack, held as arrays with a
     leading run axis: (R, n, d) float64 ``inputs`` and (R, n) ``labels``.
 
     A single :class:`Dataset` is the stack of one run, without the run axis,
-    and shares its arrays; a list of R splits is stacked once.  The splits
-    must share their row count, dim and class count, and their labels must
-    be integers in [0, n_classes), else ValueError.  ``class_counts`` holds
-    the ([R,] K) rows of each class in each split.  ``class_order``, the
-    order of the weight statistics' sort, is built at its first use and
-    kept, since the labels do not change.
+    and shares its arrays; a list of R splits is stacked once.  The stack
+    judges each split in order (integer labels in [0, n_classes), finite
+    inputs, every class in a test split), then that they share their row
+    count, dim and class count; the first fault is a ValueError.
+    ``class_counts`` holds the ([R,] K) rows of each class in each split.
+    ``class_order``, the order of the weight statistics' sort, is built at
+    its first use and kept, since the labels do not change.
     """
 
     def __init__(self, splits: Dataset | list[Dataset]) -> None:
-        if isinstance(splits, Dataset):
-            first = splits
-            self.inputs = np.asarray(first.inputs, dtype=np.float64)
-            self.labels = first.labels
-        else:
-            first = splits[0]
-            shape = first.n, first.dim, first.n_classes
-            if any((ds.n, ds.dim, ds.n_classes) != shape for ds in splits):
-                raise ValueError(f"the {first.split} splits of a stack must share "
-                                 "their row count, dim and class count")
-            self.inputs = np.stack([ds.inputs for ds in splits], dtype=np.float64)
-            self.labels = np.stack([ds.labels for ds in splits])
+        one = isinstance(splits, Dataset)
+        splits = [splits] if one else splits
+        inputs = []
+        for ds in splits:
+            _check_labels(ds.labels, ds.n_classes, f"{ds.split} labels")
+            inputs.append(_as_finite_array(ds.inputs, f"{ds.split} inputs"))
+            if ds.split == "test":
+                _check_covers_classes(ds.class_counts)
+        first = splits[0]
+        shape = first.n, first.dim, first.n_classes
+        if any((ds.n, ds.dim, ds.n_classes) != shape for ds in splits):
+            raise ValueError(f"the {first.split} splits of a stack must share "
+                             "their row count, dim and class count")
+        self.inputs = inputs[0] if one else np.stack(inputs)
+        self.labels = first.labels if one else np.stack([ds.labels for ds in splits])
         self.n_classes = k = first.n_classes
-        _check_labels(self.labels.ravel(), k, f"{first.split} labels")
         runs = self.labels.shape[:-1]
         bins = int(np.prod(runs)) * k
         # The (run, class) bin of each row, flat: its label plus K times its run.
@@ -274,13 +284,6 @@ def _as_stack(splits: Dataset | SplitStack) -> SplitStack:
     return splits if isinstance(splits, SplitStack) else SplitStack(splits)
 
 
-def _check_covers_classes(counts: np.ndarray) -> None:
-    """Raise ValueError unless the ([R,] K) class counts of test splits
-    are all positive."""
-    if counts.size == 0 or not counts.all():
-        raise ValueError("test split must contain every class")
-
-
 def _split_logits(params: ModelParams, splits: SplitStack) -> np.ndarray:
     """([R,] n, K) logits of whole splits from one logits-only forward;
     raises FloatingPointError when they are not finite."""
@@ -297,7 +300,8 @@ def evaluate(params: ModelParams, test: Dataset | SplitStack) -> EvalResult:
     of one split per run, and every field of the result has a leading run
     axis: (R,) ``overall`` and ``mean``, (R, K) ``per_class`` and
     (R, K, K) ``confusion``, each run's equal to its solo call's.  One
-    forward, one argmax and one bincount serve the stack.  Raises
+    forward, one argmax and one bincount serve the stack.  Raises the
+    ValueError of a :class:`SplitStack` or of a lacking class, and
     FloatingPointError when the logits are not finite, as finite inputs
     that overflow the model give.
     """
@@ -324,8 +328,8 @@ def collect_weight_stats(params: ModelParams, train: Dataset | SplitStack,
     parameters ``train`` is a :class:`SplitStack` of one split per run and
     the result is (R, K, 3), each run's equal to its solo call's: one
     forward, one softmax and one :func:`nla.naw.naw_weights` call score
-    every run's rows.  Raises FloatingPointError when the logits are not
-    finite.
+    every run's rows.  Raises the ValueError of a :class:`SplitStack`, and
+    FloatingPointError when the logits are not finite.
     """
     train = _as_stack(train)
     probs = _softmax_lse(_split_logits(params, train))[0]
@@ -426,30 +430,16 @@ def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     return loss, buffers.grad
 
 
-def _check_splits(train: Dataset, test: Dataset) -> None:
-    """Reject splits a run cannot use, before any step is taken: splits
-    that disagree on dim or class count, a label outside [0, n_classes),
-    a non-finite input, or a test split that lacks a class."""
-    if (train.dim, train.n_classes) != (test.dim, test.n_classes):
-        raise ValueError(
-            f"train and test splits disagree: train has dim {train.dim} and "
-            f"{train.n_classes} classes, test has dim {test.dim} and "
-            f"{test.n_classes} classes")
-    for ds in (train, test):
-        _check_labels(ds.labels, ds.n_classes, f"{ds.split} labels")
-        _as_finite_array(ds.inputs, f"{ds.split} inputs")
-    _check_covers_classes(test.class_counts)
-
-
 def run_training(config: TrainConfig, train: Dataset, test: Dataset) -> RunRecord:
     """Full training run; returns all epoch metrics plus the final model.
 
     The one-run case of :func:`run_group`, whose errors it raises: a
-    ValueError before the first step for splits that :func:`_check_splits`
-    rejects, and before the first update when either view's logits or the
-    loss are not finite; TrainingDiverged when they stop being finite
-    later (also after an epoch's last update, which only the weight
-    statistics see).  Non-finite test-split logits are not a divergence of
+    ValueError before the first step for splits that disagree on dim or
+    class count, then for the train and then the test split that
+    :class:`SplitStack` rejects, and before the first update when either
+    view's logits or the loss are not finite; TrainingDiverged when they
+    stop being finite later (also after an epoch's last update, which
+    only the weight statistics see).  Non-finite test-split logits are not a divergence of
     the training split: :func:`evaluate`'s FloatingPointError propagates.
     """
     return run_group([(config, train, test)])[0]
@@ -459,27 +449,27 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
     """Train the (config, train, test) runs of ``runs`` as one stack; return
     each run's RunRecord.
 
-    The configs must be equal apart from ``seed`` and the train splits of
-    one shape (rows, dim, classes), else ValueError.  Each run keeps the
-    sub-streams of its seed (split 0 initializes its parameters, split 1
-    drives its shuffles), its splits and their checks.  Its parameters and
-    Adam moments are a row of (R, P) stacks that one :func:`train_step`
-    and one :func:`adam_step` update per batch, with the values of its
-    solo steps (a group of one has no run axis).  Only mode ``nla`` has a
+    The configs must be equal apart from ``seed``, the train splits of
+    one shape (rows, dim, classes) and each run's splits of one dim and
+    class count, else ValueError.  Each run keeps the sub-streams of its
+    seed (split 0 initializes its parameters, split 1 drives its shuffles)
+    and its splits.  Its parameters and Adam moments are a row of (R, P)
+    stacks that one :func:`train_step` and one :func:`adam_step` update per
+    batch, with the values of its solo steps (a group of one has no run
+    axis).  Only mode ``nla`` has a
     second view, :func:`nla.data.mirror` of the train rows (by the split's
     ``image_shape`` when it has one).  The train splits are held as one
     :class:`SplitStack`, whose rows each epoch's shuffles gather, and the
-    test splits as another, so the test splits must share one row count,
-    else ValueError, raised after every run's own split checks.  Each
-    epoch's weight statistics and evaluation are one
-    :func:`collect_weight_stats` and one :func:`evaluate` call on the
-    whole stack.
+    test splits as another, each the judge of its splits.  Each epoch's
+    weight statistics and evaluation are one :func:`collect_weight_stats`
+    and one :func:`evaluate` call on the whole stack.
 
     A stack is all or nothing.  Every run's splits are checked before the
-    first step, and the earliest error that a run's :func:`run_training`
-    would raise ends the whole group as that error, with no record
+    first step, and an error ends the whole group, with no record
     returned: a failing group costs its stacked epochs up to the failure,
-    and the other runs' outcomes stay unknown until they train again.
+    and the other runs' outcomes stay unknown until they train again.  A
+    faulty run's error is its :func:`run_training`'s; of several faults,
+    the first in the order group facts, train splits, test splits.
     """
     if not runs:
         return []
@@ -490,7 +480,10 @@ def run_group(runs: list[tuple[TrainConfig, Dataset, Dataset]]) -> list[RunRecor
                 or (train.n, train.dim, train.n_classes) != shape):
             raise ValueError("the runs of a group must share a TrainConfig apart "
                              "from seed and train splits of one shape")
-        _check_splits(train, test)
+        if (train.dim, train.n_classes) != (test.dim, test.n_classes):
+            raise ValueError(f"train and test splits disagree: train has dim {train.dim} "
+                             f"and {train.n_classes} classes, test has dim {test.dim} "
+                             f"and {test.n_classes} classes")
     # A group of one run steps without the run axis, on the arrays of a
     # solo step: numpy spends more per call on a stack of one.  ``at(r)``
     # indexes run r on the run axis, and is empty without one.

@@ -797,6 +797,23 @@ class TestPlotdata:
         path, cfg = write_config(tmp_path)
         assert main(["plotdata", "--config", str(path)]) == 2
 
+    def test_reads_only_runs_a_manifest_vouches_for(self, tmp_path, capsys):
+        # A run cut short before its manifest still has its metrics.csv.
+        path, cfg = write_config(tmp_path, seeds=[1])
+        assert main(["sweep", "--config", str(path)]) == 0
+        runs = tmp_path / "out" / "runs"
+        (runs / "n0_f1_nla_s1" / "manifest.json").unlink()
+        capsys.readouterr()
+        assert main(["plotdata", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("[plotdata] 1 runs ->")
+        plot = tmp_path / "out" / "plot"
+        for name in ("accuracy_curves.csv", "weight_quartiles.csv", "loss_curves.csv"):
+            rows = (plot / name).read_text().strip().split("\n")[1:]
+            assert {row.split(",")[0] for row in rows} == {"n0_f1_ce_s1"}, name
+        (runs / "n0_f1_ce_s1" / "manifest.json").unlink()
+        assert main(["plotdata", "--config", str(path)]) == 2
+        assert "no run records" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_check_passes(self, capsys):
@@ -819,6 +836,19 @@ class TestUsage:
 
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "--epochs", "-5"], "--epochs"),
+        (["check", "--out", "elsewhere"], "--out"),
+        (["check", "--config", "bad.json"], "--config"),
+    ], ids=["generate-epochs", "check-out", "check-config"])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, tmp_path, monkeypatch,
+                                                               capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_bad_mode_is_usage_error(self, tmp_path):
         path, cfg = write_config(tmp_path)

@@ -34,6 +34,27 @@ def tiny_config(**overrides):
     return TrainConfig(**fields)
 
 
+def spoiled(ds, fault, value):
+    """``ds`` with one fault that a run rejects before its first step: a
+    label set to ``value`` ("label"), labels cast to dtype ``value``
+    ("dtype"), inputs holding ``value`` ("input"), one more input column
+    ("dim"), or no row of class ``value`` ("lacks")."""
+    inputs, labels = ds.inputs, ds.labels
+    if fault == "label":
+        labels = labels.copy()
+        labels[-1] = value
+    elif fault == "dtype":
+        labels = labels.astype(value)
+    elif fault == "input":
+        inputs = inputs.copy()
+        inputs[::2, 1] = value
+    elif fault == "dim":
+        inputs = np.hstack([inputs, inputs[:, :1]])
+    else:
+        inputs, labels = inputs[labels != value], labels[labels != value]
+    return Dataset(inputs=inputs, labels=labels, n_classes=ds.n_classes, split=ds.split)
+
+
 class TestTrainConfig:
     def test_policy_horizon_defaults_to_epochs(self):
         cfg = TrainConfig(epochs=17, seed=0)
@@ -139,6 +160,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(init_params(Arch(test.dim, 0, 3), Rng(6)), broken)
 
+    def test_non_finite_input_rejected(self):
+        _, test = tiny_data(k=3)
+        test = spoiled(test, "input", np.nan)
+        with pytest.raises(ValueError, match="test inputs must contain only finite"):
+            evaluate(init_params(Arch(test.dim, 0, 3), Rng(6)), test)
+
 
 class TestWeightStats:
     def test_quartiles_ordered(self):
@@ -169,6 +196,13 @@ class TestWeightStats:
         train = Dataset(inputs=train.inputs, labels=labels, n_classes=3, split="train")
         params = init_params(Arch(train.dim, 8, 3), Rng(7))
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            collect_weight_stats(params, train, epoch_kernels(WeightPolicy(total_epochs=10), 4))
+
+    def test_non_finite_input_rejected(self):
+        train, _ = tiny_data(k=3)
+        train = spoiled(train, "input", np.inf)
+        params = init_params(Arch(train.dim, 8, 3), Rng(7))
+        with pytest.raises(ValueError, match="train inputs must contain only finite"):
             collect_weight_stats(params, train, epoch_kernels(WeightPolicy(total_epochs=10), 4))
 
 
@@ -582,6 +616,44 @@ class TestRunGroup:
         solo = outcome_of(lambda: run_training(*runs[1]))
         assert solo == (ValueError, "test split must contain every class")
         assert outcome_of(lambda: run_group(runs)) == solo
+
+    @pytest.mark.parametrize("split, fault, value", [
+        ("train", "label", -1), ("train", "label", 3), ("test", "label", -1),
+        ("test", "label", 3), ("train", "dtype", np.float64), ("train", "dtype", np.bool_),
+        ("test", "dtype", np.float64), ("test", "dtype", np.bool_),
+        ("train", "input", np.nan), ("train", "input", np.inf),
+        ("test", "input", np.nan), ("test", "input", np.inf),
+        ("test", "dim", None), ("test", "lacks", 2)])
+    def test_a_faulty_run_fails_the_group_with_its_solo_error(self, no_steps, split,
+                                                              fault, value):
+        train, test = tiny_data()
+        splits = {"train": train, "test": test}
+        splits[split] = spoiled(splits[split], fault, value)
+        runs = [(tiny_config(seed=11), train, test),
+                (tiny_config(seed=12), splits["train"], splits["test"])]
+        solo = outcome_of(lambda: run_training(*runs[1]))
+        assert solo[0] is ValueError
+        assert outcome_of(lambda: run_group(runs)) == solo
+
+    @pytest.mark.parametrize("faults", [
+        # Run 0's test split lacks a class and run 1 has a bad train label:
+        # train splits are judged before test splits.
+        (("test", "lacks", 2), ("train", "label", -1)),
+        # Run 0's train inputs are not finite and run 1's splits disagree
+        # on dim: the group's facts are judged before any split.
+        (("train", "input", np.nan), ("test", "dim", None)),
+    ], ids=["train-before-test", "facts-before-splits"])
+    def test_of_two_faults_the_documented_first_is_raised(self, no_steps, faults):
+        # Run by run, run 0's fault would be the first.
+        train, test = tiny_data()
+        runs = []
+        for r, (split, fault, value) in enumerate(faults):
+            splits = {"train": train, "test": test}
+            splits[split] = spoiled(splits[split], fault, value)
+            runs.append((tiny_config(seed=11 + r), splits["train"], splits["test"]))
+        solo = [outcome_of(lambda run=run: run_training(*run)) for run in runs]
+        assert solo[0] != solo[1]
+        assert outcome_of(lambda: run_group(runs)) == solo[1]
 
     def test_test_splits_must_share_a_row_count(self, no_steps):
         train, test = tiny_data()
