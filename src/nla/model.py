@@ -21,9 +21,9 @@ logits through 3-D ``np.matmul``, and :func:`backward` an (R, P) stack
 of gradients, each run's bit-identical to a solo call.  The finite-difference gradient check evaluates its
 perturbed parameter vectors this way, and a group of training runs
 steps on its stack of runs.  A training step puts the views of a batch
-on a further leading axis: one backward over a (V, R, n, K) trace of an
-(R, P) stack (or a (V, n, K) trace of one vector) gives a (V, R, P)
-(or (V, P)) stack, each row bit-identical to a solo call.
+on a further leading axis: one :func:`_dense_pass` over (V, R, n, d)
+rows and one backward over their trace give a (V, R, P) stack (or
+(V, P) for one vector), each row bit-identical to a solo call.
 """
 
 from __future__ import annotations
@@ -149,7 +149,9 @@ def _dense_pass(params: ModelParams, x: np.ndarray, outs=None):
     """(logits, layer inputs) of the rows of ``x``: every layer but the
     first takes the ReLU of the one before.  With stacked parameters every
     array but a 2-D ``x`` has a leading run axis, over which the
-    (R, 1, fan_out) biases broadcast.  The biases are added and the ReLU taken in place
+    (R, 1, fan_out) biases broadcast; axes before it (a training step's
+    views) take the weights per slice, each with the bits of its own pass.
+    The biases are added and the ReLU taken in place
     (fewer arrays, the same bits).  ``outs``, one array per layer, receive
     the layers' outputs (the units of each hidden layer, then the
     logits) instead of new arrays."""
@@ -174,9 +176,18 @@ def _row_chunks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
+def _check_rows(params: ModelParams, x: np.ndarray, lead: tuple = ()) -> None:
+    """Raise ValueError unless ``x`` holds (*lead, [R,] n, d) input rows."""
+    lead += params.flat.shape[:-1]
+    d = params.arch.input_dim
+    if x.ndim < 2 or x.shape[:-2] != lead or x.shape[-1] != d:
+        raise ValueError(f"inputs must be ({''.join(f'{r}, ' for r in lead)}n, {d}), "
+                         f"got {x.shape}")
+
+
 def forward(params: ModelParams, inputs: np.ndarray,
-            logits_only: bool = False, out=None) -> ForwardTrace:
-    """Batch forward pass; rows of ``inputs`` are samples.
+            logits_only: bool = False) -> ForwardTrace:
+    """Batch forward pass into new arrays; rows of ``inputs`` are samples.
 
     With stacked parameters (``params.flat`` of shape (R, P)) ``inputs``
     are (R, n, d), one block of rows per run, and every array of the trace
@@ -185,22 +196,16 @@ def forward(params: ModelParams, inputs: np.ndarray,
     With ``logits_only`` (for passes over a whole split) the rows go
     through in chunks of ``_CHUNK_ROWS`` and the trace keeps only the
     logits, so it cannot be passed to :func:`backward`; each row's logits
-    are bit-identical to those of one unchunked pass.  Otherwise ``out``,
-    if given, holds one array per layer that receives that layer's output
-    (the ReLU units of each hidden layer, then the logits), so that a
-    training step writes into buffers it owns.
+    are bit-identical to those of one unchunked pass.  A training step
+    calls :func:`_dense_pass` on its own buffers instead.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    d = params.arch.input_dim
-    runs = params.flat.shape[:-1]
-    if x.ndim < 2 or x.shape[:-2] != runs or x.shape[-1] != d:
-        raise ValueError(f"inputs must be ({''.join(f'{r}, ' for r in runs)}n, {d}), "
-                         f"got {x.shape}")
+    _check_rows(params, x)
     if logits_only:
         return ForwardTrace(logits=np.concatenate(
             [_dense_pass(params, x[..., rows, :])[0] for rows in _row_chunks(x.shape[-2])],
             axis=-2), layer_inputs=[])
-    return ForwardTrace(*_dense_pass(params, x, out))
+    return ForwardTrace(*_dense_pass(params, x))
 
 
 def backward(params: ModelParams, trace: ForwardTrace,

@@ -163,11 +163,11 @@ def frozen_loss_fn(params, inputs, flipped, labels, epoch, policy, lam):
     ``grad`` is the flat gradient of the batch-mean loss from
     :func:`nla.trainer.train_step` in mode ``nla``, which treats the
     adaptive weights as constants.  ``losses`` maps a stack of R parameter
-    vectors to their R batch-mean losses, composed apart from that step:
-    one :func:`nla.model._dense_pass` over the (2, R, n, d) broadcast of
-    both views gives the (2, R, n, K) logits, and one
-    :func:`nla.losses.batch_total` scores them with the weights frozen at
-    the step's values.  Non-finite logits give a NaN loss, without a
+    vectors to their R batch-mean losses, composed apart from that step
+    from its forward primitive: one :func:`nla.model._dense_pass` over the
+    (2, R, n, d) broadcast of both views gives the (2, R, n, K) logits,
+    and one :func:`nla.losses.batch_total` scores them with the weights
+    frozen at the step's values.  Non-finite logits give a NaN loss, without a
     floating-point warning.
     """
     kernels = epoch_kernels(policy, epoch)

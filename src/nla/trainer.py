@@ -1,8 +1,8 @@
 """Mini-batch training loop with epoch-scheduled adaptive weighting.
 
 One shared parameter set sees both views of every batch.  Every optimizer
-step takes its loss and flat gradient from one :func:`train_step` (a
-forward per view, the loss, one backward over the views axis), the step
+step takes its loss and flat gradient from one :func:`train_step` (one
+dense pass over the views axis, the loss, one backward over it), the step
 whose gradient the gradient-fidelity check verifies; it writes into
 :class:`StepBuffers` built once per batch size.  The optimizer is Adam
 with decoupled weight decay and an exponentially decayed learning rate,
@@ -39,8 +39,8 @@ import numpy as np
 
 from .data import Dataset, mirror
 from .losses import _VIEWS, MODES, BatchLoss, batch_total
-from .model import (Arch, ForwardTrace, ModelParams, backward, forward,
-                    init_params, save_checkpoint)
+from .model import (Arch, ForwardTrace, ModelParams, _check_rows, _dense_pass,
+                    backward, forward, init_params, save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
 from .numkit import (Rng, _as_finite_array, _check_labels, _softmax_lse,
                      atomic_write_bytes)
@@ -372,20 +372,17 @@ def _class_quartiles(values: np.ndarray, order: np.ndarray, counts: np.ndarray) 
 
 
 class StepBuffers:
-    """Every array that :func:`forward` and :func:`backward` write in a
-    training step of ``params`` on batches of ``rows`` rows, with the
-    views on a leading axis and then, for an (R, P) stack, the runs: the
-    (V, [R,] rows, ...) units of each hidden layer and logits, held as one
-    trace whose first layer input is the batch, each view's slices of
-    them, the (V, [R,] P) per-view gradients with their layer views, and
-    the ([R,] P) gradient of the step.  :func:`run_group` builds them
-    once per stack of runs and batch size."""
+    """Every array that a training step of ``params`` on batches of
+    ``rows`` rows writes, with the views on a leading axis and then, for an
+    (R, P) stack, the runs: ``outs``, the (V, [R,] rows, fan_out) output of
+    each dense layer (the units of each hidden layer, then the logits),
+    the (V, [R,] P) per-view gradients with their layer views, and the
+    ([R,] P) gradient of the step.  :func:`run_group` builds them once per
+    stack of runs and batch size."""
 
     def __init__(self, params: ModelParams, views: int, rows: int) -> None:
         arch, runs = params.arch, params.flat.shape[:-1]
-        outs = [np.empty((views, *runs, rows, fan_out)) for _, fan_out in arch.layer_shapes]
-        self.trace = ForwardTrace(logits=outs[-1], layer_inputs=[None] + outs[:-1])
-        self.view_outs = [[out[view] for out in outs] for view in range(views)]
+        self.outs = [np.empty((views, *runs, rows, fan_out)) for _, fan_out in arch.layer_shapes]
         self.grads = ModelParams(arch, np.empty((views, *runs, arch.param_count)))
         self.grad = self.grads.flat[0] if views == 1 else np.empty(params.flat.shape)
 
@@ -399,26 +396,23 @@ def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     axis: the rows, then in mode ``nla`` their mirrored view.  With an
     (R, P) stack of parameters each view holds one batch per run, (R, n, d)
     with (R, n) labels, and the loss and gradient are each run's own, as
-    in a solo step.  Runs the forward pass of each view into its slice of
-    ``buffers`` (built for n rows when None), checks the (V, [R,] n, K)
-    logits, evaluates :func:`nla.losses.batch_total` on them,
-    backpropagates its logit gradients over the views axis in one
-    :func:`backward`, and in mode ``nla`` adds view 1's gradient to view
-    0's.  The returned gradient is an array of ``buffers``, overwritten by
-    the next step that uses them.  Raises FloatingPointError when the
-    logits (checked before the loss is evaluated) or the loss are not
-    finite, in any run of a stack.
+    in a solo step.  Runs the (V, [R,] n, d) batch through one
+    :func:`nla.model._dense_pass` into ``buffers`` (built for n rows when
+    None), checks the (V, [R,] n, K) logits, evaluates
+    :func:`nla.losses.batch_total` on them, backpropagates its logit
+    gradients over the views axis in one :func:`backward`, and in mode
+    ``nla`` adds view 1's gradient to view 0's.  The returned gradient is
+    an array of ``buffers``, overwritten by the next step that uses them.
+    Raises FloatingPointError when the logits (checked before the loss is
+    evaluated) or the loss are not finite, in any run of a stack.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    # An unknown mode is batch_total's to refuse.
-    if mode in _VIEWS and len(inputs) != _VIEWS[mode]:
-        raise ValueError(f"mode {mode} steps on {_VIEWS[mode]} views, got {len(inputs)}")
+    # The views of the mode, then one block per run; an unknown mode is
+    # batch_total's to refuse.
+    _check_rows(params, inputs, (_VIEWS.get(mode, len(inputs)),))
     if buffers is None:
         buffers = StepBuffers(params, len(inputs), inputs.shape[-2])
-    trace = buffers.trace
-    trace.layer_inputs[0] = inputs
-    for x, out in zip(inputs, buffers.view_outs):
-        forward(params, x, out=out)
+    trace = ForwardTrace(*_dense_pass(params, inputs, buffers.outs))
     if not np.isfinite(trace.logits).all():
         raise FloatingPointError("non-finite logits")
     loss = batch_total(trace.logits, labels, kernels, lam, mode=mode)

@@ -17,7 +17,7 @@ from nla.numkit import Rng, softmax
 from nla.trainer import (AdamState, SplitStack, TrainConfig, TrainingDiverged,
                          adam_step, collect_weight_stats, evaluate,
                          load_final_metrics, load_run_metrics, metrics_csv_text, run_group,
-                         run_training, save_run_record)
+                         run_training, save_run_record, train_step)
 
 
 def tiny_data(seed=1, k=3, d=4, n_train=40, n_test=30, spread=0.7):
@@ -510,6 +510,21 @@ def test_buffered_steps_equal_the_reference_composition(mode):
         assert [m.loss_ce, m.loss_naw_ce, m.loss_reg, m.loss_total] == sums.tolist()
 
 
+@pytest.mark.parametrize("mode, shape", [
+    ("nla", (1, 2, 16, 4)),  # one view in a mode of two
+    ("ce", (2, 2, 16, 4)),   # two views in a mode of one
+    ("nla", (2, 1, 16, 4)),  # one run's batch for a stack of two
+    ("nla", (2, 16, 4)),     # no run axis for a stack
+    ("nla", (2, 2, 16, 5)),  # rows of another dim
+])
+def test_step_rejects_inputs_of_another_shape(mode, shape):
+    arch = Arch(input_dim=4, hidden_dim=8, n_classes=3)
+    stack = ModelParams(arch, np.stack([init_params(arch, Rng(s)).flat for s in (1, 2)]))
+    labels = np.zeros((2, 16), dtype=np.intp)
+    with pytest.raises(ValueError, match=r"inputs must be \(\d, 2, n, 4\)"):
+        train_step(stack, np.ones(shape), labels, epoch_kernels(WeightPolicy(), 0), 0.5, mode)
+
+
 def test_step_buffers_are_reused(monkeypatch):
     # One buffer set per batch size of the run, however many steps.
     built = []
@@ -536,7 +551,7 @@ def no_steps(monkeypatch):
     def step(*args, **kwargs):
         raise AssertionError("a training step ran before validation")
 
-    monkeypatch.setattr(nla.trainer, "forward", step)
+    monkeypatch.setattr(nla.trainer, "train_step", step)
 
 
 def outcome_of(fn):
