@@ -3,8 +3,8 @@
 # dataset caches, a mini noise sweep over two objectives and two seeds,
 # aggregation across seeds, plot-ready CSVs, and the built-in check suite.
 #
-# Writes everything under ./demo_out (about 10 MB); short epochs keep the
-# whole walkthrough around a minute.
+# Writes everything under ./demo_out (about 1.4 MB); short epochs keep the
+# whole walkthrough to a few seconds (2.5 s on a 2-vCPU Xeon VM).
 set -euo pipefail
 
 export NLA_OUT_DIR=demo_out

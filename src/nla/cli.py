@@ -311,7 +311,6 @@ class CellSpec:
     train_sha256: str
     test_sha256: str
     run_dir: str
-    force: bool = False
 
     @property
     def id(self) -> str:
@@ -334,10 +333,8 @@ def _manifest(spec: CellSpec) -> dict:
 
 def _is_complete(spec: CellSpec) -> bool:
     """Whether the cell's stored manifest equals (as JSON) the one this
-    request would write; never when forced.  A missing, unreadable or
-    malformed manifest is not complete, so its cell is rerun."""
-    if spec.force:
-        return False
+    request would write.  A missing, unreadable or malformed manifest is
+    not complete, so its cell is rerun."""
     try:
         stored = json.loads((Path(spec.run_dir) / "manifest.json")
                             .read_text(encoding="utf-8"))
@@ -368,15 +365,11 @@ def _save_cell(spec: CellSpec, record: RunRecord) -> dict:
 
 
 def run_cell(spec: CellSpec) -> dict:
-    """Execute one cell unless :func:`_is_complete`: train, save the run
-    record, then write the manifest that marks the cell complete.
-    Returns a status dict."""
-    if _is_complete(spec):
-        return {"cell": spec.id, "ok": True, "skipped": True}
+    """Train one cell alone (a group of one, or a cell of a failed stack)
+    and save it as :func:`_save_cell` does; return its status dict."""
     try:
-        train = load_dataset(spec.train_path)
-        test = load_dataset(spec.test_path)
-        record = run_training(spec.config, train, test)
+        record = run_training(spec.config, load_dataset(spec.train_path),
+                              load_dataset(spec.test_path))
     except Exception as exc:  # noqa: BLE001 - per-cell isolation in sweeps
         return _failed(spec, exc)
     return _save_cell(spec, record)
@@ -384,11 +377,14 @@ def run_cell(spec: CellSpec) -> dict:
 
 def run_cell_group(specs: list[CellSpec]) -> list[dict]:
     """Train the cells of ``specs`` as one stack (see
-    :func:`nla.trainer.run_group`) and save each; return their status
-    dicts in order.  If loading or training raises, every cell runs again
-    alone through :func:`run_cell`, so a failing cell gets the status its
-    solo run gives and grouping never changes a result; such a group costs
-    its stacked epochs up to the failure plus one solo run per cell."""
+    :func:`nla.trainer.run_group`), a group of one as :func:`run_cell`,
+    and save each; return their status dicts in order.  If a stack's
+    loading or training raises, every cell runs again alone, so a failing
+    cell gets its solo status and grouping never changes a result; such a
+    group costs its stacked epochs up to the failure plus one solo run per
+    cell."""
+    if len(specs) == 1:
+        return [run_cell(specs[0])]
     try:
         records = run_group([(spec.config, load_dataset(spec.train_path),
                               load_dataset(spec.test_path)) for spec in specs])
@@ -397,7 +393,7 @@ def run_cell_group(specs: list[CellSpec]) -> list[dict]:
     return [_save_cell(spec, record) for spec, record in zip(specs, records)]
 
 
-# The most cells a pool task trains as one stack.  Per run, stacks of R
+# The most cells a training task trains as one stack.  Per run, stacks of R
 # runs took this share of a solo run's time (2-vCPU Xeon VM, one process):
 #   n = 929, 5 epochs, ce:    0.65 (R = 2), 0.42 (5), 0.36 (10), 0.41-0.47 (16-40)
 #   n = 929, 5 epochs, nla:   0.73 (R = 2), 0.57 (5), 0.56 (10), 0.50-0.52 (16-40)
@@ -415,7 +411,7 @@ def _split(items: list, parts: int) -> list[list]:
 
 
 def _cell_groups(pending: list[CellSpec], workers: int) -> list[list[CellSpec]]:
-    """The pool tasks of ``pending``: cells that share a training config
+    """The training tasks of ``pending``: cells that share a training config
     apart from ``seed`` and an imbalance factor, in groups of at most
     ``_GROUP_CAP``, split further while there are fewer groups than
     ``min(workers, len(pending))``, so that no process idles.  Largest
@@ -451,7 +447,7 @@ def _grid(cfg: dict) -> list[tuple]:
     return grid
 
 
-def _cells(cfg: dict, grid: list[tuple], force: bool) -> list[CellSpec]:
+def _cells(cfg: dict, grid: list[tuple]) -> list[CellSpec]:
     """The cells of ``grid`` with their training configs built once; a
     ``train`` section that :class:`TrainConfig` rejects, or that sets the
     grid's ``mode`` or ``seed``, is a usage error, raised before anything
@@ -476,7 +472,7 @@ def _cells(cfg: dict, grid: list[tuple], force: bool) -> list[CellSpec]:
             noise=noise, imbalance=imbalance, mode=mode, seed=seed, config=config,
             train_path=str(train_path), test_path=str(test_path),
             train_sha256=train_sha, test_sha256=test_sha,
-            run_dir=str(runs / cell_id(noise, imbalance, mode, seed)), force=force))
+            run_dir=str(runs / cell_id(noise, imbalance, mode, seed))))
     return specs
 
 
@@ -489,44 +485,46 @@ def cmd_generate(cfg: dict, args) -> int:
     return 0
 
 
+def _run_cells(specs: list[CellSpec], force: bool, workers: int = 1) -> list[dict]:
+    """Train the pending cells of ``specs`` (all when ``force``, else those
+    not :func:`_is_complete`) as the groups of :func:`_cell_groups`, in
+    this process or, for more than one group and worker, on a pool; return
+    every cell's status dict in spec order, a complete one's as skipped."""
+    pending = specs if force else [s for s in specs if not _is_complete(s)]
+    groups = _cell_groups(pending, workers)
+    if workers > 1 and len(groups) > 1:
+        with multiprocessing.get_context("spawn").Pool(min(workers, len(groups))) as pool:
+            results = pool.map(run_cell_group, groups, chunksize=1)
+    else:
+        results = map(run_cell_group, groups)
+    done = {r["cell"]: r for group in results for r in group}
+    return [done.get(s.id, {"cell": s.id, "ok": True, "skipped": True}) for s in specs]
+
+
 def cmd_train(cfg: dict, args) -> int:
     grid = _grid(cfg)
     if len(grid) != 1:
         raise UsageError("train runs exactly one cell: one noise, imbalance, mode and seed")
-    spec = _cells(cfg, grid, args.force)[0]
-    result = run_cell(spec)
+    specs = _cells(cfg, grid)
+    (result,) = _run_cells(specs, args.force)
     if not result["ok"]:
         print(f"[train] {result['cell']} FAILED: {result['error']}", file=sys.stderr)
         return 2
     state = "skipped (already complete)" if result["skipped"] else "done"
-    print(f"[train] {result['cell']} {state} -> {spec.run_dir}")
+    print(f"[train] {result['cell']} {state} -> {specs[0].run_dir}")
     return 0
 
 
 def cmd_sweep(cfg: dict, args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    specs = _cells(cfg, _grid(cfg), args.force)
-    # With more than one pending cell and worker, the pending cells go to
-    # a pool of processes as groups (see _cell_groups), one group per
-    # task, each trained as stacked runs or, when its stack fails, as solo
-    # runs.  run_cell runs every other cell in this process, where a
-    # complete one is skipped.  Results keep spec order.
-    pending = [s for s in specs if not _is_complete(s)] if args.workers > 1 else []
-    pooled = {}
-    if len(pending) > 1:
-        groups = _cell_groups(pending, args.workers)
-        with multiprocessing.get_context("spawn").Pool(
-                min(args.workers, len(groups))) as pool:
-            pooled = {r["cell"]: r for results in
-                      pool.map(run_cell_group, groups, chunksize=1) for r in results}
-    results = [pooled.get(s.id) or run_cell(s) for s in specs]
-    failures = [r for r in results if not r["ok"]]
+    specs = _cells(cfg, _grid(cfg))
+    results = _run_cells(specs, args.force, args.workers)
     for r in results:
         tag = "ok" if r["ok"] else f"FAILED: {r['error']}"
         print(f"[sweep] {r['cell']}: {tag}")
     _write_summary(cfg, specs, results)
-    return 3 if failures else 0
+    return 0 if all(r["ok"] for r in results) else 3
 
 
 def _write_summary(cfg: dict, specs: list[CellSpec], results: list[dict]) -> None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -385,6 +386,31 @@ def forbidden(*args, **kwargs):
     raise AssertionError("must not be called")
 
 
+# Two seeds per (mode, imbalance), so a one-worker sweep trains every
+# cell in a stack and none alone.
+SOLO_GRID = {"imbalance": [1.0, 10.0], "seeds": [1, 2]}
+
+
+@pytest.fixture(scope="module")
+def trained_cells(tmp_path_factory):
+    """The files of ``nla train`` run on each cell of ``SOLO_GRID`` in turn:
+    the solo reference that every sweep of the grid must equal."""
+    root = tmp_path_factory.mktemp("trained")
+    path, cfg = write_config(root, **SOLO_GRID)
+    for noise, imbalance, mode, seed in itertools.product(
+            cfg["noise"], cfg["imbalance"], cfg["modes"], cfg["seeds"]):
+        assert main(["train", "--config", str(path), "--noise", f"{noise:g}",
+                     "--imbalance", f"{imbalance:g}", "--mode", mode,
+                     "--seed", str(seed)]) == 0
+    return deterministic_files(root / "out")
+
+
+def cell_files(out):
+    """:func:`deterministic_files` of ``out`` without the sweep summaries."""
+    return {name: data for name, data in deterministic_files(out).items()
+            if not name.startswith("summary.")}
+
+
 class InProcessContext:
     """Stand-in for a multiprocessing context: its pool runs tasks in this
     process and records (method, processes, tasks, chunksize), each task
@@ -451,6 +477,21 @@ class TestSweep:
         files_a = deterministic_files(tmp_path / "a" / "out")
         assert len(files_a) == 4 * 3 + 2 + 3  # cells x 3, summaries, caches
         assert deterministic_files(tmp_path / "b" / "out") == files_a
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_equals_train_of_each_cell(self, tmp_path, trained_cells, workers):
+        path, _ = write_config(tmp_path, **SOLO_GRID)
+        assert main(["sweep", "--config", str(path), "--workers", workers]) == 0
+        files = cell_files(tmp_path / "out")
+        assert len(files) == 8 * 3 + 5  # cells x 3, caches
+        assert files == trained_cells
+
+    def test_one_worker_sweep_trains_no_cell_alone(self, tmp_path, monkeypatch,
+                                                   trained_cells):
+        path, _ = write_config(tmp_path, **SOLO_GRID)
+        monkeypatch.setattr(nla.cli, "run_training", forbidden)
+        assert main(["sweep", "--config", str(path), "--workers", "1"]) == 0
+        assert cell_files(tmp_path / "out") == trained_cells
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier"])
     def test_kill_at_any_replace_then_resume_gives_a_clean_sweeps_bytes(
@@ -742,6 +783,32 @@ class TestSweepGroups:
                             "before the first update")
         assert lines[3] == "[sweep] n0_f1_ce_s4: ok"
         assert deterministic_files(out_b) == deterministic_files(out_a)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failing_group_of_one_trains_once(self, tmp_path, monkeypatch, capsys):
+        # Two workers train s1 and s2 as groups of one, and s2's rows,
+        # scaled as above, diverge.  Its group is its solo run, so its
+        # cache is trained once, not as a stack and then alone.
+        path, _ = write_config(tmp_path, modes=["ce"], seeds=[1, 2],
+                               train={"epochs": 3, "hidden_dim": 8, "lr0": 1e10})
+        assert main(["generate", "--config", str(path)]) == 0
+        rescale_train_cache(tmp_path / "out", "n0_f1_s2", lambda x: x * 1e200)
+        real, stacks, pools = nla.trainer.run_group, [], []
+
+        def run_group(runs):
+            stacks.append([bool(np.abs(train.inputs).max() > 1e100) for _, train, _ in runs])
+            return real(runs)
+
+        monkeypatch.setattr(nla.trainer, "run_group", run_group)
+        monkeypatch.setattr(nla.cli, "run_group", run_group)
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: InProcessContext(method, pools))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 3
+        assert pools[0][2] == ["n0_f1_ce_s1", "n0_f1_ce_s2"]
+        assert sorted(stacks) == [[False], [True]]
+        assert ("[sweep] n0_f1_ce_s2: FAILED: training diverged at epoch "
+                in capsys.readouterr().out)
 
     def test_a_rejected_label_fails_its_cell_alone(self, tmp_path, capsys):
         # The pool trains s1 with s2, whose train cache holds label 3 of
