@@ -25,8 +25,8 @@ x = train.inputs[idx]
 xf = mirror(x)
 labels = train.labels[idx]
 
-logits = forward(params, x).logits
-views = np.array((logits, forward(params, xf).logits))  # the batch, then its mirror
+logits = forward(params, x)
+views = np.array((logits, forward(params, xf)))  # the batch, then its mirror
 
 print("Per-sample anatomy at epoch 20 (lambda = 0.5):\n")
 print("  gt_prob  nn_prob  branch   ce      weight  naw_ce  reg     total")

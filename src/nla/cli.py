@@ -657,8 +657,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output root (default $NLA_OUT_DIR)")
         if grid:
-            p.add_argument("--seed", type=int, default=None, help="single run seed")
-            p.add_argument("--seeds", default=None, help="seed list: A..B or a,b,c")
+            # One seed flag: --seed would otherwise overwrite --seeds.
+            seeds = p.add_mutually_exclusive_group()
+            seeds.add_argument("--seed", type=int, default=None, help="single run seed")
+            seeds.add_argument("--seeds", default=None, help="seed list: A..B or a,b,c")
             p.add_argument("--noise", default=None, help="noise rates, comma separated")
             p.add_argument("--imbalance", default=None, help="imbalance factors, comma separated")
             p.add_argument("--mode", default=None, help="ce|naw|nla (comma list for sweep)")

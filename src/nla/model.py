@@ -18,12 +18,14 @@ A ``ModelParams`` may also hold an (R, P) stack of R such vectors, one
 per row.  The same lines then carry a leading run axis: :func:`forward`
 takes (R, n, d) rows with one (n, d) block per run, returns (R, n, K)
 logits through 3-D ``np.matmul``, and :func:`backward` an (R, P) stack
-of gradients, each run's bit-identical to a solo call.  The finite-difference gradient check evaluates its
-perturbed parameter vectors this way, and a group of training runs
-steps on its stack of runs.  A training step puts the views of a batch
-on a further leading axis: one :func:`_dense_pass` over (V, R, n, d)
-rows and one backward over their trace give a (V, R, P) stack (or
-(V, P) for one vector), each row bit-identical to a solo call.
+of gradients, each run's bit-identical to a solo call.  The
+finite-difference gradient check evaluates its perturbed parameter
+vectors this way, and a group of training runs steps on its stack of
+runs.  :func:`forward` serves whole splits; a training step puts the
+views of a batch on a further leading axis: one :func:`_dense_pass` over
+(V, R, n, d) rows gives the logits and the layer inputs, and one
+backward over those gives a (V, R, P) stack (or (V, P) for one vector),
+each row bit-identical to a solo call.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .numkit import Rng, atomic_write_bytes
 __all__ = [
     "Arch",
     "ModelParams",
-    "ForwardTrace",
     "GradCheckResult",
     "init_params",
     "forward",
@@ -52,12 +53,12 @@ _MAGIC = b"NLAM"
 _VERSION = 1
 _HEADER = struct.Struct("<IIIIQ")  # after the magic; see "Checkpoint format"
 
-# Rows per chunk of a logits-only forward.  Over the 3500-row train-nla
+# Rows per chunk of forward's whole-split pass.  Over the 3500-row train-nla
 # split (8-64-7 MLP) 512-row chunks took about a quarter of one unchunked
 # pass; 1024-row chunks were slower.
 _CHUNK_ROWS = 512
 # Perturbed parameter vectors per loss evaluation of gradient_check.  On
-# the 8-64-7 MLP with 32-row batches and losses from full-trace forwards,
+# the 8-64-7 MLP with 32-row batches and losses from unchunked dense passes,
 # stacks of 16-50 took within 10% of the fastest (about 40) and stacks of
 # 100 or more were slower.
 _GRAD_STACK = 24
@@ -123,16 +124,6 @@ class ModelParams:
         self.weights, self.biases = _layer_views(flat, arch.layer_shapes)
 
 
-@dataclass
-class ForwardTrace:
-    """Logits of one mini-batch and the input of each dense layer (the
-    rows, then the ReLU units), consumed by backward; a logits-only trace
-    (see :func:`forward`) holds no layer inputs."""
-
-    logits: np.ndarray
-    layer_inputs: list[np.ndarray]
-
-
 def init_params(arch: Arch, rng: Rng) -> ModelParams:
     """Zero-mean normal weights scaled by 1/sqrt(fan_in); zero biases.
 
@@ -185,61 +176,56 @@ def _check_rows(params: ModelParams, x: np.ndarray, lead: tuple = ()) -> None:
                          f"got {x.shape}")
 
 
-def forward(params: ModelParams, inputs: np.ndarray,
-            logits_only: bool = False) -> ForwardTrace:
-    """Batch forward pass into new arrays; rows of ``inputs`` are samples.
+def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Logits of a whole split, in new arrays; rows of ``inputs`` are
+    samples.
 
     With stacked parameters (``params.flat`` of shape (R, P)) ``inputs``
-    are (R, n, d), one block of rows per run, and every array of the trace
-    has a leading run axis: the logits are (R, n, K).
-
-    With ``logits_only`` (for passes over a whole split) the rows go
-    through in chunks of ``_CHUNK_ROWS`` and the trace keeps only the
-    logits, so it cannot be passed to :func:`backward`; each row's logits
-    are bit-identical to those of one unchunked pass.  A training step
-    calls :func:`_dense_pass` on its own buffers instead.
+    are (R, n, d), one block of rows per run, and the logits are
+    (R, n, K).  The rows go through :func:`_dense_pass` in chunks of
+    ``_CHUNK_ROWS``; each row's logits are bit-identical to those of one
+    unchunked pass.  A training step calls :func:`_dense_pass` on its own
+    buffers instead, which also gives the layer inputs that
+    :func:`backward` takes.
     """
     x = np.asarray(inputs, dtype=np.float64)
     _check_rows(params, x)
-    if logits_only:
-        return ForwardTrace(logits=np.concatenate(
-            [_dense_pass(params, x[..., rows, :])[0] for rows in _row_chunks(x.shape[-2])],
-            axis=-2), layer_inputs=[])
-    return ForwardTrace(*_dense_pass(params, x))
+    return np.concatenate([_dense_pass(params, x[..., rows, :])[0]
+                           for rows in _row_chunks(x.shape[-2])], axis=-2)
 
 
-def backward(params: ModelParams, trace: ForwardTrace,
+def backward(params: ModelParams, layer_inputs: list[np.ndarray],
              grad_logits: np.ndarray, out: ModelParams | None = None) -> np.ndarray:
     """Exact reverse-mode gradient for the supplied logit gradients.
 
-    ``grad_logits`` must be dL/d(logits) of the scalar loss being
-    differentiated (any batch-mean factor included by the caller), shaped
-    like ``trace.logits``.  Returns an array in the layout of
-    ``params.flat`` with one gradient per leading index of
-    ``grad_logits``: a vector for (n, K) logits, and a row per run or view
-    for (R, n, K) logits, each bit-identical to a solo backward.  A
-    (V, n, K) trace of one parameter vector stacks its V views of a batch
-    that way, and a (V, R, n, K) trace of an (R, P) stack gives a
-    (V, R, P) stack.  The per-layer products are written straight into a new
-    array, or into ``out.flat`` when ``out`` (parameters of that shape,
-    whose layer views its owner built once) is given.
+    ``layer_inputs`` is the list that :func:`_dense_pass` returns with
+    the logits (the rows, then the ReLU units), and ``grad_logits`` must
+    be dL/d(logits) of the scalar loss being differentiated (any
+    batch-mean factor included by the caller), shaped like those logits.
+    Returns an array in the layout of ``params.flat`` with one gradient
+    per leading index of ``grad_logits``: a vector for (n, K) logits, and
+    a row per run or view for (R, n, K) logits, each bit-identical to a
+    solo backward.  A (V, n, K) pass of one parameter vector stacks its V
+    views of a batch that way, and a (V, R, n, K) pass of an (R, P) stack
+    gives a (V, R, P) stack.  The per-layer products are written straight
+    into a new array, or into ``out.flat`` when ``out`` (parameters of
+    that shape, whose layer views its owner built once) is given.
     """
+    if len(layer_inputs) != len(params.weights):
+        raise ValueError("layer inputs do not match the model architecture")
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.shape != trace.logits.shape:
-        raise ValueError("grad_logits shape does not match the trace")
-    ins = trace.layer_inputs
-    if len(ins) != len(params.weights):
-        raise ValueError("trace does not match the model architecture")
+    if g.shape != layer_inputs[-1].shape[:-1] + (params.arch.n_classes,):
+        raise ValueError("grad_logits shape does not match the layer inputs")
     if out is None:
         out = ModelParams(params.arch, np.empty(g.shape[:-2] + (params.arch.param_count,)))
-    for layer in reversed(range(len(ins))):
-        np.matmul(ins[layer].mT, g, out=out.weights[layer])
+    for layer in reversed(range(len(layer_inputs))):
+        np.matmul(layer_inputs[layer].mT, g, out=out.weights[layer])
         np.add.reduce(g, axis=-2, out=out.biases[layer])
         if layer:
             # d of the layer below's pre-activations: the ReLU units are
             # > 0 exactly where their pre-activations are (NaN included).
             g = g @ params.weights[layer].mT
-            g *= ins[layer] > 0.0
+            g *= layer_inputs[layer] > 0.0
     return out.flat
 
 

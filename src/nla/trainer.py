@@ -39,8 +39,8 @@ import numpy as np
 
 from .data import Dataset, mirror
 from .losses import _VIEWS, MODES, BatchLoss, batch_total
-from .model import (Arch, ForwardTrace, ModelParams, _check_rows, _dense_pass,
-                    backward, forward, init_params, save_checkpoint)
+from .model import (Arch, ModelParams, _check_rows, _dense_pass, backward, forward,
+                    init_params, save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
 from .numkit import (Rng, _as_finite_array, _check_labels, _softmax_lse,
                      atomic_write_bytes)
@@ -285,9 +285,9 @@ def _as_stack(splits: Dataset | SplitStack) -> SplitStack:
 
 
 def _split_logits(params: ModelParams, splits: SplitStack) -> np.ndarray:
-    """([R,] n, K) logits of whole splits from one logits-only forward;
-    raises FloatingPointError when they are not finite."""
-    logits = forward(params, splits.inputs, logits_only=True).logits
+    """([R,] n, K) logits of whole splits from one forward; raises
+    FloatingPointError when they are not finite."""
+    logits = forward(params, splits.inputs)
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
     return logits
@@ -412,13 +412,13 @@ def train_step(params: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     _check_rows(params, inputs, (_VIEWS.get(mode, len(inputs)),))
     if buffers is None:
         buffers = StepBuffers(params, len(inputs), inputs.shape[-2])
-    trace = ForwardTrace(*_dense_pass(params, inputs, buffers.outs))
-    if not np.isfinite(trace.logits).all():
+    logits, layer_inputs = _dense_pass(params, inputs, buffers.outs)
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
-    loss = batch_total(trace.logits, labels, kernels, lam, mode=mode)
+    loss = batch_total(logits, labels, kernels, lam, mode=mode)
     if not np.isfinite(loss.total).all():
         raise FloatingPointError("non-finite loss")
-    grads = backward(params, trace, loss.grad, out=buffers.grads)
+    grads = backward(params, layer_inputs, loss.grad, out=buffers.grads)
     if len(grads) > 1:
         np.add(grads[0], grads[1], out=buffers.grad)
     return loss, buffers.grad

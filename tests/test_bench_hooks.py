@@ -18,6 +18,7 @@ CALLED = [
     ("nla.cli", "run_training"),
     ("nla.trainer", "run_training"),
     ("nla.trainer", "metrics_csv_text"),
+    ("nla.trainer", "forward"),
 ]
 
 

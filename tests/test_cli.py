@@ -921,6 +921,13 @@ class TestUsage:
         path, cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--mode", "banana"]) == 1
 
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    def test_seed_and_seeds_together_is_usage_error(self, tmp_path, capsys, command):
+        path, cfg = write_config(tmp_path, modes=["ce"])
+        assert main([command, "--config", str(path), "--seeds", "1..3", "--seed", "9"]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_range_parsing(self, tmp_path):
         path, cfg = write_config(tmp_path, modes=["ce"])
         assert main(["sweep", "--config", str(path), "--seeds", "1..3"]) == 0

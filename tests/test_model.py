@@ -11,7 +11,7 @@ import nla.selfcheck
 import nla.trainer
 from nla.losses import batch_total
 from nla.data import mirror
-from nla.model import (_FD_STEP, Arch, ForwardTrace, ModelParams, _layer_views,
+from nla.model import (_FD_STEP, Arch, ModelParams, _dense_pass, _layer_views,
                        backward, forward, gradient_check, init_params, load_checkpoint,
                        save_checkpoint)
 from nla.naw import WeightPolicy, epoch_kernels
@@ -52,7 +52,7 @@ class TestForward:
         params = init_params(MLP, Rng(8))
         for w in params.weights:
             w[:] = 0.0
-        logits = forward(params, np.ones((4, 8))).logits
+        logits = forward(params, np.ones((4, 8)))
         np.testing.assert_array_equal(logits, 0.0)
         np.testing.assert_allclose(softmax(logits), 1.0 / 7.0, atol=1e-15)
 
@@ -60,37 +60,30 @@ class TestForward:
         params = init_params(LINEAR, Rng(9))
         x = np.zeros((1, 8))
         x[0, 3] = 1.0
-        logits = forward(params, x).logits
+        logits = forward(params, x)
         np.testing.assert_allclose(logits[0], params.weights[0][3], rtol=1e-15)
 
     def test_batch_order_equivariance(self):
         params = init_params(MLP, Rng(10))
         x = Rng(11).normals(6 * 8).reshape(6, 8)
-        logits = forward(params, x).logits
+        logits = forward(params, x)
         perm = Rng(12).permutation(6)
-        np.testing.assert_array_equal(forward(params, x[perm]).logits, logits[perm])
+        np.testing.assert_array_equal(forward(params, x[perm]), logits[perm])
 
     @pytest.mark.parametrize("arch", [MLP, LINEAR])
     @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 514, 1025, 1400])
     def test_logits_only_chunks_equal_one_pass(self, arch, n):
-        # A logits-only forward runs the rows in chunks; its logits must
-        # equal one unchunked pass bit for bit, on both sides of an edge.
+        # forward runs the rows in chunks; its logits must equal one
+        # unchunked pass bit for bit, on both sides of an edge.
         params = init_params(arch, Rng(14))
         x = Rng(15).normals(n * 8).reshape(n, 8)
-        trace = forward(params, x, logits_only=True)
-        np.testing.assert_array_equal(trace.logits, forward(params, x).logits)
+        logits = forward(params, x)
+        np.testing.assert_array_equal(logits, _dense_pass(params, x)[0])
         w, b = params.weights, params.biases
         whole = x @ w[0] + b[0]
         if arch.hidden_dim:
             whole = np.maximum(whole, 0.0) @ w[1] + b[1]
-        np.testing.assert_array_equal(trace.logits, whole)
-        assert trace.layer_inputs == []
-
-    def test_logits_only_trace_rejected_by_backward(self):
-        params = init_params(MLP, Rng(16))
-        trace = forward(params, np.ones((3, 8)), logits_only=True)
-        with pytest.raises(ValueError, match="does not match"):
-            backward(params, trace, np.ones((3, 7)))
+        np.testing.assert_array_equal(logits, whole)
 
     def test_dimension_mismatch_rejected(self):
         params = init_params(MLP, Rng(13))
@@ -100,9 +93,8 @@ class TestForward:
         # are not broadcast over it, and one vector takes no run axis.
         stack = ModelParams(MLP, np.stack([params.flat] * 3))
         for p, shape in ((stack, (4, 8)), (stack, (2, 4, 8)), (params, (3, 4, 8))):
-            for logits_only in (False, True):
-                with pytest.raises(ValueError, match="inputs must be"):
-                    forward(p, np.ones(shape), logits_only)
+            with pytest.raises(ValueError, match="inputs must be"):
+                forward(p, np.ones(shape))
 
     @pytest.mark.parametrize("arch", [MLP, LINEAR])
     @pytest.mark.parametrize("runs", [1, 7, 50])
@@ -113,26 +105,40 @@ class TestForward:
         stack = ModelParams(arch, np.stack([p.flat for p in solo]))
         for n in (1, 32):
             x = Rng(17 + n).normals(runs * n * 8).reshape(runs, n, 8)
-            for logits_only in (False, True):
-                logits = forward(stack, x, logits_only).logits
+            for logits in (forward(stack, x), _dense_pass(stack, x)[0]):
                 assert logits.shape == (runs, n, 7)
                 for r, params in enumerate(solo):
-                    np.testing.assert_array_equal(logits[r], forward(params, x[r]).logits)
+                    np.testing.assert_array_equal(logits[r], forward(params, x[r]))
+
+    @pytest.mark.parametrize("arch", [MLP, LINEAR])
+    @pytest.mark.parametrize("runs", [2, 5])
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    def test_stacked_forward_at_chunk_edges_equals_solo_passes(self, arch, runs, n):
+        # A stack goes through forward's row chunks with its run axis, on
+        # both sides of a chunk edge and past the one-row rule: run r's
+        # logits are one unchunked pass of its rows, bit for bit.
+        solo = [init_params(arch, Rng(300 + r)) for r in range(runs)]
+        stack = ModelParams(arch, np.stack([p.flat for p in solo]))
+        x = Rng(400 + n).normals(runs * n * 8).reshape(runs, n, 8)
+        logits = forward(stack, x)
+        assert logits.shape == (runs, n, 7)
+        for r, params in enumerate(solo):
+            assert logits[r].tobytes() == _dense_pass(params, x[r])[0].tobytes()
 
 
 class TestBackward:
     def test_zero_logit_gradients_give_zero_parameter_gradients(self):
         params = init_params(MLP, Rng(14))
-        trace = forward(params, np.ones((3, 8)))
-        grad = backward(params, trace, np.zeros_like(trace.logits))
+        logits, layer_inputs = _dense_pass(params, np.ones((3, 8)))
+        grad = backward(params, layer_inputs, np.zeros_like(logits))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_linear_closed_form(self):
         params = init_params(LINEAR, Rng(15))
         x = Rng(16).normals(5 * 8).reshape(5, 8)
-        trace = forward(params, x)
+        _, layer_inputs = _dense_pass(params, x)
         g = Rng(17).normals(5 * 7).reshape(5, 7)
-        (d_w,), (d_b,) = _layer_views(backward(params, trace, g), LINEAR.layer_shapes)
+        (d_w,), (d_b,) = _layer_views(backward(params, layer_inputs, g), LINEAR.layer_shapes)
         np.testing.assert_allclose(d_w, x.T @ g, rtol=1e-12)
         np.testing.assert_allclose(d_b, g.sum(axis=0), rtol=1e-12)
 
@@ -145,7 +151,7 @@ class TestBackward:
         g = Rng(20).normals(5 * 7).reshape(5, 7)
         for bias, passes in ((0.0, False), (1e-300, True)):
             params.biases[0][3] = bias
-            d_w, d_b = _layer_views(backward(params, forward(params, x), g),
+            d_w, d_b = _layer_views(backward(params, _dense_pass(params, x)[1], g),
                                     MLP.layer_shapes)
             assert (d_b[0][3] != 0.0) == passes
             assert np.any(d_w[0][:, 3] != 0.0) == passes
@@ -153,9 +159,23 @@ class TestBackward:
     def test_trace_model_mismatch_rejected(self):
         mlp_params = init_params(MLP, Rng(18))
         lin_params = init_params(LINEAR, Rng(19))
-        trace = forward(lin_params, np.ones((2, 8)))
+        _, layer_inputs = _dense_pass(lin_params, np.ones((2, 8)))
         with pytest.raises(ValueError):
-            backward(mlp_params, trace, np.zeros((2, 7)))
+            backward(mlp_params, layer_inputs, np.zeros((2, 7)))
+
+    def test_layer_inputs_of_another_length_rejected(self):
+        params = init_params(MLP, Rng(16))
+        _, layer_inputs = _dense_pass(params, np.ones((3, 8)))
+        for wrong in ([], layer_inputs[:1], layer_inputs + layer_inputs[-1:]):
+            with pytest.raises(ValueError, match="do not match the model architecture"):
+                backward(params, wrong, np.ones((3, 7)))
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 7), (1, 3, 7)])
+    def test_gradient_of_another_shape_rejected(self, shape):
+        params = init_params(MLP, Rng(16))
+        _, layer_inputs = _dense_pass(params, np.ones((3, 8)))
+        with pytest.raises(ValueError, match="does not match the layer inputs"):
+            backward(params, layer_inputs, np.ones(shape))
 
     @pytest.mark.parametrize("arch", [MLP, LINEAR])
     @pytest.mark.parametrize("runs", [1, 7, 50])
@@ -167,30 +187,30 @@ class TestBackward:
         for n in (1, 12, 32):
             x = Rng(40 + n).normals(runs * n * 8).reshape(runs, n, 8)
             g = Rng(60 + n).normals(runs * n * 7).reshape(runs, n, 7)
-            grad = backward(stack, forward(stack, x), g)
+            grad = backward(stack, _dense_pass(stack, x)[1], g)
             assert grad.shape == (runs, arch.param_count)
             for r, params in enumerate(solo):
                 np.testing.assert_array_equal(
-                    grad[r], backward(params, forward(params, x[r]), g[r]))
+                    grad[r], backward(params, _dense_pass(params, x[r])[1], g[r]))
 
     @pytest.mark.parametrize("arch", [MLP, LINEAR])
     @pytest.mark.parametrize("n", [12, 32])
     def test_views_axis_equals_sum_of_per_view_backwards(self, arch, n):
-        # One backward over a (2, n, K) trace of a batch and its mirrored
+        # One backward over a (2, n, K) pass of a batch and its mirrored
         # view, as a training step runs it, gives each view's solo
         # gradient as a row; one np.add of the rows is the old
         # `grad += backward(view 1)`, bit for bit, also through buffers.
         params = init_params(arch, Rng(70))
         x = Rng(71 + n).normals(n * 8).reshape(n, 8)
         views = np.array((x, mirror(x)))
-        solo = [forward(params, v) for v in views]
+        solo = [_dense_pass(params, v)[1] for v in views]
         g = Rng(72 + n).normals(2 * n * 7).reshape(2, n, 7)
-        trace = ForwardTrace(np.array([t.logits for t in solo]),
-                             [np.array(ins) for ins in zip(*(t.layer_inputs for t in solo))])
+        layer_inputs = [np.array(ins) for ins in zip(*solo)]
         expected = backward(params, solo[0], g[0])
         expected += backward(params, solo[1], g[1])
         out = ModelParams(arch, np.empty((2, arch.param_count)))
-        for grads in (backward(params, trace, g), backward(params, trace, g, out=out)):
+        for grads in (backward(params, layer_inputs, g),
+                      backward(params, layer_inputs, g, out=out)):
             assert grads.shape == (2, arch.param_count)
             for view in range(2):
                 assert grads[view].tobytes() == backward(params, solo[view], g[view]).tobytes()
@@ -200,11 +220,11 @@ class TestBackward:
     def test_gradients_accumulate(self):
         params = init_params(MLP, Rng(20))
         x = Rng(21).normals(4 * 8).reshape(4, 8)
-        trace = forward(params, x)
-        g = np.ones_like(trace.logits)
-        a = backward(params, trace, g)
-        a += backward(params, trace, g)
-        c = backward(params, trace, 2.0 * g)
+        logits, layer_inputs = _dense_pass(params, x)
+        g = np.ones_like(logits)
+        a = backward(params, layer_inputs, g)
+        a += backward(params, layer_inputs, g)
+        c = backward(params, layer_inputs, 2.0 * g)
         np.testing.assert_allclose(a, c, rtol=1e-12)
 
 
@@ -372,7 +392,7 @@ class TestGradientCheck:
         for flats, losses in stacks:
             for flat, loss in zip(flats, losses):
                 solo = ModelParams(params.arch, flat)
-                logits = np.array((forward(solo, x).logits, forward(solo, xf).logits))
+                logits = np.array((forward(solo, x), forward(solo, xf)))
                 total = batch_total(logits, labels, kernels, 0.5, mode="nla",
                                     frozen_weights=weights).total
                 assert loss == total.mean()
@@ -433,15 +453,15 @@ class TestOptimizerContinuity:
         params = init_params(MLP, Rng(28))
         x = rng.normals(16 * 8).reshape(16, 8)
         labels = np.array([rng.below(7) for _ in range(16)])
-        before = forward(params, x).logits.copy()
+        before = forward(params, x)
         cfg = TrainConfig(epochs=60, seed=0)
         state = AdamState.zeros_like(params)
-        trace = forward(params, x)
-        loss = batch_total(np.array((trace.logits, trace.logits)), labels,
+        logits, layer_inputs = _dense_pass(params, x)
+        loss = batch_total(np.array((logits, logits)), labels,
                            epoch_kernels(cfg.policy, 0), 0.5, mode="nla")
-        grad = backward(params, trace, loss.grad_z)
+        grad = backward(params, layer_inputs, loss.grad_z)
         adam_step(params, grad, state, lr=1e-12, cfg=cfg)
-        after = forward(params, x).logits
+        after = forward(params, x)
         assert np.abs(after - before).max() < 1e-8
 
 

@@ -10,7 +10,7 @@ import nla.trainer
 from nla.data import (Dataset, apply_imbalance, inject_noise, make_synthetic,
                       mirror, standard_instance)
 from nla.losses import batch_total
-from nla.model import (Arch, ModelParams, backward, forward, init_params,
+from nla.model import (Arch, ModelParams, _dense_pass, backward, init_params,
                        load_checkpoint)
 from nla.naw import WeightPolicy, epoch_kernels, naw_weights
 from nla.numkit import Rng, softmax
@@ -467,7 +467,7 @@ class TestRunTraining:
 
 def reference_run(config, train):
     """The training loop of run_training composed from unbuffered calls:
-    per-view forward, batch_total, per-view backward summed in place, and
+    per-view dense pass, batch_total, per-view backward summed in place, and
     adam_step.  Returns the final parameter vector and, per epoch, the
     loss sums (ce, naw_ce, reg, total)."""
     rng = Rng(config.seed)
@@ -484,12 +484,12 @@ def reference_run(config, train):
         sums = np.zeros(4)
         for start in range(0, train.n, config.batch_size):
             rows = perm[start:start + config.batch_size]
-            traces = [forward(params, v[rows]) for v in views]
-            loss = batch_total(np.array([t.logits for t in traces]), train.labels[rows],
+            passes = [_dense_pass(params, v[rows]) for v in views]
+            loss = batch_total(np.array([logits for logits, _ in passes]), train.labels[rows],
                                kernels, config.lam, mode=config.mode)
-            grad = backward(params, traces[0], loss.grad_z)
+            grad = backward(params, passes[0][1], loss.grad_z)
             if config.mode == "nla":
-                grad += backward(params, traces[1], loss.grad[1])
+                grad += backward(params, passes[1][1], loss.grad[1])
             adam_step(params, grad, state, config.lr0 * config.lr_gamma ** epoch, config)
             sums += [loss.ce.sum(), loss.naw_ce.sum(), loss.reg.sum(), loss.total.sum()]
         epoch_sums.append(sums / train.n)
