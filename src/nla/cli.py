@@ -63,12 +63,14 @@ DEFAULT_CONFIG = {
 }
 
 
-# The path fields each dataset kind reads; ``_apply_overrides`` checks
-# that they are present before anything is written.
-_DATASET_PATHS = {
-    "synthetic": (),
-    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
-    "csv": ("train", "test"),
+_NUMBER = (int, float)
+# The fields each dataset kind reads and their types; ``_apply_overrides``
+# refuses any other kind or key, and a missing or mistyped field.
+_DATASET_FIELDS = {
+    "synthetic": {"k": int, "d": int, "n_per_class": int, "test_per_class": int,
+                  "spread": _NUMBER},
+    "idx": dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"), str),
+    "csv": {"train": str, "test": str},
 }
 
 
@@ -153,25 +155,22 @@ def _apply_overrides(cfg: dict, args) -> dict:
         if m not in MODES:
             raise UsageError(f"unknown mode {m!r}")
     # Types, then ranges; apply_imbalance checks the data-dependent per-class bound.
-    number = (int, float)
     ds_cfg = cfg["dataset"]
     ds_kind = ds_cfg["kind"]
-    fields = [("noise", cfg["noise"], number), ("imbalance", cfg["imbalance"], number),
+    if not isinstance(ds_kind, str) or ds_kind not in _DATASET_FIELDS:
+        raise UsageError(f"unknown dataset kind {ds_kind!r}")
+    unread = ds_cfg.keys() - {"kind"}.union(*_DATASET_FIELDS.values())
+    if unread:
+        raise UsageError(f"unknown config key 'dataset.{min(unread)}'")
+    fields = [("noise", cfg["noise"], _NUMBER), ("imbalance", cfg["imbalance"], _NUMBER),
               ("seeds", cfg["seeds"], int), ("seed", [cfg["seed"]], int),
-              ("out", [cfg["out"]], str), ("dataset.kind", [ds_kind], str)]
-    if ds_kind == "synthetic":
-        fields += [(f"dataset.{key}", [ds_cfg[key]], number if key == "spread" else int)
-                   for key in ("k", "d", "n_per_class", "test_per_class", "spread")]
+              ("out", [cfg["out"]], str)]
+    fields += [(f"dataset.{key}", [ds_cfg.get(key)], kind)
+               for key, kind in _DATASET_FIELDS[ds_kind].items()]
     for name, values, kind in fields:
         if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
             raise UsageError(f"config key {name!r} must hold "
                              + {int: "integers", str: "strings"}.get(kind, "numbers"))
-    if ds_kind not in _DATASET_PATHS:
-        raise UsageError(f"unknown dataset kind {ds_kind!r}")
-    for key in _DATASET_PATHS[ds_kind]:
-        if not isinstance(ds_cfg.get(key), str):
-            raise UsageError(f"dataset kind {ds_kind!r} needs a path string "
-                             f"in 'dataset.{key}'")
     lo, hi = NOISE_RATES
     if not all(lo <= v <= hi for v in cfg["noise"]):
         raise UsageError(f"noise rates must lie in [{lo:g}, {hi:g}]")

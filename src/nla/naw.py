@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _check_labels, _row_max
+from .numkit import _check_labels, _check_numbers, _row_max
 
 __all__ = [
     "ALONG_Y_EQ_X",
@@ -121,8 +121,9 @@ class WeightPolicy:
     """Complete weighting configuration: both branches plus the horizon.
 
     Axis ratios are ratios of ellipse axis lengths (major : minor), so the
-    covariance eigenvalue ratio is the square of the stated value.  The
-    fields are checked by building the horizon epoch's kernels, the most
+    covariance eigenvalue ratio is the square of the stated value.  Every
+    field and mean entry must be a real number and no bool; their values
+    are checked by building the horizon epoch's kernels, the most
     elongated the policy gives, so :func:`kernel_params` judges them.
 
     Each instance keeps the kernel pairs that :func:`epoch_kernels` builds
@@ -139,6 +140,11 @@ class WeightPolicy:
     total_epochs: int = 60
 
     def __post_init__(self) -> None:
+        # An object array keeps each mean entry's own type, a bool included.
+        scalars = ("sigma_diag", "axis_ratio_true", "axis_ratio_false", "total_epochs")
+        _check_numbers([(name, getattr(self, name)) for name in scalars]
+                       + [(f"{name} entry", v) for name in ("mu_true", "mu_false")
+                          for v in np.ravel(np.array(getattr(self, name), dtype=object))])
         epoch_kernels(self, self.total_epochs)
 
     def __getstate__(self) -> dict:

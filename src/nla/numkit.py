@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import os
 from pathlib import Path
 
@@ -46,6 +47,16 @@ def _as_finite_array(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     return arr
+
+
+def _check_numbers(fields, kind=numbers.Real) -> None:
+    """Raise ValueError naming the first (name, value) pair of ``fields``
+    whose value is a bool or not a ``kind``: ``numbers.Real`` or
+    ``numbers.Integral``."""
+    for name, value in fields:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 def _check_count(n: int) -> None:

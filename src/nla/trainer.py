@@ -42,7 +42,7 @@ from .losses import _VIEWS, MODES, BatchLoss, batch_total
 from .model import (Arch, ModelParams, _check_rows, _dense_pass, backward, forward,
                     init_params, save_checkpoint)
 from .naw import KernelParams, WeightPolicy, epoch_kernels, naw_weights
-from .numkit import (Rng, _as_finite_array, _check_labels, _softmax_lse,
+from .numkit import (Rng, _as_finite_array, _check_labels, _check_numbers, _softmax_lse,
                      atomic_write_bytes)
 
 __all__ = [
@@ -102,10 +102,10 @@ class TrainConfig:
     policy: WeightPolicy | None = None
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "epochs", "seed", "hidden_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_numbers(((name, getattr(self, name)) for name in
+                        ("batch_size", "epochs", "seed", "hidden_dim")), numbers.Integral)
+        _check_numbers((name, getattr(self, name)) for name in
+                       ("lam", "lr0", "lr_gamma", "weight_decay", "beta1", "beta2", "eps"))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 <= self.lam <= 1.0:
@@ -129,9 +129,7 @@ class TrainConfig:
             raise ValueError("policy.total_epochs must equal epochs")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["policy"] = dataclasses.asdict(self.policy)
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -273,11 +271,8 @@ class SplitStack:
     @functools.cached_property
     def class_order(self) -> np.ndarray:
         """The flat rows of the stack by run, by class within a run, and in
-        split order within a class: one stable sort of the bins, as the
-        smallest unsigned type that holds them, which numpy radix-sorts for
-        8- and 16-bit keys where it timsorts int64 ones."""
-        keys = self._bins.astype(np.min_scalar_type(self.class_counts.size - 1))
-        return np.argsort(keys, kind="stable")
+        split order within a class: one stable sort of the bins."""
+        return np.argsort(self._bins, kind="stable")
 
 
 def _as_stack(splits: Dataset | SplitStack) -> SplitStack:
@@ -285,8 +280,12 @@ def _as_stack(splits: Dataset | SplitStack) -> SplitStack:
 
 
 def _split_logits(params: ModelParams, splits: SplitStack) -> np.ndarray:
-    """([R,] n, K) logits of whole splits from one forward; raises
-    FloatingPointError when they are not finite."""
+    """([R,] n, K) logits of whole splits from one forward.  Raises
+    ValueError when the model's class count differs from the splits', and
+    FloatingPointError when the logits are not finite."""
+    if params.arch.n_classes != splits.n_classes:
+        raise ValueError(f"a {params.arch.n_classes}-class model cannot score "
+                         f"{splits.n_classes}-class splits")
     logits = forward(params, splits.inputs)
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")

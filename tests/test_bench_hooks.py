@@ -19,6 +19,12 @@ CALLED = [
     ("nla.trainer", "run_training"),
     ("nla.trainer", "metrics_csv_text"),
     ("nla.trainer", "forward"),
+    ("nla.trainer", "batch_total"),
+    ("nla.trainer", "TrainConfig"),
+    ("nla.data", "standard_instance"),
+    ("nla.numkit", "Rng"),
+    ("nla.numkit", "Rng.split"),
+    ("nla.numkit", "derive_seed"),
 ]
 
 

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from nla import __version__
 from nla.cli import (DEFAULT_CONFIG, _base_splits, cell_id, dataset_id,
                      load_config, main)
 from nla.data import fingerprint, load_dataset, standard_instance
+from nla.numkit import Rng
 from nla.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,7 +73,10 @@ class TestConfig:
         '{"noise": [-0.1]}', '{"noise": [0.7]}', '{"noise": [NaN]}',
         '{"imbalance": [0.5]}', '{"dataset": {"kind": ["csv"]}}',
         '{"dataset": {"kind": {"a": 1}}}', '{"out": 5}', '{"seed": 1.5}',
-        '{"seed": true}', '{"seed": "x"}'])
+        '{"seed": true}', '{"seed": "x"}', '{"dataset": {"spred": 0.9}}',
+        '{"dataset": {"n_per_clas": 40}}',
+        '{"dataset": {"kind": "idx", "train_images": "a", "train_labels": "b", '
+        '"test_images": "c", "test_labels": "d", "train_imgs": "a"}}'])
     def test_mistyped_config_element_is_usage_error(self, tmp_path, text):
         # The output root goes in the file, so that a mistyped "out" is read.
         path = tmp_path / "bad.json"
@@ -346,18 +351,37 @@ class TestTrain:
                                        {"lr0": np.nan}, {"weight_decay": np.nan},
                                        {"eps": np.nan}, {"lr_gamma": np.inf},
                                        {"beta1": 2.0}, {"beta2": -1.0},
-                                       {"hidden_dim": 0}, {"hidden_dim": -3}],
+                                       {"hidden_dim": 0}, {"hidden_dim": -3},
+                                       {"lam": True}, {"beta1": False},
+                                       {"policy": {"sigma_diag": True}},
+                                       {"policy": {"mu_true": [True, 0.5]}}],
                              ids=["lam", "foo", "policy", "epochs", "batch_size",
                                   "hidden_dim", "policy-mu_true", "policy-sigma_diag",
                                   "policy-mu_false", "mode", "seed", "lr0-nan",
                                   "weight_decay-nan", "eps-nan", "lr_gamma-inf",
-                                  "beta1", "beta2", "hidden_dim-0", "hidden_dim-neg"])
+                                  "beta1", "beta2", "hidden_dim-0", "hidden_dim-neg",
+                                  "lam-bool", "beta1-bool", "policy-sigma_diag-bool",
+                                  "policy-mu_true-bool"])
     def test_rejected_train_section_is_usage_error(self, tmp_path, capsys,
                                                     command, train):
         path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"], train=train)
         assert main([command, "--config", str(path)]) == 1
         assert "bad train section" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # no cache, no run directory
+
+    def test_failed_save_exits_2(self, tmp_path, capsys):
+        # A regular file where the run directory goes: training succeeds,
+        # saving the run fails.
+        path, cfg = write_config(tmp_path, seeds=[1], modes=["ce"])
+        runs = tmp_path / "out" / "runs"
+        runs.mkdir(parents=True)
+        (runs / "n0_f1_ce_s1").write_text("not a directory")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("[train] n0_f1_ce_s1 FAILED: NotADirectoryError")
+        assert (runs / "n0_f1_ce_s1").read_text() == "not a directory"
 
     def test_needs_single_cell(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -655,6 +679,22 @@ class TestSweep:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "n0_f1:nla-ce" in summary["pairwise_deltas"]
 
+    def test_failed_save_fails_its_cell_alone(self, tmp_path, capsys):
+        # s1 and s2 train as one stack; only s2's run directory is a file.
+        path, cfg = write_config(tmp_path, modes=["ce"])
+        runs = tmp_path / "out" / "runs"
+        runs.mkdir(parents=True)
+        (runs / "n0_f1_ce_s2").write_text("not a directory")
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(path), "--workers", "1"]) == 3
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[sweep] n0_")]
+        assert lines[0] == "[sweep] n0_f1_ce_s1: ok"
+        assert lines[1].startswith("[sweep] n0_f1_ce_s2: FAILED: NotADirectoryError")
+        assert (runs / "n0_f1_ce_s1" / "manifest.json").exists()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["incomplete"] == ["n0_f1_ce_s2"]
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_partial_failure_exits_3_and_is_recorded(self, tmp_path):
         path, cfg = write_config(
@@ -843,6 +883,44 @@ class TestSweepGroups:
             sidecar.write_text(json.dumps(info))
         solo = sweep_outputs_equal_workers_1(tmp_path, path, capsys)
         assert "FAILED" not in solo
+
+
+def write_idx_split(tmp_path, split, n, shape=(3, 2)):
+    """IDX image and label files of ``n`` rows, labels 0, 1, 2 in turn;
+    return their paths as the config's ``{split}_images`` and
+    ``{split}_labels`` fields."""
+    pixels = Rng(n).belows(np.full(n * shape[0] * shape[1], 256)).astype(np.uint8)
+    images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+    images.write_bytes(struct.pack(">HBBIII", 0, 8, 3, n, *shape) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">HBBI", 0, 8, 1, n) + bytes(i % 3 for i in range(n)))
+    return {f"{split}_images": str(images), f"{split}_labels": str(labels)}
+
+
+class TestIdxDataset:
+    def test_sweep_equals_train_of_each_cell_and_resumes(self, tmp_path):
+        dataset = {"kind": "idx", **write_idx_split(tmp_path, "train", 60),
+                   **write_idx_split(tmp_path, "test", 24)}
+        grid = {"noise": [0.0, 0.2], "imbalance": [1.0, 2.0], "seeds": [1, 2]}
+        flags = ["--mode", "ce,nla", "--epochs", "2"]
+        path, cfg = write_config(tmp_path / "a", dataset=dataset, **grid)
+        out = tmp_path / "a" / "out"
+        assert main(["sweep", "--config", str(path), *flags, "--workers", "1"]) == 0
+        caches = sorted((out / "data").glob("*.ds"))
+        assert len(caches) == 1 + 8
+        for cache in caches:
+            assert load_dataset(cache).meta["image_shape"] == (3, 2)
+        path_b, _ = write_config(tmp_path / "b", dataset=dataset, **grid)
+        for noise, imbalance, mode, seed in itertools.product(
+                grid["noise"], grid["imbalance"], ["ce", "nla"], grid["seeds"]):
+            assert main(["train", "--config", str(path_b), "--epochs", "2",
+                         "--noise", f"{noise:g}", "--imbalance", f"{imbalance:g}",
+                         "--mode", mode, "--seed", str(seed)]) == 0
+        files = cell_files(out)
+        assert len(files) == 16 * 3 + 9  # cells x 3, caches
+        assert files == cell_files(tmp_path / "b" / "out")
+        before = file_states(out)
+        assert main(["sweep", "--config", str(path), *flags, "--workers", "1"]) == 0
+        assert file_states(out) == before
 
 
 class TestPlotdata:

@@ -508,11 +508,17 @@ class TestWeightPolicyValidation:
         assert policy.total_epochs == 60
 
     def test_bad_fields_rejected(self):
-        # Each value gives a kernel that kernel_params or its builders reject.
+        # Each value is a bool, is no real number, or gives a kernel that
+        # kernel_params or its builders reject.
         for fields in ({"sigma_diag": 0.0}, {"axis_ratio_true": 0.9},
                        {"total_epochs": 0}, {"sigma_diag": np.nan},
                        {"axis_ratio_false": np.nan}, {"mu_true": (0.5, 0.5, 0.5)},
-                       {"mu_false": (np.nan, 0.1)}, {"sigma_diag": 1e-7}):
+                       {"mu_false": (np.nan, 0.1)}, {"sigma_diag": 1e-7},
+                       {"sigma_diag": True}, {"axis_ratio_true": True},
+                       {"axis_ratio_false": True}, {"total_epochs": True},
+                       {"mu_true": (True, 0.5)}, {"mu_false": (0.3, True)},
+                       {"mu_true": np.array([0.5, True], dtype=object)},
+                       {"sigma_diag": "0.8"}, {"mu_false": ("0.3", 0.15)}):
             with pytest.raises(ValueError):
                 WeightPolicy(**fields)
 

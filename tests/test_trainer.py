@@ -75,9 +75,19 @@ class TestTrainConfig:
                        {"lr0": nan}, {"weight_decay": nan}, {"eps": nan},
                        {"lr_gamma": np.inf}, {"weight_decay": np.inf},
                        {"beta1": 2.0}, {"beta2": -1.0}, {"beta1": nan}, {"beta2": 1.0},
-                       {"hidden_dim": 0}, {"hidden_dim": -3}):
+                       {"hidden_dim": 0}, {"hidden_dim": -3},
+                       {"lam": True}, {"lr0": True}, {"lr_gamma": True},
+                       {"weight_decay": True}, {"eps": True}, {"beta1": False},
+                       {"beta2": False}, {"lam": "0.5"}, {"lr0": None}):
             with pytest.raises(ValueError):
                 TrainConfig(seed=0, **fields)
+        # A bool or non-real policy number, with a horizon that fits epochs.
+        for policy in ({"sigma_diag": True}, {"axis_ratio_true": True},
+                       {"axis_ratio_false": True}, {"total_epochs": True},
+                       {"mu_true": [True, 0.5]}, {"mu_false": [0.3, False]},
+                       {"sigma_diag": "0.8"}):
+            with pytest.raises(ValueError, match="must be a number"):
+                TrainConfig.from_dict({"seed": 0, "epochs": 1, "policy": policy})
         # A linear head has no hidden layer to size.
         TrainConfig(seed=0, arch="linear", hidden_dim=0)
 
@@ -165,6 +175,18 @@ class TestEvaluate:
         test = spoiled(test, "input", np.nan)
         with pytest.raises(ValueError, match="test inputs must contain only finite"):
             evaluate(init_params(Arch(test.dim, 0, 3), Rng(6)), test)
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_model_of_another_class_count_rejected(k):
+    # A 3-class split scored by a k-class model, before any forward.
+    train, test = tiny_data(k=3)
+    params = init_params(Arch(train.dim, 8, k), Rng(7))
+    message = f"a {k}-class model cannot score 3-class splits"
+    with pytest.raises(ValueError, match=message):
+        evaluate(params, test)
+    with pytest.raises(ValueError, match=message):
+        collect_weight_stats(params, train, epoch_kernels(WeightPolicy(total_epochs=10), 4))
 
 
 class TestWeightStats:
